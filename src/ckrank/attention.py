@@ -12,6 +12,7 @@ attention, and a position-wise feed-forward network, each with residual
 connection, dropout, and a trailing layer norm.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,27 @@ class AttentionConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
+# (dim, dtype) -> read-only table of the longest length asked for so far.
+# Row i depends only on i and dim, so a prefix of a longer table is
+# bit-identical to a table built for that length.
+_PE_TABLES = {}
+
+
 def positional_encoding(n, dim, dtype=None):
-    """Sinusoidal position features: sin on even columns, cos on odd."""
-    dtype = dtype or T.default_dtype()
-    pos = np.arange(n, dtype=np.float64)[:, None]
-    idx = np.arange(dim, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
-    enc = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc.astype(dtype)
+    """Sinusoidal position features: sin on even columns, cos on odd.
+
+    Returns a read-only (n, dim) view of a cached table.
+    """
+    dtype = np.dtype(dtype or T.default_dtype())
+    table = _PE_TABLES.get((dim, dtype))
+    if table is None or table.shape[0] < n:
+        pos = np.arange(n, dtype=np.float64)[:, None]
+        idx = np.arange(dim, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
+        table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
+        table.flags.writeable = False
+        _PE_TABLES[(dim, dtype)] = table
+    return table[:n]
 
 
 def self_attention(q, k, v):
@@ -89,26 +103,100 @@ def _check_rows(q, k, v):
         raise ShapeError(f"q and k key dims differ: {q.shape[1]} vs {k.shape[1]}")
 
 
+def _split_heads(a, heads):
+    """(n, heads * d) -> (heads, n, d) view."""
+    n = a.shape[0]
+    return a.reshape(n, heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(a):
+    """(heads, n, d) -> contiguous (n, heads * d)."""
+    heads, n, d = a.shape
+    return a.transpose(1, 0, 2).reshape(n, heads * d)
+
+
+def _softmax_last(x):
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_backward(s, g):
+    """Gradient through a softmax over the last axis with output s; g is
+    overwritten."""
+    g -= (g * s).sum(axis=-1, keepdims=True)
+    g *= s
+    return g
+
+
+def _separable_heads(q, k, v, heads):
+    """Separable attention of every head at once -> Tensor[n, heads * d_value].
+
+    Per head: softmax(q_h over d_key) @ (softmax(k_hᵀ over n) @ v_h); the
+    largest intermediate is (heads, n, d_key).
+    """
+    qh, vh = _split_heads(q.data, heads), _split_heads(v.data, heads)
+    kt = _split_heads(k.data, heads).transpose(0, 2, 1)       # (h, dk, n)
+    phi_q = _softmax_last(qh)
+    phi_kt = _softmax_last(kt)
+    summary = phi_kt @ vh                                     # (h, dk, dv)
+    out = _merge_heads(phi_q @ summary)
+
+    def backward(g):
+        gh = _split_heads(g, heads)
+        if q.requires_grad:
+            dphi_q = gh @ summary.transpose(0, 2, 1)
+            q._accumulate(_merge_heads(_softmax_backward(phi_q, dphi_q)))
+        d_summary = phi_q.transpose(0, 2, 1) @ gh
+        if k.requires_grad:
+            dphi_kt = d_summary @ vh.transpose(0, 2, 1)       # (h, dk, n)
+            dkt = _softmax_backward(phi_kt, dphi_kt)
+            k._accumulate(_merge_heads(dkt.transpose(0, 2, 1)))
+        if v.requires_grad:
+            v._accumulate(_merge_heads(phi_kt.transpose(0, 2, 1) @ d_summary))
+
+    return T.wrap_op(out, (q, k, v), backward, "separable_heads",
+                     saved=(phi_q, phi_kt, summary))
+
+
+def _standard_heads(q, k, v, heads):
+    """Standard attention of every head at once -> Tensor[n, heads * d_value];
+    keeps the (heads, n, n) weights for the backward pass."""
+    qh, kh, vh = (_split_heads(a.data, heads) for a in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[2])       # a Python float keeps the dtype
+    attn = _softmax_last((qh * scale) @ kh.transpose(0, 2, 1))
+    out = _merge_heads(attn @ vh)
+
+    def backward(g):
+        gh = _split_heads(g, heads)
+        if q.requires_grad or k.requires_grad:
+            d_scores = _softmax_backward(attn, gh @ vh.transpose(0, 2, 1))
+            d_scores *= scale
+            if q.requires_grad:
+                q._accumulate(_merge_heads(d_scores @ kh))
+            if k.requires_grad:
+                k._accumulate(_merge_heads(d_scores.transpose(0, 2, 1) @ qh))
+        if v.requires_grad:
+            v._accumulate(_merge_heads(attn.transpose(0, 2, 1) @ gh))
+
+    return T.wrap_op(out, (q, k, v), backward, "standard_heads", saved=(attn,))
+
+
 def multi_head(x, params, cfg, variant="separable"):
-    """Project to per-head q/k/v, attend per head, concatenate, project out."""
+    """Project to per-head q/k/v, attend with all heads in one batched op,
+    project the concatenated heads out."""
     if x.ndim != 2 or x.shape[1] != cfg.model_dim:
         raise ShapeError(f"multi_head expects (n, {cfg.model_dim}) input, "
                          f"got {tuple(x.shape)}")
     if variant not in ("standard", "separable"):
         raise ConfigError(f"unknown attention variant {variant!r}")
-    attend = self_attention if variant == "standard" else separable_self_attention
+    attend = _standard_heads if variant == "standard" else _separable_heads
     q = T.linear(x, params["wq"], params["bq"])
     k = T.linear(x, params["wk"], params["bk"])
     v = T.linear(x, params["wv"], params["bv"])
-    dk, dv = cfg.d_key, cfg.d_value
-    head_outs = []
-    for h in range(cfg.num_heads):
-        qh = T.narrow(q, 1, h * dk, dk)
-        kh = T.narrow(k, 1, h * dk, dk)
-        vh = T.narrow(v, 1, h * dv, dv)
-        head_outs.append(attend(qh, kh, vh))
-    cat = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs, axis=1)
-    return T.linear(cat, params["wo"], params["bo"])
+    heads = attend(q, k, v, cfg.num_heads)
+    return T.linear(heads, params["wo"], params["bo"])
 
 
 def conformer_block(x, params, cfg, training=False, rng=None, variant="separable"):
@@ -167,24 +255,3 @@ def init_block_params(cfg, rng):
         "ln3_gamma": T.parameter(np.ones(m)),
         "ln3_beta": T.parameter(np.zeros(m)),
     }
-
-
-def peak_activation_elements(n, cfg, variant="separable"):
-    """Elements live at the peak of one multi_head forward with the graph
-    recorded, mirroring the op sequence above allocation for allocation.
-
-    The standard variant carries a num_heads * n^2 term (scores plus the
-    softmax output per head); the separable variant is linear in n.
-    """
-    h, dk, dv, m = cfg.num_heads, cfg.d_key, cfg.d_value, cfg.model_dim
-    proj = 2 * n * h * dk + n * h * dv    # q, k, v projections
-    heads_common = 3 * n * dk        # qh, kh, vh slices per head
-    concat_out = n * h * dv if h > 1 else 0
-    tail = concat_out + n * m        # concat plus output projection
-    if variant == "standard":
-        per_head = heads_common + n * dk + n * dk + n * n + n * n + n * dv
-    elif variant == "separable":
-        per_head = heads_common + n * dk + n * dk + n * dk + dk * dv + n * dv
-    else:
-        raise ConfigError(f"unknown attention variant {variant!r}")
-    return proj + h * per_head + tail

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, conformer_block, init_block_params, \
-    peak_activation_elements
+from .attention import AttentionConfig, conformer_block, init_block_params
 from .memory import tracker
 
 DEFAULT_LENGTHS = (250, 500, 1000, 2000, 4000)
+# Length of the unrecorded run that seeds the estimates when a capped sweep
+# has measured nothing smaller yet.
+PROBE_LENGTH = 32
 
 
 @dataclass
@@ -42,46 +44,63 @@ def bench_attention_config():
                            num_layers=2)
 
 
-def _estimate_bytes(n, cfg, variant):
-    """Crude upper-scale estimate used only to refuse hopeless runs."""
-    itemsize = np.dtype(T.default_dtype()).itemsize
-    per_layer = peak_activation_elements(n, cfg, variant)
-    return per_layer * cfg.num_layers * 3 * itemsize
+def _estimate_bytes(n, measured, variant):
+    """Crude upper-scale estimate used only to refuse hopeless runs: the peak
+    of the longest measured run, scaled by the length ratio, squared for the
+    standard variant's n-by-n weights."""
+    n0, peak0 = max(measured)
+    power = 2 if variant == "standard" else 1
+    return int(peak0 * (n / n0) ** power)
+
+
+def _measure(blocks, params, cfg, variant, x):
+    """Peak tracked bytes of one encoder forward + backward on x."""
+    try:
+        with tracker.scope() as st:
+            out = x
+            for block in blocks:
+                out = conformer_block(out, block, cfg, training=False,
+                                      rng=None, variant=variant)
+            T.backward(T.tmean(out))
+            return st.peak_bytes
+    finally:
+        for p in params:
+            p.drop_grad()
 
 
 def bench_memory(lengths=DEFAULT_LENGTHS, config=None, seed=0, max_bytes=None):
     """One BenchRecord per (variant, n); rows that would exceed max_bytes
-    (or die with MemoryError) come back with status 'capped'."""
+    (or die with MemoryError) come back with status 'capped'. The estimate
+    extrapolates the peaks measured at shorter lengths of the same sweep."""
     cfg = config or bench_attention_config()
     rng = np.random.default_rng(seed)
     records = []
     for variant in ("standard", "separable"):
         blocks = [init_block_params(cfg, rng) for _ in range(cfg.num_layers)]
         params = [t for block in blocks for t in block.values()]
+        measured = []                                   # (n, peak) of ok rows
+        if max_bytes is not None:
+            probe = T.constant(np.zeros((PROBE_LENGTH, cfg.model_dim)))
+            measured.append((PROBE_LENGTH,
+                             _measure(blocks, params, cfg, variant, probe)))
         for n in lengths:
-            estimate = _estimate_bytes(n, cfg, variant)
-            if max_bytes is not None and estimate > max_bytes:
-                records.append(BenchRecord(variant, n, estimate, 0.0, "capped"))
-                continue
+            smaller = [m for m in measured if m[0] <= n]
+            if max_bytes is not None and smaller:
+                estimate = _estimate_bytes(n, smaller, variant)
+                if estimate > max_bytes:
+                    records.append(BenchRecord(variant, n, estimate, 0.0, "capped"))
+                    continue
             x = T.constant(rng.normal(size=(n, cfg.model_dim)))
             gc.collect()
             start = time.perf_counter()
             try:
-                with tracker.scope() as st:
-                    out = x
-                    for block in blocks:
-                        out = conformer_block(out, block, cfg, training=False,
-                                              rng=None, variant=variant)
-                    loss = T.tmean(out)
-                    T.backward(loss)
-                    peak = st.peak_bytes
+                peak = _measure(blocks, params, cfg, variant, x)
                 status = "ok"
+                measured.append((n, peak))
             except MemoryError:
                 peak = tracker.peak_bytes
                 status = "capped"
             elapsed = (time.perf_counter() - start) * 1000.0
-            for p in params:
-                p.drop_grad()
             del x
             records.append(BenchRecord(variant, n, int(peak), elapsed, status))
         del blocks, params

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ContractError, IndexFormatError
 
 MAGIC = b"CKIX"
@@ -68,26 +69,28 @@ def build_index(corpus, model, progress=None):
     """Score every (vocabulary term, containing document) pair offline.
 
     The model must be in eval mode so batch-dependent statistics are frozen;
-    building from a training-mode model is refused.
+    building from a training-mode model is refused. Nothing is recorded for
+    backward, so each document's encoder activations die with it.
     """
     if model.training:
         raise ContractError("refusing to build an index from a model in train "
                             "mode: statistics are not frozen")
     doc_ids = sorted(corpus.docs)
     postings = {}
-    for doc_idx, doc_id in enumerate(doc_ids):
-        doc = corpus.get(doc_id)
-        terms = sorted(t for t in doc.tf if t in model.vocab)
-        if not terms:
-            continue
-        enc = model.encode_document(doc) if model.needs_latent else None
-        scores = model.per_term_scores(terms, doc, doc_enc=enc)
-        for term, score in zip(terms, scores):
-            postings.setdefault(term, ([], []))
-            postings[term][0].append(doc_idx)
-            postings[term][1].append(np.float32(score))
-        if progress and (doc_idx + 1) % progress == 0:
-            print(f"indexed {doc_idx + 1}/{len(doc_ids)} documents")
+    with T.no_grad():
+        for doc_idx, doc_id in enumerate(doc_ids):
+            doc = corpus.get(doc_id)
+            terms = sorted(t for t in doc.tf if t in model.vocab)
+            if not terms:
+                continue
+            enc = model.encode_document(doc) if model.needs_latent else None
+            scores = model.per_term_scores(terms, doc, doc_enc=enc)
+            for term, score in zip(terms, scores):
+                postings.setdefault(term, ([], []))
+                postings[term][0].append(doc_idx)
+                postings[term][1].append(np.float32(score))
+            if progress and (doc_idx + 1) % progress == 0:
+                print(f"indexed {doc_idx + 1}/{len(doc_ids)} documents")
     packed = {t: (np.asarray(idx, dtype=np.int64),
                   np.asarray(sc, dtype=np.float32))
               for t, (idx, sc) in postings.items()}
@@ -148,15 +151,22 @@ def _write_varint(buf, value):
 
 
 def _read_varint(blob, pos):
+    """Decode one varint at pos -> (value, next pos); a varint cut off by the
+    end of the buffer or longer than 64 bits is a format error."""
     shift = 0
     out = 0
-    while True:
-        byte = blob[pos]
-        pos += 1
-        out |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return out, pos
-        shift += 7
+    try:
+        while True:
+            byte = blob[pos]
+            pos += 1
+            out |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return out, pos
+            shift += 7
+            if shift > 63:
+                raise IndexFormatError("malformed varint: longer than 64 bits")
+    except IndexError:
+        raise IndexFormatError("posting block truncated inside a varint") from None
 
 
 def save_index(index, path):
@@ -191,29 +201,54 @@ def save_index(index, path):
             fh.write(block)
 
 
-def load_index(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
+_HEADER = struct.Struct("<4sIQ")          # magic, version, meta length
+
+
+def _load_meta(blob, path):
+    if len(blob) < _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated header")
+    magic, version, mlen = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
         raise IndexFormatError(f"{path}: not an impact index (bad magic)")
-    version = struct.unpack_from("<I", blob, 4)[0]
     if version != VERSION:
         raise IndexFormatError(f"{path}: unsupported index version {version}")
-    mlen = struct.unpack_from("<Q", blob, 8)[0]
-    meta = json.loads(blob[16:16 + mlen].decode("utf-8"))
-    payload = blob[16 + mlen:]
+    if mlen > len(blob) - _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated metadata")
+    try:
+        meta = json.loads(blob[_HEADER.size:_HEADER.size + mlen].decode("utf-8"))
+        doc_ids = list(meta["doc_ids"])
+        dictionary = [(e["term"], int(e["offset"]), int(e["count"]))
+                      for e in meta["dictionary"]]
+        config_hash, stats = meta["config_hash"], dict(meta["stats"])
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
+        raise IndexFormatError(f"{path}: malformed metadata ({err})") from None
+    if meta.get("num_docs") != len(doc_ids):
+        raise IndexFormatError(f"{path}: doc table length does not match num_docs")
+    return doc_ids, dictionary, config_hash, stats, _HEADER.size + mlen
+
+
+def load_index(path):
+    """Read a CKIX file; any truncated or inconsistent part raises
+    IndexFormatError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    doc_ids, dictionary, config_hash, stats, start = _load_meta(blob, path)
+    payload = memoryview(blob)[start:]
     postings = {}
-    for entry in meta["dictionary"]:
-        pos = entry["offset"]
-        count = entry["count"]
+    for term, pos, count in dictionary:
+        if pos < 0 or count < 0 or pos > len(payload):
+            raise IndexFormatError(f"{path}: posting block of {term!r} out of range")
         doc_idx = np.empty(count, dtype=np.int64)
         prev = -1
         for i in range(count):
             delta, pos = _read_varint(payload, pos)
             prev += delta
             doc_idx[i] = prev
+        if count and (doc_idx[0] < 0 or prev >= len(doc_ids)):
+            raise IndexFormatError(f"{path}: posting of {term!r} names no document")
+        if pos + 4 * count > len(payload):
+            raise IndexFormatError(f"{path}: posting block of {term!r} truncated")
         scores = np.frombuffer(payload, dtype="<f4", count=count,
                                offset=pos).astype(np.float32)
-        postings[entry["term"]] = (doc_idx, scores)
-    return ImpactIndex(meta["doc_ids"], postings, meta["config_hash"],
-                       meta["stats"])
+        postings[term] = (doc_idx, scores)
+    return ImpactIndex(doc_ids, postings, config_hash, stats)

@@ -7,8 +7,11 @@ pooled feature vector for a term is the elementwise max over windows, which
 keeps a strong match anywhere in the document visible to the scoring head.
 
 The `*_terms` variants are fused batched ops (one graph node for all query
-terms); the scalar/single-row forms are thin compositions kept as a
-cross-check surface.
+terms). Windowed pooling evaluates the Gaussian kernels once per
+(term, position) and sums each window over a strided view of those values,
+so overlapping windows share the exponentials instead of recomputing them.
+The scalar/single-row forms are thin compositions kept as a cross-check
+surface.
 """
 
 import math
@@ -190,16 +193,20 @@ def windowed_pool_terms(rows, wcfg, bank):
     wlen, stride = wcfg.window_len, wcfg.stride
     padded_len = (w - 1) * stride + wlen
     r = rows.data
-    pr = np.zeros((t, padded_len), dtype=r.dtype)
-    pr[:, :n] = r
-    mask = np.zeros(padded_len, dtype=r.dtype)
-    mask[:n] = 1.0
-    rw = np.lib.stride_tricks.sliding_window_view(pr, wlen, axis=1)[:, ::stride]
-    mw = np.lib.stride_tricks.sliding_window_view(mask, wlen, axis=0)[::stride]
     mus = bank.mus.astype(r.dtype)
     inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
-    ex = np.exp(-(rw[..., None] - mus) ** 2 * inv2s) * mw[None, :, :, None]
-    e = ex.sum(axis=2)                                   # (t, w, k)
+    # Kernel values once per position, computed kernel-major so numpy's
+    # inner loops run over positions; positions past n stay zero, which is
+    # what a short last window contributes there.
+    d = r[None] - mus[:, None, None]                     # (k, t, n)
+    d *= d
+    d *= -inv2s[:, None, None]
+    np.exp(d, out=d)
+    ex = np.zeros((t, padded_len, bank.k), dtype=r.dtype)
+    ex[:, :n] = d.transpose(1, 2, 0)
+    # (t, w, wlen, k) view of every window, summed over its positions.
+    ew = np.lib.stride_tricks.sliding_window_view(ex, wlen, axis=1)[:, ::stride]
+    e = ew.transpose(0, 1, 3, 2).sum(axis=2)             # (t, w, k)
     f = np.log(bank.eps_log + e)
     arg = f.argmax(axis=1)                               # (t, k)
     data = np.take_along_axis(f, arg[:, None, :], axis=1)[:, 0, :]
@@ -207,20 +214,18 @@ def windowed_pool_terms(rows, wcfg, bank):
     def backward(g):
         e_win = np.take_along_axis(e, arg[:, None, :], axis=1)[:, 0, :]
         z = g / (bank.eps_log + e_win)                   # (t, k)
-        idx_t = np.arange(t)[:, None]
-        idx_k = np.arange(bank.k)[None, :]
-        ex_win = ex[idx_t, arg, :, idx_k]                # (t, k, wlen)
-        rw_win = rw[idx_t, arg]                          # (t, k, wlen)
-        coef = -(rw_win - mus[None, :, None]) * 2.0 * inv2s[None, :, None]
-        dwin = z[:, :, None] * ex_win * coef
+        idx_t = np.arange(t)[:, None, None]
+        idx_k = np.arange(bank.k)[None, :, None]
         pos = (arg * stride)[:, :, None] + np.arange(wlen)[None, None, :]
         valid = pos < n
+        pos = np.minimum(pos, n - 1)                     # (t, k, wlen)
+        coef = -(r[idx_t, pos] - mus[None, :, None]) * 2.0 * inv2s[None, :, None]
+        dwin = z[:, :, None] * ex[idx_t, pos, idx_k] * coef
         dr = np.zeros_like(r)
-        np.add.at(dr, (np.broadcast_to(idx_t[:, :, None], pos.shape),
-                       np.minimum(pos, n - 1)), dwin * valid)
+        np.add.at(dr, (np.broadcast_to(idx_t, pos.shape), pos), dwin * valid)
         rows._accumulate(dr)
 
-    return T.wrap_op(data, (rows,), backward, "windowed_pool_terms")
+    return T.wrap_op(data, (rows,), backward, "windowed_pool_terms", saved=(ex, e))
 
 
 # -- scoring head ---------------------------------------------------------------

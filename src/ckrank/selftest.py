@@ -1,15 +1,17 @@
 """Built-in oracle and gradient checks runnable from the command line.
 
 A compact subset of the test suite for installed environments: dense
-attention oracles, brute-force matmul/convolution references, finite
-difference gradient checks, pooling path equivalence, loss values, metric
-fixtures, and the pair-expansion rule. Prints one line per check.
+attention oracles, brute-force matmul/convolution references, the batched
+grouped conv and multi-head attention against per-tap and per-head loops,
+finite difference gradient checks, pooling path equivalence, loss values,
+metric fixtures, and the pair-expansion rule. Prints one line per check.
 """
 
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import separable_self_attention, self_attention
+from .attention import AttentionConfig, init_block_params, multi_head, \
+    separable_self_attention, self_attention
 from .evalmetrics import ndcg_at_k
 from .gradcheck import finite_difference_check
 from .train import TrainInstance, expand_pairs, ranknet_loss
@@ -26,6 +28,57 @@ def _standard_oracle(q, k, v):
     s = (q / np.sqrt(q.shape[1])) @ k.T
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+def _conv_oracle(x, k, groups, window):
+    """Grouped conv one output position, group and tap at a time."""
+    n, c = x.shape
+    cg = c // groups
+    pad = (window - 1) // 2
+    xp = np.pad(x, ((pad, pad), (0, 0)))
+    out = np.zeros((n, c))
+    for j in range(n):
+        for g in range(groups):
+            cols = slice(g * cg, (g + 1) * cg)
+            for t in range(window):
+                out[j, cols] += xp[j + t, cols] @ k[g, t]
+    return out
+
+
+def _multi_head_oracle(x, p, cfg, variant):
+    """Projections, then each head's dense attention, concatenated."""
+    attend = _standard_oracle if variant == "standard" else _dense_separable_oracle
+    q, k, v = (x @ p[w].data + p[b].data
+               for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")))
+    dk, dv = cfg.d_key, cfg.d_value
+    heads = [attend(q[:, h * dk:(h + 1) * dk], k[:, h * dk:(h + 1) * dk],
+                    v[:, h * dv:(h + 1) * dv]) for h in range(cfg.num_heads)]
+    return np.concatenate(heads, axis=1) @ p["wo"].data + p["bo"].data
+
+
+def _batched_op_errors(rng):
+    """Worst abs error of grouped_conv1d and multi_head (both variants)
+    against their loop oracles over a few shapes, n < window included."""
+    worst = 0.0
+    for n, groups, cg, window in ((1, 2, 3, 5), (3, 2, 3, 7), (9, 4, 2, 3)):
+        x = rng.normal(size=(n, groups * cg))
+        k = rng.normal(size=(groups, window, cg, cg))
+        with T.no_grad():
+            got = T.grouped_conv1d(T.constant(x), T.constant(k), groups, window).data
+        worst = max(worst, float(np.abs(got - _conv_oracle(x, k, groups, window)).max()))
+    for heads in (1, 2, 4):
+        cfg = AttentionConfig(model_dim=8, num_heads=heads, d_key=3, d_value=2,
+                              conv_window=3, conv_groups=2, dropout_rate=0.0,
+                              num_layers=1)
+        params = init_block_params(cfg, rng)
+        for n in (1, 6):
+            x = rng.normal(size=(n, 8))
+            for variant in ("separable", "standard"):
+                with T.no_grad():
+                    got = multi_head(T.constant(x), params, cfg, variant).data
+                want = _multi_head_oracle(x, params, cfg, variant)
+                worst = max(worst, float(np.abs(got - want).max()))
+    return worst
 
 
 def run_selftest(seed=0, verbose=True):
@@ -60,6 +113,10 @@ def run_selftest(seed=0, verbose=True):
             got = self_attention(T.constant(q), T.constant(k), T.constant(v)).data
         err = float(np.abs(got - _standard_oracle(q, k, v)).max())
         check("standard attention vs dense oracle", err < 1e-10, f"{err:.2e}")
+
+        err = _batched_op_errors(rng)
+        check("batched grouped conv and multi-head vs loops", err < 1e-10,
+              f"max abs err {err:.2e}")
 
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))

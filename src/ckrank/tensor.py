@@ -12,63 +12,55 @@ else must be shaped explicitly, which keeps the allocation accounting in
 :mod:`ckrank.memory` an exact model of what the math needs.
 """
 
+import contextvars
 import weakref
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, ShapeError
+from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 from .memory import tracker
 
-_DEFAULT_DTYPE = np.float32
-_GRAD_ENABLED = True
-_CHECK_FINITE = True
+# Numeric mode flags are per thread (and per asyncio task): a thread that
+# indexes under no_grad must not switch off graph recording for a thread
+# that trains alongside it. New threads start from the defaults.
+_DEFAULT_DTYPE = contextvars.ContextVar("ckrank_default_dtype", default=np.float32)
+_GRAD_ENABLED = contextvars.ContextVar("ckrank_grad_enabled", default=True)
+_CHECK_FINITE = contextvars.ContextVar("ckrank_check_finite", default=True)
 
 
 @contextmanager
-def precision(mode):
-    """Switch the default dtype: ``"float32"`` (default) or ``"float64"``."""
-    global _DEFAULT_DTYPE
-    if mode not in ("float32", "float64"):
-        raise ContractError(f"unknown precision mode {mode!r}")
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.float64 if mode == "float64" else np.float32
+def _setting(var, value):
+    token = var.set(value)
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = previous
+        var.reset(token)
+
+
+def precision(mode):
+    """Switch the default dtype: ``"float32"`` (default) or ``"float64"``."""
+    if mode not in ("float32", "float64"):
+        raise ContractError(f"unknown precision mode {mode!r}")
+    return _setting(_DEFAULT_DTYPE, np.float64 if mode == "float64" else np.float32)
 
 
 def default_dtype():
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
-@contextmanager
 def no_grad():
     """Disable graph recording; forward values are unchanged."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
+    return _setting(_GRAD_ENABLED, False)
 
 
 def grad_enabled():
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
-@contextmanager
 def finite_checks(enabled):
     """Toggle the NaN/Inf check that runs after every op (on by default)."""
-    global _CHECK_FINITE
-    previous = _CHECK_FINITE
-    _CHECK_FINITE = enabled
-    try:
-        yield
-    finally:
-        _CHECK_FINITE = previous
+    return _setting(_CHECK_FINITE, enabled)
 
 
 def _free_cell(cell):
@@ -79,10 +71,10 @@ class Tensor:
     """A dense array plus optional gradient buffer and backward closure."""
 
     __slots__ = ("_data", "grad", "requires_grad", "_parents", "_backward",
-                 "_acct", "_cleared", "__weakref__")
+                 "_kept", "_acct", "_cleared", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.array(data, dtype=dtype or _DEFAULT_DTYPE, order="C")
+        arr = np.array(data, dtype=dtype or _DEFAULT_DTYPE.get(), order="C")
         self._init_from(arr, requires_grad)
 
     def _init_from(self, arr, requires_grad):
@@ -91,6 +83,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._kept = 0
         self._cleared = False
         self._acct = [arr.nbytes]
         tracker.alloc(arr.nbytes)
@@ -173,6 +166,15 @@ class Tensor:
             self._acct[0] -= nbytes
             tracker.free(nbytes)
 
+    def _release_graph(self):
+        self._backward = None
+        self._parents = ()
+        self._cleared = True
+        if self._kept:
+            self._acct[0] -= self._kept
+            tracker.free(self._kept)
+            self._kept = 0
+
     def backward(self):
         backward(self)
 
@@ -217,22 +219,29 @@ def constant(data, dtype=None):
 
 
 def _check(arr, name):
-    if _CHECK_FINITE and not np.isfinite(arr).all():
+    if _CHECK_FINITE.get() and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by op '{name}'")
 
 
-def wrap_op(out_data, parents, backward_fn, name):
+def wrap_op(out_data, parents, backward_fn, name, saved=()):
     """Build an op output tensor; ``backward_fn(g)`` must push grads to parents.
 
     This is the extension point fused ops elsewhere in the package use.
     The closure must capture numpy arrays, never the output tensor itself.
+    ``saved`` lists the intermediates (not parent buffers) the closure
+    keeps; while the graph holds the closure their bytes are charged to
+    the output, so fused ops stay visible to the live-bytes tracker.
     """
     _check(out_data, name)
-    needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    needs = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     out = Tensor._wrap(out_data, needs)
     if needs:
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward_fn
+        if saved:
+            out._kept = sum(a.nbytes for a in saved)
+            out._acct[0] += out._kept
+            tracker.alloc(out._kept)
     return out
 
 
@@ -623,17 +632,26 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return wrap_op(data, (x, gamma, beta), backward, "layer_norm")
 
 
+def _conv_windows(xp, window):
+    """(groups, n, window * cg) receptive fields of a padded (n + window - 1,
+    groups, cg) array, tap-major to match a (groups, window * cg, cg) kernel."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, window, axis=0)
+    n, groups, cg = win.shape[:3]
+    return win.transpose(1, 0, 3, 2).reshape(groups, n, window * cg)
+
+
 def grouped_conv1d(x, kernel, groups, window, bias=None):
     """Same-length 1-d convolution where each channel group is independent.
 
     x: (n, c) token-major activations; kernel: (groups, window, cg, cg)
     with cg = c // groups; zero padding of (window-1)//2 on both sides.
+    Each group is one matmul of its receptive fields against its taps.
     """
-    from .errors import ConfigError
-
     if x.ndim != 2:
         raise ShapeError(f"grouped_conv1d expects (n, c) input, got {tuple(x.shape)}")
     n, c = x.shape
+    if n < 1:
+        raise ShapeError("grouped_conv1d needs at least one position")
     if c % groups != 0:
         raise ConfigError(f"channels {c} not divisible by groups {groups}")
     if window % 2 != 1:
@@ -642,33 +660,35 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
     if kernel.shape != (groups, window, cg, cg):
         raise ShapeError(f"grouped_conv1d kernel shape {tuple(kernel.shape)} != "
                          f"{(groups, window, cg, cg)}")
+    if bias is not None and bias.shape != (c,):
+        raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
     pad = (window - 1) // 2
-    xp = np.zeros((n + 2 * pad, c), dtype=x._data.dtype)
-    xp[pad:pad + n] = x._data
-    xg = xp.reshape(n + 2 * pad, groups, cg)
-    k = kernel._data
-    out = np.zeros((n, groups, cg), dtype=x._data.dtype)
-    for t in range(window):
-        out += np.einsum("ngi,gio->ngo", xg[t:t + n], k[:, t], optimize=True)
-    data = out.reshape(n, c)
+    xp = np.zeros((n + 2 * pad, groups, cg), dtype=x._data.dtype)
+    xp[pad:pad + n] = x._data.reshape(n, groups, cg)
+    out = np.matmul(_conv_windows(xp, window),               # (groups, n, cg)
+                    kernel._data.reshape(groups, window * cg, cg))
+    data = out.transpose(1, 0, 2).reshape(n, c)
     if bias is not None:
-        if bias.shape != (c,):
-            raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
-        data = data + bias._data
+        data += bias._data
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
         go = g.reshape(n, groups, cg)
         if kernel.requires_grad:
-            dk = np.zeros_like(k)
-            for t in range(window):
-                dk[:, t] = np.einsum("ngi,ngo->gio", xg[t:t + n], go, optimize=True)
-            kernel._accumulate(dk)
+            # Receptive fields are rebuilt rather than kept: they are
+            # window times the size of x.
+            dk = np.matmul(_conv_windows(xp, window).transpose(0, 2, 1),
+                           go.transpose(1, 0, 2))
+            kernel._accumulate(dk.reshape(groups, window, cg, cg))
         if x.requires_grad:
-            dxp = np.zeros_like(xg)
-            for t in range(window):
-                dxp[t:t + n] += np.einsum("ngo,gio->ngi", go, k[:, t], optimize=True)
-            x._accumulate(dxp[pad:pad + n].reshape(n, c))
+            # The input gradient is the same convolution of g with the taps
+            # reversed and each tap transposed.
+            gp = np.zeros((n + 2 * pad, groups, cg), dtype=g.dtype)
+            gp[pad:pad + n] = go
+            kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2).reshape(
+                groups, window * cg, cg)
+            dx = np.matmul(_conv_windows(gp, window), kt)
+            x._accumulate(dx.transpose(1, 0, 2).reshape(n, c))
         if bias is not None:
             bias._accumulate(g.sum(axis=0))
 
@@ -753,6 +773,4 @@ def backward(loss):
             if node.grad is not None:
                 fn(node.grad)
             node.drop_grad()
-            node._backward = None
-            node._parents = ()
-            node._cleared = True
+            node._release_graph()

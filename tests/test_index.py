@@ -1,6 +1,8 @@
 """Impact index: offline scoring, binary format, retrieval, and synthetic data."""
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckrank.tensor as T
 from ckrank.corpus import (QueryRecord, ingest_corpus, load_qrels,
                            load_queries)
 from ckrank.errors import ContractError, IndexFormatError
@@ -52,6 +55,37 @@ def test_build_refuses_training_mode(indexed):
     model.train()
     with pytest.raises(ContractError):
         build_index(corpus, model)
+
+
+class _GradModeSpy(CKModel):
+    """Records the grad mode and graph state of every document encoding."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+        self.fail = False
+
+    def encode_document(self, doc, encoder_variant="separable"):
+        if self.fail:
+            raise ContractError("spy failure")
+        enc = super().encode_document(doc, encoder_variant)
+        self.seen.append((T.grad_enabled(), enc.requires_grad))
+        return enc
+
+
+def test_build_records_no_graph_and_restores_grad_mode(indexed):
+    corpus, vocab, model, index = indexed
+    spy = _GradModeSpy(micro_config("ndrm3"), vocab)
+    built = build_index(corpus, spy)
+    assert spy.seen and set(spy.seen) == {(False, False)}
+    assert T.grad_enabled()
+    for term, (idx, scores) in index.postings.items():
+        np.testing.assert_array_equal(built.postings[term][0], idx)
+        np.testing.assert_array_equal(built.postings[term][1], scores)
+    spy.fail = True
+    with pytest.raises(ContractError, match="spy failure"):
+        build_index(corpus, spy)
+    assert T.grad_enabled()
 
 
 def test_postings_only_for_contained_vocabulary_terms(indexed):
@@ -225,6 +259,53 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_bad_version(tmp_path):
     path = tmp_path / "vers.ckix"
     path.write_bytes(b"CKIX" + struct.pack("<I", 99) + struct.pack("<Q", 0))
+    with pytest.raises(IndexFormatError):
+        load_index(path)
+
+
+def _small_index_bytes():
+    postings = {"alpha": (np.array([0, 2, 3]), np.array([0.5, -1.25, 2.0], dtype=np.float32)),
+                "beta": (np.array([1]), np.array([3.5], dtype=np.float32)),
+                "gamma": (np.array([0, 300]), np.array([1.0, 0.25], dtype=np.float32))}
+    index = ImpactIndex([f"D{i}" for i in range(301)], postings, "hash",
+                        {"bs_tf_mean": 1.5})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "small.ckix")
+        save_index(index, path)
+        with open(path, "rb") as fh:
+            return index, fh.read()
+
+
+SMALL_INDEX, SMALL_BLOB = _small_index_bytes()
+PAYLOAD_BYTES = 3 * 4 + 1 * 4 + 2 * 4 + 3 + 1 + 3      # scores plus varints
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, len(SMALL_BLOB)),
+                 st.integers(len(SMALL_BLOB) - PAYLOAD_BYTES - 16, len(SMALL_BLOB))))
+def test_every_prefix_fails_cleanly_or_round_trips(cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.ckix")
+        with open(path, "wb") as fh:
+            fh.write(SMALL_BLOB[:cut])
+        try:
+            loaded = load_index(path)
+        except IndexFormatError:
+            assert cut < len(SMALL_BLOB)
+            return
+    assert loaded.doc_ids == SMALL_INDEX.doc_ids
+    assert loaded.stats == SMALL_INDEX.stats
+    assert loaded.postings.keys() == SMALL_INDEX.postings.keys()
+    for term, (idx, scores) in SMALL_INDEX.postings.items():
+        np.testing.assert_array_equal(loaded.postings[term][0], idx)
+        assert loaded.postings[term][1].tobytes() == scores.tobytes()
+
+
+def test_load_rejects_postings_past_the_doc_table(tmp_path):
+    index = ImpactIndex(["D0"], {"t": (np.array([3]), np.ones(1, np.float32))},
+                        "hash", {})
+    path = tmp_path / "range.ckix"
+    save_index(index, path)
     with pytest.raises(IndexFormatError):
         load_index(path)
 

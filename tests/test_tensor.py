@@ -1,6 +1,7 @@
 """Tensor op semantics, broadcasting rules, backward contract, accounting."""
 
 import gc
+import threading
 
 import numpy as np
 import pytest
@@ -339,6 +340,50 @@ def test_no_grad_blocks_tape():
     assert not y.requires_grad
     with pytest.raises(ContractError):
         T.backward(T.tsum(y))
+
+
+def test_grad_mode_is_per_thread():
+    """A thread indexing under no_grad leaves another thread's training
+    graph intact, and both see their own precision."""
+    from helpers import micro_config, micro_corpus
+
+    from ckrank.index import build_index
+    from ckrank.model import CKModel
+
+    corpus, vocab = micro_corpus(num_docs=6)
+    inside, trained = threading.Event(), threading.Event()
+    seen = {}
+
+    class Indexer(CKModel):
+        def encode_document(self, doc, encoder_variant="separable"):
+            if not inside.is_set():
+                inside.set()
+                seen["trainer_done"] = trained.wait(timeout=10)
+            return super().encode_document(doc, encoder_variant)
+
+    def index():
+        with T.precision("float64"):
+            seen["index"] = build_index(corpus, Indexer(micro_config("ndrm1"), vocab))
+        seen["indexer_grad_after"] = T.grad_enabled()
+
+    def train():
+        seen["trainer_saw_indexer"] = inside.wait(timeout=10)
+        x = T.parameter(np.array([1.0, 2.0]))
+        T.backward(T.tsum(T.mul(x, x)))
+        seen["grad"] = x.grad.copy()
+        seen["trainer_dtype"] = T.default_dtype()
+        trained.set()
+
+    threads = [threading.Thread(target=index), threading.Thread(target=train)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["trainer_saw_indexer"] and seen["trainer_done"]
+    np.testing.assert_array_equal(seen["grad"], [2.0, 4.0])
+    assert seen["trainer_dtype"] == np.float32
+    assert seen["indexer_grad_after"] and seen["index"].num_postings > 0
 
 
 def test_intermediate_grads_freed_leaf_grads_kept():
