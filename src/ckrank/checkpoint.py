@@ -3,10 +3,12 @@
 Layout: magic ``CKPT`` | u32 format version | u64 manifest length |
 manifest JSON (utf-8) | raw parameter payloads at the offsets the manifest
 declares. Round-trips are bit-exact; loading verifies magic, version, and
-payload sizes.
+payload sizes; a file cut short anywhere or with a malformed manifest raises
+IndexFormatError.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -59,30 +61,46 @@ def save_checkpoint(path, config_dict, config_hash, params, stats):
             fh.write(buf)
 
 
+_HEADER = struct.Struct("<4sIQ")          # magic, version, manifest length
+
+
 def load_checkpoint(path):
-    """Returns (config_dict, config_hash, arrays name->ndarray, stats dict)."""
+    """Returns (config_dict, config_hash, arrays name->ndarray, stats dict).
+    Any truncated or inconsistent part raises IndexFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MAGIC:
+    if len(blob) < _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated header")
+    magic, version, mlen = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
         raise IndexFormatError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack_from("<I", blob, 4)[0]
     if version != VERSION:
         raise IndexFormatError(f"{path}: unsupported checkpoint version {version}")
-    mlen = struct.unpack_from("<Q", blob, 8)[0]
-    header_end = 16 + mlen
-    manifest = json.loads(blob[16:header_end].decode("utf-8"))
+    if mlen > len(blob) - _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated manifest")
+    header_end = _HEADER.size + mlen
+    try:
+        manifest = json.loads(blob[_HEADER.size:header_end].decode("utf-8"))
+        config, config_hash = dict(manifest["config"]), manifest["config_hash"]
+        stats = dict(manifest["stats"])
+        entries = [(e["name"], e["dtype"], tuple(map(int, e["shape"])),
+                    int(e["offset"]), int(e["nbytes"])) for e in manifest["params"]]
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
+        raise IndexFormatError(f"{path}: malformed manifest ({err})") from None
     payload = blob[header_end:]
     arrays = {}
-    for entry in manifest["params"]:
-        dtype = _DTYPES.get(entry["dtype"])
+    for name, wire, shape, lo, nbytes in entries:
+        dtype = _DTYPES.get(wire)
         if dtype is None:
-            raise IndexFormatError(f"{path}: unknown payload dtype {entry['dtype']}")
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(payload):
-            raise IndexFormatError(f"{path}: truncated payload for {entry['name']}")
-        arr = np.frombuffer(payload[lo:hi], dtype=dtype).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    return manifest["config"], manifest["config_hash"], arrays, manifest["stats"]
+            raise IndexFormatError(f"{path}: unknown payload dtype {wire}")
+        if lo < 0 or nbytes < 0 or lo + nbytes > len(payload):
+            raise IndexFormatError(f"{path}: truncated payload for {name}")
+        if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
+            raise IndexFormatError(f"{path}: payload size of {name} does not "
+                                   f"match its shape {list(shape)}")
+        arr = np.frombuffer(payload[lo:lo + nbytes], dtype=dtype).reshape(shape)
+        arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+    return config, config_hash, arrays, stats
 
 
 def save_model(model, path):

@@ -4,15 +4,18 @@ Because every ranker here scores a query as a sum of independent per-term
 scores, the whole model can be folded offline into posting lists of
 (document, score) pairs, one list per vocabulary term occurring in the
 document. Retrieval is then term-at-a-time float accumulation with no
-model in sight. Soft matches against documents that do not contain the
-literal term are deliberately dropped; scoring every (term, document) pair
-would be quadratic in the collection.
+model in sight, followed by an array top-k: a partition keeps every touched
+document scoring at least the k-th best score, and only those few are
+sorted (score descending, then doc id ascending) and turned into Python
+tuples. Soft matches against documents that do not contain the literal term
+are deliberately dropped; scoring every (term, document) pair would be
+quadratic in the collection.
 
 File layout: magic ``CKIX`` | u32 version | u64 meta length | meta JSON
 (doc table, term dictionary with offsets, config hash, frozen statistics) |
 posting blocks. Each block stores delta-encoded doc indices as unsigned
-varints followed by raw little-endian float32 scores. Round-trips are
-bit-exact.
+varints followed by raw little-endian float32 scores; loading decodes the
+varints of all blocks at once with array ops. Round-trips are bit-exact.
 """
 
 import json
@@ -40,15 +43,44 @@ class RetrievalResult:
                 raise ContractError("ranking must be non-increasing by score")
 
 
+def _id_ranks(doc_ids):
+    """Each doc id's place in ascending id order (equal ids by position): the
+    tie-break key of the ranking rule, as an int array."""
+    ids = np.fromiter(doc_ids, dtype=object, count=len(doc_ids))
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[np.argsort(ids, kind="stable")] = np.arange(len(ids))
+    return ranks
+
+
+def _best_first(scores, ranks, k):
+    """Positions of scores ordered by score descending, then rank ascending,
+    cut at k (sliced like a list, so None keeps all).
+
+    For 0 < k < len(scores) a partition first finds the k-th best score and
+    only the candidates scoring at least that much are sorted; every score
+    tied with the k-th is kept, so ties at the cut are broken by rank, never
+    by the partition's order.
+    """
+    if k is not None and 0 < k < scores.size:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        pos = np.flatnonzero(scores >= kth)
+    else:
+        pos = np.arange(scores.size)
+    return pos[np.lexsort((ranks[pos], -scores[pos]))][:k]
+
+
 def _rank(scored, k):
-    """Sort (doc_id, score) best-first, doc id ascending on ties, cut at k."""
-    ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-    return ordered[:k] if k is not None else ordered
+    """Order (doc_id, score) pairs best-first, doc id ascending on ties, cut
+    at k."""
+    scores = np.array([score for _, score in scored], dtype=np.float64)
+    ranks = _id_ranks([doc_id for doc_id, _ in scored])
+    return [scored[i] for i in _best_first(scores, ranks, k).tolist()]
 
 
 class ImpactIndex:
     def __init__(self, doc_ids, postings, config_hash, stats):
         self.doc_ids = list(doc_ids)
+        self.doc_rank = _id_ranks(self.doc_ids)   # tie-break key per doc index
         self.postings = postings            # term -> (int64 doc indices, f32 scores)
         self.config_hash = config_hash
         self.stats = dict(stats)
@@ -102,7 +134,8 @@ def retrieve(query, index, k=100):
     """Term-at-a-time accumulation over the query's token occurrences.
 
     Repeated terms accumulate repeatedly. Only documents sharing at least
-    one indexed term appear; scores accumulate in float64.
+    one indexed term appear, whatever their score; scores accumulate in
+    float64. Ranked as ``_rank`` ranks: score descending, doc id ascending.
     """
     tokens = getattr(query, "tokens", query)
     qid = getattr(query, "query_id", "")
@@ -116,8 +149,11 @@ def retrieve(query, index, k=100):
         acc[doc_idx] += scores
         touched[doc_idx] = True
     live = np.flatnonzero(touched)
-    scored = [(index.doc_ids[i], float(acc[i])) for i in live]
-    return RetrievalResult(qid, _rank(scored, k))
+    scores = acc[live]
+    top = _best_first(scores, index.doc_rank[live], k)
+    ranking = [(index.doc_ids[i], score)
+               for i, score in zip(live[top].tolist(), scores[top].tolist())]
+    return RetrievalResult(qid, ranking)
 
 
 def rerank(query, candidates, model, corpus, k=None):
@@ -150,23 +186,42 @@ def _write_varint(buf, value):
             return
 
 
-def _read_varint(blob, pos):
-    """Decode one varint at pos -> (value, next pos); a varint cut off by the
-    end of the buffer or longer than 64 bits is a format error."""
-    shift = 0
-    out = 0
-    try:
-        while True:
-            byte = blob[pos]
-            pos += 1
-            out |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return out, pos
-            shift += 7
-            if shift > 63:
-                raise IndexFormatError("malformed varint: longer than 64 bits")
-    except IndexError:
-        raise IndexFormatError("posting block truncated inside a varint") from None
+def _read_varints(blob, starts, counts):
+    """Decode runs of consecutive unsigned varints, counts[i] of them from byte
+    starts[i] of blob -> (uint64 values of every run, concatenated; the
+    position one past each run's last byte).
+
+    A varint ends at its first byte without the continuation bit, so run i
+    is the first counts[i] such bytes at or after starts[i] together with the
+    continuation bytes before each. A varint cut off by the end of the
+    buffer, or holding more than 64 bits, is a format error.
+    """
+    data = np.frombuffer(blob, dtype=np.uint8)
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.flatnonzero(data < 0x80)
+    first = np.searchsorted(ends, starts)
+    if (first + counts > ends.size).any():
+        tail = data.size - (ends[-1] + 1 if ends.size else 0)
+        raise IndexFormatError("malformed varint: longer than 64 bits" if tail >= 10
+                               else "posting block truncated inside a varint")
+    offsets = np.cumsum(counts) - counts            # each run's first value
+    last = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
+    stop = ends[last] + 1                           # one past each varint
+    begin = ends[last - 1] + 1
+    has = counts > 0
+    begin[offsets[has]] = starts[has]
+    lengths = stop - begin
+    if ((lengths > 10) | ((lengths == 10) & (data[stop - 1] > 1))).any():
+        raise IndexFormatError("malformed varint: longer than 64 bits")
+    values = np.zeros(lengths.size, dtype=np.uint64)
+    for byte in range(int(lengths.max(initial=0))):
+        more = lengths > byte
+        values[more] |= (data[begin[more] + byte] & 0x7F).astype(np.uint64) \
+            << np.uint64(7 * byte)
+    run_stop = starts.copy()
+    run_stop[has] = stop[offsets[has] + counts[has] - 1]
+    return values, run_stop
 
 
 def save_index(index, path):
@@ -234,21 +289,34 @@ def load_index(path):
         blob = fh.read()
     doc_ids, dictionary, config_hash, stats, start = _load_meta(blob, path)
     payload = memoryview(blob)[start:]
-    postings = {}
     for term, pos, count in dictionary:
-        if pos < 0 or count < 0 or pos > len(payload):
+        if not (0 <= pos <= len(payload) and 0 <= count <= len(payload)):
             raise IndexFormatError(f"{path}: posting block of {term!r} out of range")
-        doc_idx = np.empty(count, dtype=np.int64)
-        prev = -1
-        for i in range(count):
-            delta, pos = _read_varint(payload, pos)
-            prev += delta
-            doc_idx[i] = prev
-        if count and (doc_idx[0] < 0 or prev >= len(doc_ids)):
-            raise IndexFormatError(f"{path}: posting of {term!r} names no document")
-        if pos + 4 * count > len(payload):
-            raise IndexFormatError(f"{path}: posting block of {term!r} truncated")
+    terms = [term for term, _, _ in dictionary]
+    starts = np.array([pos for _, pos, _ in dictionary], dtype=np.int64)
+    counts = np.array([count for _, _, count in dictionary], dtype=np.int64)
+    offsets = np.cumsum(counts) - counts            # each term's first posting
+    owner = np.repeat(np.arange(len(terms)), counts)
+
+    def fail(term_idx, what):
+        if term_idx.size:
+            raise IndexFormatError(f"{path}: {what.format(terms[term_idx[0]])}")
+
+    deltas, stops = _read_varints(payload, starts, counts)
+    # a delta past the doc table names no document, and bounding the deltas
+    # keeps their running sums inside int64
+    fail(owner[deltas > len(doc_ids)], "posting of {!r} names no document")
+    sums = np.cumsum(deltas.astype(np.int64))
+    doc_idx = sums - np.concatenate(([0], sums))[offsets][owner] - 1
+    fail(owner[(doc_idx < 0) | (doc_idx >= len(doc_ids))],
+         "posting of {!r} names no document")
+    fail(owner[deltas == 0], "posting of {!r} repeats a document")
+    fail(np.flatnonzero(stops + 4 * counts > len(payload)),
+         "posting block of {!r} truncated")
+    postings = {}
+    for term, off, count, pos in zip(terms, offsets.tolist(), counts.tolist(),
+                                     stops.tolist()):
         scores = np.frombuffer(payload, dtype="<f4", count=count,
                                offset=pos).astype(np.float32)
-        postings[term] = (doc_idx, scores)
+        postings[term] = (doc_idx[off:off + count], scores)
     return ImpactIndex(doc_ids, postings, config_hash, stats)

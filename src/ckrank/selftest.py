@@ -4,7 +4,8 @@ A compact subset of the test suite for installed environments: dense
 attention oracles, brute-force matmul/convolution references, the batched
 grouped conv and multi-head attention against per-tap and per-head loops,
 finite difference gradient checks, pooling path equivalence, loss values,
-metric fixtures, and the pair-expansion rule. Prints one line per check.
+metric fixtures, the pair-expansion rule, and the ranking rule of retrieve and
+rerank against a plain sort. Prints one line per check.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from .attention import AttentionConfig, init_block_params, multi_head, \
     separable_self_attention, self_attention
 from .evalmetrics import ndcg_at_k
 from .gradcheck import finite_difference_check
+from .index import ImpactIndex, _rank, retrieve
 from .train import TrainInstance, expand_pairs, ranknet_loss
 
 
@@ -79,6 +81,28 @@ def _batched_op_errors(rng):
                 want = _multi_head_oracle(x, params, cfg, variant)
                 worst = max(worst, float(np.abs(got - want).max()))
     return worst
+
+
+def _ranking_matches_sort(rng):
+    """retrieve and the rerank ordering over heavily tied random scores, with
+    doc ids out of sorted order, against sorted() by (-score, doc id)."""
+    n = 40
+    doc_ids = [f"D{i}" for i in rng.permutation(n)]
+    postings = {}
+    for term in ("a", "b", "c"):
+        docs = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        scores = rng.choice([-1.0, 0.0, 0.5, 1.0], size=docs.size)
+        postings[term] = (docs, scores.astype(np.float32))
+    index = ImpactIndex(doc_ids, postings, "", {})
+    tokens = ["a", "b", "b", "c", "absent"]
+    acc = {}
+    for term in tokens:
+        for i, score in zip(*postings.get(term, ((), ()))):
+            acc[doc_ids[i]] = acc.get(doc_ids[i], 0.0) + float(score)
+    scored = list(acc.items())
+    want = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    return all(retrieve(tokens, index, k=k).ranking == want[:k] == _rank(scored, k)
+               for k in (None, 0, 1, 7, len(want), len(want) + 1))
 
 
 def run_selftest(seed=0, verbose=True):
@@ -174,6 +198,8 @@ def run_selftest(seed=0, verbose=True):
           [p.preferred for p in pairs] == ["p", "p", "p", "c", "c"] and
           [p.other for p in pairs] == ["c", "n1", "n2", "n1", "n2"])
     check("pair expansion rule", ok)
+
+    check("ranking: ties by doc id, same as a full sort", _ranking_matches_sort(rng))
 
     passed = all(checks)
     if verbose:

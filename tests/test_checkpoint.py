@@ -1,10 +1,15 @@
 """Checkpoint format: bit-exact round trips and corruption detection."""
 
+import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 from helpers import micro_config, micro_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckrank.checkpoint import (MAGIC, VERSION, load_checkpoint, load_model,
                                save_checkpoint, save_model)
@@ -57,6 +62,62 @@ def test_truncated_payload_rejected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(IndexFormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _small_checkpoint_bytes():
+    params = {"w32": np.arange(6, dtype=np.float32).reshape(2, 3),
+              "w64": np.array([0.5, -1.25]),
+              "scalar": np.array(0.125, dtype=np.float32)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "small.ckpt")
+        save_checkpoint(path, {"variant": "ndrm2"}, "hash", params, {"m": 1.5})
+        with open(path, "rb") as fh:
+            return params, fh.read()
+
+
+SMALL_PARAMS, SMALL_BLOB = _small_checkpoint_bytes()
+PAYLOAD_BYTES = 6 * 4 + 2 * 8 + 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, len(SMALL_BLOB)),
+                 st.integers(len(SMALL_BLOB) - PAYLOAD_BYTES - 16, len(SMALL_BLOB))))
+def test_every_checkpoint_prefix_fails_cleanly_or_round_trips(cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(SMALL_BLOB[:cut])
+        try:
+            config, chash, arrays, stats = load_checkpoint(path)
+        except IndexFormatError:
+            assert cut < len(SMALL_BLOB)
+            return
+    assert (config, chash, stats) == ({"variant": "ndrm2"}, "hash", {"m": 1.5})
+    assert arrays.keys() == SMALL_PARAMS.keys()
+    for name, arr in SMALL_PARAMS.items():
+        assert arrays[name].dtype == arr.dtype
+        assert arrays[name].tobytes() == arr.tobytes()
+        assert arrays[name].shape == arr.shape
+
+
+@pytest.mark.parametrize("entry", [
+    {"shape": [4]},                   # 12 bytes cannot be 4 float32
+    {"shape": [-3]},
+    {"offset": -8},
+    {"dtype": "<i8"},
+    {"shape": "x"},
+])
+def test_inconsistent_manifest_rejected(tmp_path, entry):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {}, "x", {"w": np.ones(3, dtype=np.float32)}, {})
+    blob = path.read_bytes()
+    mlen = struct.unpack_from("<Q", blob, 8)[0]
+    manifest = json.loads(blob[16:16 + mlen])
+    manifest["params"][0].update(entry)
+    raw = json.dumps(manifest).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + mlen:])
+    with pytest.raises(IndexFormatError):
         load_checkpoint(path)
 
 

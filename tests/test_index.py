@@ -14,7 +14,7 @@ import ckrank.tensor as T
 from ckrank.corpus import (QueryRecord, ingest_corpus, load_qrels,
                            load_queries)
 from ckrank.errors import ContractError, IndexFormatError
-from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varint,
+from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varints,
                           _write_varint, build_index, load_index, rerank,
                           retrieve, save_index)
 from ckrank.model import CKModel
@@ -44,6 +44,79 @@ def test_rank_tie_breaks_by_doc_id():
     scored = [("Z", 1.0), ("A", 1.0), ("M", 2.0)]
     assert _rank(scored, None) == [("M", 2.0), ("A", 1.0), ("Z", 1.0)]
     assert _rank(scored, 2) == [("M", 2.0), ("A", 1.0)]
+
+
+TIED_SCORES = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+
+
+def sorted_oracle(scored, k):
+    """The ranking rule as a plain full sort: score descending, doc id
+    ascending, cut at k."""
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def accumulate_oracle(index, tokens):
+    """Term-at-a-time sums in float64, one Python float per touched doc."""
+    acc = {}
+    for term in tokens:
+        doc_idx, scores = index.postings.get(term, ((), ()))
+        for i, score in zip(doc_idx, scores):
+            doc_id = index.doc_ids[i]
+            acc[doc_id] = acc.get(doc_id, 0.0) + float(score)
+    return list(acc.items())
+
+
+@st.composite
+def tied_indexes(draw):
+    """Small indexes with few distinct scores (negative and zero included)
+    and doc ids out of sorted order (D10 sorts before D2)."""
+    n = draw(st.integers(1, 30))
+    doc_ids = [f"D{i}" for i in draw(st.permutations(range(n)))]
+    postings = {}
+    for t in range(draw(st.integers(1, 4))):
+        docs = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        scores = draw(st.lists(TIED_SCORES, min_size=len(docs), max_size=len(docs)))
+        postings[f"t{t}"] = (np.array(docs, dtype=np.int64),
+                             np.array(scores, dtype=np.float32))
+    tokens = draw(st.lists(st.sampled_from(sorted(postings) + ["absent"]),
+                           max_size=6))
+    return ImpactIndex(doc_ids, postings, "hash", {}), tokens
+
+
+def k_values(live, data):
+    return (None, 0, 1, live, live + 1, data.draw(st.integers(0, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_indexes(), st.data())
+def test_retrieve_matches_full_sort_oracle(case, data):
+    index, tokens = case
+    scored = accumulate_oracle(index, tokens)
+    for k in k_values(len(scored), data):
+        got = retrieve(tokens, index, k=k).ranking
+        assert got == sorted_oracle(scored, k)
+        assert all(type(score) is float for _, score in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40).map(lambda i: f"D{i}"), TIED_SCORES),
+                max_size=40), st.data())
+def test_rank_matches_full_sort_oracle(scored, data):
+    for k in k_values(len(scored), data):
+        assert _rank(scored, k) == sorted_oracle(scored, k)
+
+
+def test_tie_order_survives_save_and_load(tmp_path):
+    doc_ids = ["D2", "D10", "D1", "D3", "D20"]
+    postings = {"t": (np.arange(5), np.array([1, 1, 1, 1, 2], dtype=np.float32)),
+                "u": (np.array([0, 3]), np.array([0, 0], dtype=np.float32))}
+    index = ImpactIndex(doc_ids, postings, "hash", {})
+    want = [("D20", 2.0), ("D1", 1.0), ("D10", 1.0), ("D2", 1.0), ("D3", 1.0)]
+    path = tmp_path / "ties.ckix"
+    save_index(index, path)
+    for idx in (index, load_index(path)):
+        assert retrieve(["u", "t"], idx, k=None).ranking == want
+        assert retrieve(["t", "u"], idx, k=3).ranking == want[:3]
 
 
 # -- building -------------------------------------------------------------------
@@ -216,8 +289,8 @@ def test_rerank_scores_and_skips(indexed):
 def test_varint_round_trip(value):
     buf = bytearray()
     _write_varint(buf, value)
-    out, pos = _read_varint(bytes(buf), 0)
-    assert out == value and pos == len(buf)
+    out, stops = _read_varints(bytes(buf), [0], [1])
+    assert out.tolist() == [value] and stops.tolist() == [len(buf)]
 
 
 def test_varint_streams_concatenate():
@@ -228,9 +301,13 @@ def test_varint_streams_concatenate():
     pos = 0
     out = []
     while pos < len(buf):
-        v, pos = _read_varint(bytes(buf), pos)
-        out.append(v)
+        v, stops = _read_varints(bytes(buf), [pos], [1])
+        out.extend(v.tolist())
+        pos = int(stops[0])
     assert out == values
+    together, stops = _read_varints(bytes(buf), [0, 0, 3], [len(values), 0, 2])
+    assert together.tolist() == values + values[3:5]
+    assert stops.tolist() == [len(buf), 0, 7]
 
 
 def test_save_load_bit_exact(indexed, tmp_path):
@@ -307,6 +384,49 @@ def test_load_rejects_postings_past_the_doc_table(tmp_path):
     path = tmp_path / "range.ckix"
     save_index(index, path)
     with pytest.raises(IndexFormatError):
+        load_index(path)
+
+
+def _one_posting_file(path, varints):
+    """A one-term CKIX file whose posting block holds the given varint bytes
+    and one score per varint."""
+    count = sum(1 for b in varints if b < 0x80)
+    index = ImpactIndex(["D0", "D1"], {"t": (np.arange(count),
+                                             np.ones(count, np.float32))},
+                        "hash", {})
+    save_index(index, path)
+    blob = path.read_bytes()
+    head = len(blob) - count - 4 * count          # saved deltas are all 1 byte
+    path.write_bytes(blob[:head] + bytes(varints) + blob[head + count:])
+
+
+@pytest.mark.parametrize("varint", [
+    [0x80] * 9 + [0x01],             # 2**63: past int64
+    [0xFF] * 9 + [0x01],             # 2**64 - 1
+    [0x80] * 9 + [0x02],             # 2**64: more than 64 bits
+    [0x80] * 10 + [0x01],            # eleven bytes
+])
+def test_load_rejects_overlong_varints(tmp_path, varint):
+    path = tmp_path / "overlong.ckix"
+    _one_posting_file(path, varint)
+    with pytest.raises(IndexFormatError):
+        load_index(path)
+
+
+def test_varint_decode_limits():
+    out, _ = _read_varints(bytes([0xFF] * 9 + [0x01]), [0], [1])
+    assert out.tolist() == [2**64 - 1]
+    for bad in ([0x80] * 9 + [0x02], [0x80] * 10 + [0x01], [0x80] * 12, [0x80]):
+        with pytest.raises(IndexFormatError):
+            _read_varints(bytes(bad), [0], [1])
+
+
+def test_load_rejects_repeated_documents(tmp_path):
+    path = tmp_path / "repeat.ckix"
+    _one_posting_file(path, [0x01, 0x01])
+    assert load_index(path).postings["t"][0].tolist() == [0, 1]
+    _one_posting_file(path, [0x01, 0x00])
+    with pytest.raises(IndexFormatError, match="repeats"):
         load_index(path)
 
 
