@@ -7,6 +7,11 @@ giving a d_key-by-d_value summary, so nothing quadratic in sequence length
 is ever allocated. The separable path applies no 1/sqrt(d_key) scaling; the
 two normalizations already bound the logits.
 
+``multi_head`` runs every head in one fused op. The separable one holds q
+and k key-major, as contiguous (heads, d_key, n) arrays, so the q softmax
+(over d_key) and the k softmax (over n) both reduce with runs of n
+contiguous values, not over a short strided axis.
+
 The encoder block wraps grouped convolution, separable multi-head
 attention, and a position-wise feed-forward network, each with residual
 connection, dropout, and a trailing layer norm.
@@ -115,49 +120,58 @@ def _merge_heads(a):
     return a.transpose(1, 0, 2).reshape(n, heads * d)
 
 
-def _softmax_last(x):
-    e = x - x.max(axis=-1, keepdims=True)
+def _softmax(x, axis):
+    """Softmax of a fresh array along axis."""
+    e = x - x.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
-def _softmax_backward(s, g):
-    """Gradient through a softmax over the last axis with output s; g is
-    overwritten."""
-    g -= (g * s).sum(axis=-1, keepdims=True)
+def _softmax_backward(s, g, axis):
+    """Gradient through a softmax along axis with output s; g is overwritten."""
+    g -= (g * s).sum(axis=axis, keepdims=True)
     g *= s
     return g
+
+
+def _key_major(a, heads):
+    """(n, heads * d) -> contiguous (heads, d, n)."""
+    return np.ascontiguousarray(a.T).reshape(heads, -1, a.shape[0])
+
+
+def _from_key_major(a):
+    """(heads, d, n) -> (n, heads * d) view."""
+    heads, d, n = a.shape
+    return a.reshape(heads * d, n).T
 
 
 def _separable_heads(q, k, v, heads):
     """Separable attention of every head at once -> Tensor[n, heads * d_value].
 
     Per head: softmax(q_h over d_key) @ (softmax(k_hᵀ over n) @ v_h); the
-    largest intermediate is (heads, n, d_key).
+    largest intermediates are the key-major (heads, d_key, n) q and k.
     """
-    qh, vh = _split_heads(q.data, heads), _split_heads(v.data, heads)
-    kt = _split_heads(k.data, heads).transpose(0, 2, 1)       # (h, dk, n)
-    phi_q = _softmax_last(qh)
-    phi_kt = _softmax_last(kt)
-    summary = phi_kt @ vh                                     # (h, dk, dv)
-    out = _merge_heads(phi_q @ summary)
+    vh = _split_heads(v.data, heads)                          # (h, n, dv)
+    phi_q = _softmax(_key_major(q.data, heads), axis=1)       # (h, dk, n)
+    phi_k = _softmax(_key_major(k.data, heads), axis=2)       # (h, dk, n)
+    summary = phi_k @ vh                                      # (h, dk, dv)
+    out = _merge_heads(phi_q.transpose(0, 2, 1) @ summary)
 
     def backward(g):
-        gh = _split_heads(g, heads)
+        gh = _split_heads(g, heads)                           # (h, n, dv)
         if q.requires_grad:
-            dphi_q = gh @ summary.transpose(0, 2, 1)
-            q._accumulate(_merge_heads(_softmax_backward(phi_q, dphi_q)))
-        d_summary = phi_q.transpose(0, 2, 1) @ gh
+            dphi_q = summary @ gh.transpose(0, 2, 1)          # (h, dk, n)
+            q._accumulate(_from_key_major(_softmax_backward(phi_q, dphi_q, 1)))
+        d_summary = phi_q @ gh                                # (h, dk, dv)
         if k.requires_grad:
-            dphi_kt = d_summary @ vh.transpose(0, 2, 1)       # (h, dk, n)
-            dkt = _softmax_backward(phi_kt, dphi_kt)
-            k._accumulate(_merge_heads(dkt.transpose(0, 2, 1)))
+            dphi_k = d_summary @ vh.transpose(0, 2, 1)        # (h, dk, n)
+            k._accumulate(_from_key_major(_softmax_backward(phi_k, dphi_k, 2)))
         if v.requires_grad:
-            v._accumulate(_merge_heads(phi_kt.transpose(0, 2, 1) @ d_summary))
+            v._accumulate(_merge_heads(phi_k.transpose(0, 2, 1) @ d_summary))
 
     return T.wrap_op(out, (q, k, v), backward, "separable_heads",
-                     saved=(phi_q, phi_kt, summary))
+                     saved=(phi_q, phi_k, summary))
 
 
 def _standard_heads(q, k, v, heads):
@@ -165,13 +179,13 @@ def _standard_heads(q, k, v, heads):
     keeps the (heads, n, n) weights for the backward pass."""
     qh, kh, vh = (_split_heads(a.data, heads) for a in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[2])       # a Python float keeps the dtype
-    attn = _softmax_last((qh * scale) @ kh.transpose(0, 2, 1))
+    attn = _softmax((qh * scale) @ kh.transpose(0, 2, 1), axis=2)
     out = _merge_heads(attn @ vh)
 
     def backward(g):
         gh = _split_heads(g, heads)
         if q.requires_grad or k.requires_grad:
-            d_scores = _softmax_backward(attn, gh @ vh.transpose(0, 2, 1))
+            d_scores = _softmax_backward(attn, gh @ vh.transpose(0, 2, 1), 2)
             d_scores *= scale
             if q.requires_grad:
                 q._accumulate(_merge_heads(d_scores @ kh))

@@ -230,6 +230,10 @@ def save_index(index, path):
     offset = 0
     for term in sorted(index.postings):
         doc_idx, scores = index.postings[term]
+        # Deltas are unsigned varints: a negative one would never terminate.
+        if doc_idx.size and (doc_idx[0] < 0 or np.any(np.diff(doc_idx) <= 0)):
+            raise ContractError(f"posting list of term {term!r} has doc indices "
+                                "that are negative or not strictly increasing")
         buf = bytearray()
         prev = -1
         for i in doc_idx.tolist():

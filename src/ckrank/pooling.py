@@ -8,9 +8,12 @@ keeps a strong match anywhere in the document visible to the scoring head.
 
 The `*_terms` variants are fused batched ops (one graph node for all query
 terms). Windowed pooling evaluates the Gaussian kernels once per
-(term, position) and sums each window over a strided view of those values,
-so overlapping windows share the exponentials instead of recomputing them.
-The scalar/single-row forms are thin compositions kept as a cross-check
+(term, position) into a kernel-major (k, t, positions) array, so
+overlapping windows share the exponentials instead of recomputing them.
+Window starts and ends all fall on multiples of b = gcd(window_len, stride),
+so positions are summed in blocks of b once and each window sums
+window_len / b consecutive blocks; coprime settings give b = 1. The
+scalar/single-row forms are thin compositions kept as a cross-check
 surface.
 """
 
@@ -193,34 +196,39 @@ def windowed_pool_terms(rows, wcfg, bank):
     wlen, stride = wcfg.window_len, wcfg.stride
     padded_len = (w - 1) * stride + wlen
     r = rows.data
+    k = bank.k
     mus = bank.mus.astype(r.dtype)
     inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
-    # Kernel values once per position, computed kernel-major so numpy's
-    # inner loops run over positions; positions past n stay zero, which is
-    # what a short last window contributes there.
-    d = r[None] - mus[:, None, None]                     # (k, t, n)
+    # Kernel values once per position, written kernel-major in place so
+    # numpy's inner loops run over positions; positions past n stay zero,
+    # which is what a short last window contributes there.
+    ex = np.zeros((k, t, padded_len), dtype=r.dtype)
+    d = ex[:, :, :n]
+    np.subtract(r, mus[:, None, None], out=d)
     d *= d
     d *= -inv2s[:, None, None]
     np.exp(d, out=d)
-    ex = np.zeros((t, padded_len, bank.k), dtype=r.dtype)
-    ex[:, :n] = d.transpose(1, 2, 0)
-    # (t, w, wlen, k) view of every window, summed over its positions.
-    ew = np.lib.stride_tricks.sliding_window_view(ex, wlen, axis=1)[:, ::stride]
-    e = ew.transpose(0, 1, 3, 2).sum(axis=2)             # (t, w, k)
+    # Every window start and end falls on a multiple of b, so positions are
+    # summed in blocks of b once, and each window sums wlen / b consecutive
+    # blocks at a step of stride / b.
+    b = math.gcd(wlen, stride)
+    blocks = ex.reshape(k, t, padded_len // b, b).sum(axis=3)
+    bw = np.lib.stride_tricks.sliding_window_view(blocks, wlen // b, axis=2)
+    e = bw[:, :, ::stride // b].sum(axis=3)              # (k, t, w)
     f = np.log(bank.eps_log + e)
-    arg = f.argmax(axis=1)                               # (t, k)
-    data = np.take_along_axis(f, arg[:, None, :], axis=1)[:, 0, :]
+    arg = f.argmax(axis=2)                               # (k, t)
+    data = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0].T
 
     def backward(g):
-        e_win = np.take_along_axis(e, arg[:, None, :], axis=1)[:, 0, :]
-        z = g / (bank.eps_log + e_win)                   # (t, k)
-        idx_t = np.arange(t)[:, None, None]
-        idx_k = np.arange(bank.k)[None, :, None]
+        e_win = np.take_along_axis(e, arg[:, :, None], axis=2)[:, :, 0]
+        z = g.T / (bank.eps_log + e_win)                 # (k, t)
+        idx_k = np.arange(k)[:, None, None]
+        idx_t = np.arange(t)[None, :, None]
         pos = (arg * stride)[:, :, None] + np.arange(wlen)[None, None, :]
         valid = pos < n
-        pos = np.minimum(pos, n - 1)                     # (t, k, wlen)
-        coef = -(r[idx_t, pos] - mus[None, :, None]) * 2.0 * inv2s[None, :, None]
-        dwin = z[:, :, None] * ex[idx_t, pos, idx_k] * coef
+        pos = np.minimum(pos, n - 1)                     # (k, t, wlen)
+        coef = -(r[idx_t, pos] - mus[:, None, None]) * 2.0 * inv2s[:, None, None]
+        dwin = z[:, :, None] * ex[idx_k, idx_t, pos] * coef
         dr = np.zeros_like(r)
         np.add.at(dr, (np.broadcast_to(idx_t, pos.shape), pos), dwin * valid)
         rows._accumulate(dr)

@@ -15,6 +15,12 @@ import numpy as np
 
 from .bm25 import BM25Searcher
 from .corpus import Corpus, DocumentRecord, QueryRecord, Vocabulary
+from .errors import ConfigError
+
+# Query-term coverage of the documents each query plants: 2 docs with all
+# terms, 3 with ~2/3, 3 with ~1/3. Planted documents are drawn without
+# replacement, so each query uses up one document per entry.
+_COVERAGE_PLAN = (1.0, 1.0, 0.67, 0.67, 0.67, 0.34, 0.34, 0.34)
 
 
 @dataclass
@@ -57,6 +63,10 @@ def _sample_doc(rng, topics, fillers, primary, length):
 def make_synthetic(seed=0, num_docs=5000, num_topics=40, terms_per_topic=30,
                    num_train_queries=100, num_eval_queries=60,
                    doc_len=(40, 80), topk_candidates=100):
+    total_queries = num_train_queries + num_eval_queries
+    if len(_COVERAGE_PLAN) * total_queries > num_docs:
+        raise ConfigError(f"{total_queries} queries plant {len(_COVERAGE_PLAN)} "
+                          f"documents each, more than num_docs={num_docs}")
     rng = np.random.default_rng(seed)
     topics = _topic_terms(num_topics, terms_per_topic)
     fillers = [f"fill{j:03d}" for j in range(120)]
@@ -76,7 +86,6 @@ def make_synthetic(seed=0, num_docs=5000, num_topics=40, terms_per_topic=30,
     pool_cursor = 0
     queries = []
     qrels = {}
-    total_queries = num_train_queries + num_eval_queries
     for qi in range(total_queries):
         topic = int(rng.integers(num_topics))
         nq = int(rng.integers(3, 7))
@@ -86,9 +95,7 @@ def make_synthetic(seed=0, num_docs=5000, num_topics=40, terms_per_topic=30,
         qid = f"Q{split}{qi:03d}"
         queries.append(QueryRecord(qid, q_terms))
         per_query = {}
-        # coverage plan: 2 docs with all terms, 3 with ~2/3, 3 with ~1/3
-        plan = [1.0, 1.0, 0.67, 0.67, 0.67, 0.34, 0.34, 0.34]
-        for coverage in plan:
+        for coverage in _COVERAGE_PLAN:
             doc_i = plant_pool[pool_cursor]
             pool_cursor += 1
             doc = corpus.get(f"D{doc_i:05d}")

@@ -10,6 +10,13 @@ Broadcasting is deliberately narrow: elementwise binary ops accept equal
 shapes, a scalar operand, or a trailing-dimension bias vector. Everything
 else must be shaped explicitly, which keeps the allocation accounting in
 :mod:`ckrank.memory` an exact model of what the math needs.
+
+``grouped_conv1d`` pads its input group-major, so every receptive field is
+one contiguous run of window * cg values and all fields are a strided view.
+BLAS cannot read overlapping rows, so the fields are copied into one reused
+buffer a cache-sized chunk of positions at a time (``_CONV_CHUNK_BYTES``),
+each chunk one batched matmul. The input gradient runs through the same
+helper; the kernel gradient multiplies the view directly.
 """
 
 import contextvars
@@ -632,12 +639,43 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return wrap_op(data, (x, gamma, beta), backward, "layer_norm")
 
 
-def _conv_windows(xp, window):
-    """(groups, n, window * cg) receptive fields of a padded (n + window - 1,
-    groups, cg) array, tap-major to match a (groups, window * cg, cg) kernel."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, window, axis=0)
-    n, groups, cg = win.shape[:3]
-    return win.transpose(1, 0, 3, 2).reshape(groups, n, window * cg)
+# Bytes of receptive fields copied per matmul: a run of positions whose
+# fields stay in a core's L2 cache while the matmul reads them.
+_CONV_CHUNK_BYTES = 1 << 20
+
+
+def _receptive_fields(a, groups, window):
+    """(n, groups * cg) -> read-only (groups, n, window * cg) view of every
+    receptive field, tap-major to match a (groups, window * cg, cg) kernel.
+
+    The zero-padded copy is group-major, (groups, n + window - 1, cg), so
+    the field of (group, position j) is the contiguous run of window * cg
+    values starting at row j of its group.
+    """
+    n, c = a.shape
+    cg = c // groups
+    pad = (window - 1) // 2
+    xp = np.zeros((groups, n + 2 * pad, cg), dtype=a.dtype)
+    xp[:, pad:pad + n] = a.reshape(n, groups, cg).transpose(1, 0, 2)
+    return np.lib.stride_tricks.as_strided(xp, (groups, n, window * cg),
+                                           xp.strides, writeable=False)
+
+
+def _fields_matmul(fields, kmat):
+    """(groups, n, w) fields @ (groups, w, cg) kmat -> (groups, n, cg).
+
+    Fields overlap in memory, which BLAS cannot read in place, so they are
+    copied into one reused buffer a cache-sized chunk of positions at a time.
+    """
+    groups, n, wcg = fields.shape
+    out = np.empty((groups, n, kmat.shape[2]), dtype=fields.dtype)
+    rows = min(n, max(1, _CONV_CHUNK_BYTES // (groups * wcg * fields.itemsize)))
+    buf = np.empty((groups, rows, wcg), dtype=fields.dtype)
+    for s in range(0, n, rows):
+        m = min(rows, n - s)
+        np.copyto(buf[:, :m], fields[:, s:s + m])
+        np.matmul(buf[:, :m], kmat, out=out[:, s:s + m])
+    return out
 
 
 def grouped_conv1d(x, kernel, groups, window, bias=None):
@@ -645,7 +683,8 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
 
     x: (n, c) token-major activations; kernel: (groups, window, cg, cg)
     with cg = c // groups; zero padding of (window-1)//2 on both sides.
-    Each group is one matmul of its receptive fields against its taps.
+    Each group is one matmul of its receptive fields against its taps,
+    run over cache-sized chunks of positions.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_conv1d expects (n, c) input, got {tuple(x.shape)}")
@@ -662,32 +701,26 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
                          f"{(groups, window, cg, cg)}")
     if bias is not None and bias.shape != (c,):
         raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
-    pad = (window - 1) // 2
-    xp = np.zeros((n + 2 * pad, groups, cg), dtype=x._data.dtype)
-    xp[pad:pad + n] = x._data.reshape(n, groups, cg)
-    out = np.matmul(_conv_windows(xp, window),               # (groups, n, cg)
-                    kernel._data.reshape(groups, window * cg, cg))
+    fields = _receptive_fields(x._data, groups, window)
+    out = _fields_matmul(fields, kernel._data.reshape(groups, window * cg, cg))
     data = out.transpose(1, 0, 2).reshape(n, c)
     if bias is not None:
         data += bias._data
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        go = g.reshape(n, groups, cg)
         if kernel.requires_grad:
-            # Receptive fields are rebuilt rather than kept: they are
-            # window times the size of x.
-            dk = np.matmul(_conv_windows(xp, window).transpose(0, 2, 1),
-                           go.transpose(1, 0, 2))
+            # fields is a view of the padded input, so keeping it costs no
+            # more than x does.
+            go = g.reshape(n, groups, cg).transpose(1, 0, 2)
+            dk = np.matmul(fields.transpose(0, 2, 1), go)
             kernel._accumulate(dk.reshape(groups, window, cg, cg))
         if x.requires_grad:
             # The input gradient is the same convolution of g with the taps
             # reversed and each tap transposed.
-            gp = np.zeros((n + 2 * pad, groups, cg), dtype=g.dtype)
-            gp[pad:pad + n] = go
             kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2).reshape(
                 groups, window * cg, cg)
-            dx = np.matmul(_conv_windows(gp, window), kt)
+            dx = _fields_matmul(_receptive_fields(g, groups, window), kt)
             x._accumulate(dx.transpose(1, 0, 2).reshape(n, c))
         if bias is not None:
             bias._accumulate(g.sum(axis=0))

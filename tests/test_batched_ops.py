@@ -87,9 +87,16 @@ def assert_same(fn_a, fn_b, arrays, out_shape, seed=0):
 # -- grouped convolution ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
-@pytest.mark.parametrize("groups,cg,window", [(1, 1, 1), (2, 3, 3), (4, 2, 7),
-                                              (1, 4, 9)])
+# Positions per chunk of receptive fields at the paper shape in float64.
+PAPER_CONV_STEP = T._CONV_CHUNK_BYTES // (32 * 31 * 8 * 8)
+CONV_CASES = ([(groups, cg, window, n) for n in (1, 2, 3, 7, 40)
+               for groups, cg, window in ((1, 1, 1), (2, 3, 3), (4, 2, 7), (1, 4, 9))]
+              # The paper shape across chunk edges.
+              + [(32, 8, 31, n) for n in (1, PAPER_CONV_STEP, PAPER_CONV_STEP + 1,
+                                          3 * PAPER_CONV_STEP + 2)])
+
+
+@pytest.mark.parametrize("groups,cg,window,n", CONV_CASES)
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_grouped_conv_matches_per_tap_oracle(n, groups, cg, window, with_bias):
     rng = np.random.default_rng([n, groups, window])
@@ -123,9 +130,11 @@ def head_cfg(heads, d_key, d_value):
 
 
 @pytest.mark.parametrize("variant", ["separable", "standard"])
-@pytest.mark.parametrize("heads,d_key,d_value", [(1, 4, 4), (2, 4, 3), (4, 2, 2),
-                                                 (8, 3, 5)])
-@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("n,heads,d_key,d_value",
+                         [(n, heads, d_key, d_value) for heads, d_key, d_value in
+                          ((1, 4, 4), (2, 4, 3), (4, 2, 2), (8, 3, 5))
+                          for n in (1, 2, 9)]
+                         + [(300, 4, 8, 8)])
 def test_multi_head_matches_per_head_oracle(variant, heads, d_key, d_value, n):
     cfg = head_cfg(heads, d_key, d_value)
     with T.precision("float64"):

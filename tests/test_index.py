@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ckrank.tensor as T
 from ckrank.corpus import (QueryRecord, ingest_corpus, load_qrels,
                            load_queries)
-from ckrank.errors import ContractError, IndexFormatError
+from ckrank.errors import ConfigError, ContractError, IndexFormatError
 from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varints,
                           _write_varint, build_index, load_index, rerank,
                           retrieve, save_index)
@@ -326,6 +326,18 @@ def test_save_load_bit_exact(indexed, tmp_path):
             index.postings[term][1].tobytes()
 
 
+@pytest.mark.parametrize("doc_idx", [[1, 0], [0, 2, 2], [-2, 0]],
+                         ids=["decreasing", "repeated", "negative"])
+def test_save_refuses_postings_not_strictly_increasing(doc_idx, tmp_path):
+    # The check runs before any varint is written: a negative delta would
+    # make _write_varint loop forever.
+    idx = np.array(doc_idx, dtype=np.int64)
+    index = ImpactIndex(["A", "B", "C"],
+                        {"t": (idx, np.ones(idx.size, np.float32))}, "h", {})
+    with pytest.raises(ContractError, match="'t'"):
+        save_index(index, tmp_path / "bad.ckix")
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckix"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -472,6 +484,21 @@ def test_synthetic_shapes(synth_small):
     assert all(q.query_id.startswith("QE") for q in s.eval_queries)
     assert set(s.candidates) == {q.query_id for q in s.train_queries}
     assert all(len(c) <= 20 for c in s.candidates.values())
+
+
+@pytest.mark.parametrize("num_docs,queries", [(300, (100, 60)), (23, (1, 2))])
+def test_synthetic_refuses_too_few_docs_to_plant(num_docs, queries):
+    # Each query plants graded relevance in 8 distinct documents.
+    with pytest.raises(ConfigError, match="num_docs"):
+        make_synthetic(seed=3, num_docs=num_docs, num_train_queries=queries[0],
+                       num_eval_queries=queries[1], doc_len=(5, 8))
+
+
+def test_synthetic_builds_at_the_planting_limit():
+    s = make_synthetic(seed=3, num_docs=24, num_train_queries=1,
+                       num_eval_queries=2, doc_len=(20, 30))
+    assert len(s.corpus) == 24
+    assert len(s.train_qrels) == 1 and len(s.eval_qrels) == 2
 
 
 def test_synthetic_grades_follow_overlap(synth_small):

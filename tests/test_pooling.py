@@ -156,19 +156,39 @@ def test_windowed_pool_matches_numpy_oracle(n):
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13, 300, 500])
-def test_fused_matches_composed(n):
-    wcfg = WindowConfig(window_len=5 if n < 100 else 300,
-                        stride=2 if n < 100 else 100)
+def _pool_value_and_grad(pool, rows, mix):
+    """Pooled features of rows and the gradient of sum(features * mix)."""
+    p = T.parameter(rows)
+    out = pool(p)
+    T.backward(T.tsum(T.mul(out, T.constant(mix))))
+    return out.numpy(), p.grad
+
+
+@pytest.mark.parametrize("n,window_len,stride", [
+    *(pytest.param(n, 5, 2, id=str(n)) for n in (1, 4, 5, 7, 12, 13)),
+    *(pytest.param(n, 300, 100, id=str(n)) for n in (300, 500)),
+    # Blocks of gcd(window_len, stride) positions: 2, 3, 1 (coprime) and 4.
+    *(pytest.param(n, w, s, id=f"{n}-{w}-{s}") for w, s in ((6, 4), (9, 6), (7, 3), (4, 4))
+      for n in (5, 23, 30)),
+])
+def test_fused_matches_composed(n, window_len, stride):
+    wcfg = WindowConfig(window_len=window_len, stride=stride)
     bank = KernelBank()
     rng = np.random.default_rng(n + 1)
     rows = rng.uniform(-1, 1, size=(3, n))
+    mix = rng.normal(size=(3, bank.k))
+
+    def composed(p):
+        per_term = [windowed_pool_term(T.reshape(T.narrow(p, 0, i, 1), (n,)), wcfg, bank)
+                    for i in range(rows.shape[0])]
+        return T.concat([T.reshape(f, (1, bank.k)) for f in per_term], axis=0)
+
     with T.precision("float64"):
-        fused = windowed_pool_terms(T.constant(rows), wcfg, bank).numpy()
-        composed = np.stack([
-            windowed_pool_term(T.constant(rows[i]), wcfg, bank).numpy()
-            for i in range(rows.shape[0])])
-    np.testing.assert_allclose(fused, composed, atol=1e-12)
+        fused, fused_grad = _pool_value_and_grad(
+            lambda p: windowed_pool_terms(p, wcfg, bank), rows, mix)
+        want, want_grad = _pool_value_and_grad(composed, rows, mix)
+    np.testing.assert_allclose(fused, want, atol=1e-12)
+    np.testing.assert_allclose(fused_grad, want_grad, atol=1e-12)
 
 
 def test_fused_handles_zero_terms():
