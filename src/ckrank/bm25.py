@@ -1,63 +1,58 @@
-"""BM25 baseline with an in-memory inverted index and a small tuning grid."""
+"""BM25 folded into an impact index and searched by ``retrieve``, as the neural
+rankers are, plus a small tuning grid. Scores stay float64, so rankings equal
+those of a term-at-a-time sum of Python floats."""
+
+import numpy as np
 
 from .evalmetrics import evaluate
+from .index import ImpactIndex, retrieve
 
 
-def bm25_score(query_tokens, doc, vocab, k1=0.9, b=0.4):
-    """Sum of per-occurrence BM25 contributions of the query tokens.
+def _term_postings(corpus):
+    """Doc ids, their lengths and term -> (doc indices, tf) rows: the parts
+    of a BM25 index that do not depend on k1 and b."""
+    doc_ids = list(corpus.docs)
+    lengths = np.array([corpus.get(d).length for d in doc_ids], dtype=np.float64)
+    lists = {}
+    for doc_idx, doc_id in enumerate(doc_ids):
+        for term, tf in corpus.get(doc_id).tf.items():
+            idx, tfs = lists.setdefault(term, ([], []))
+            idx.append(doc_idx)
+            tfs.append(tf)
+    postings = {t: np.array(p, dtype=np.int64) for t, p in lists.items()}
+    return doc_ids, lengths, postings
 
-    Repeated query tokens contribute repeatedly, matching the additive
-    per-term convention the neural scorers use.
-    """
-    if doc.length == 0:
-        return 0.0
-    norm = k1 * (1.0 - b + b * doc.length / max(vocab.mean_dlen, 1e-9))
-    score = 0.0
-    for term in query_tokens:
-        tf = doc.tf.get(term, 0)
-        if tf == 0:
-            continue
-        score += vocab.idf(term) * tf * (k1 + 1.0) / (tf + norm)
-    return score
+
+def _bm25_index(term_postings, vocab, k1, b):
+    """Score every posting of ``_term_postings(corpus)`` at (k1, b)."""
+    doc_ids, lengths, postings = term_postings
+    norm = k1 * (1.0 - b + b * lengths / max(vocab.mean_dlen, 1e-9))
+    impacts = {term: (idx, vocab.idf(term) * tf * (k1 + 1.0) / (tf + norm[idx]))
+               for term, (idx, tf) in postings.items()}
+    return ImpactIndex(doc_ids, impacts, "bm25", {"k1": k1, "b": b})
 
 
 class BM25Searcher:
-    """Term-at-a-time BM25 over a whole corpus."""
+    """BM25 over a whole corpus, searched term-at-a-time by ``retrieve``."""
 
     def __init__(self, corpus, vocab, k1=0.9, b=0.4):
-        self.vocab = vocab
-        self.k1 = k1
-        self.b = b
-        self.doc_ids = sorted(corpus.docs)
-        self.doc_len = {d: corpus.get(d).length for d in self.doc_ids}
-        self.postings = {}
-        for doc_id in self.doc_ids:
-            for term, tf in corpus.get(doc_id).tf.items():
-                self.postings.setdefault(term, []).append((doc_id, tf))
+        self.index = _bm25_index(_term_postings(corpus), vocab, k1, b)
 
     def search(self, query_tokens, k=100):
         """Top-k (doc id, score), score descending, doc id ascending on ties."""
-        scores = {}
-        avgdl = max(self.vocab.mean_dlen, 1e-9)
-        for term in query_tokens:
-            idf = self.vocab.idf(term)
-            for doc_id, tf in self.postings.get(term, ()):
-                norm = self.k1 * (1.0 - self.b + self.b * self.doc_len[doc_id] / avgdl)
-                scores[doc_id] = scores.get(doc_id, 0.0) + \
-                    idf * tf * (self.k1 + 1.0) / (tf + norm)
-        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:k]
+        return retrieve(query_tokens, self.index, k).ranking
 
 
 def tune_bm25(corpus, vocab, queries, qrels, k1_grid=(0.6, 0.9, 1.2, 1.5),
               b_grid=(0.2, 0.4, 0.6, 0.75), cutoff=10, k=100):
     """Grid-search (k1, b) by mean NDCG at the cutoff; returns the best
     (k1, b, ndcg)."""
+    term_postings = _term_postings(corpus)
     best = None
     for k1 in k1_grid:
         for b in b_grid:
-            searcher = BM25Searcher(corpus, vocab, k1=k1, b=b)
-            run = {q.query_id: searcher.search(q.tokens, k=k) for q in queries}
+            index = _bm25_index(term_postings, vocab, k1, b)
+            run = {q.query_id: retrieve(q.tokens, index, k).ranking for q in queries}
             _, mean, _ = evaluate(run, qrels, "ndcg", cutoff)
             if best is None or mean > best[2]:
                 best = (k1, b, mean)

@@ -15,7 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ContractError
+from .errors import ContractError, IndexFormatError
+from .index import _rank
 
 MAX_DOC_TOKENS = 4000
 MAX_QUERY_TOKENS = 20
@@ -169,11 +170,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a ``save`` file; a malformed one raises IndexFormatError."""
         with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        term_to_id = {t: i for i, t in enumerate(blob["terms"])}
-        return cls(term_to_id, blob["df"], blob["num_docs"],
-                   blob["mean_dlen"], blob["mean_tf"])
+            try:
+                blob = json.load(fh)
+                term_to_id = {t: i for i, t in enumerate(blob["terms"])}
+                return cls(term_to_id, dict(blob["df"]), int(blob["num_docs"]),
+                           float(blob["mean_dlen"]), float(blob["mean_tf"]))
+            except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
+                raise IndexFormatError(f"{path}: malformed vocabulary ({err})") \
+                    from None
 
 
 # -- TREC-format files ----------------------------------------------------------
@@ -208,9 +214,7 @@ def load_run(path):
                 continue
             qid, _, docid, _, score, _ = parts
             run.setdefault(qid, []).append((docid, float(score)))
-    for qid in run:
-        run[qid].sort(key=lambda pair: (-pair[1], pair[0]))
-    return run
+    return {qid: _rank(pairs, None) for qid, pairs in run.items()}
 
 
 def write_run(run, path, tag="ckrank"):

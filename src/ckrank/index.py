@@ -81,7 +81,7 @@ class ImpactIndex:
     def __init__(self, doc_ids, postings, config_hash, stats):
         self.doc_ids = list(doc_ids)
         self.doc_rank = _id_ranks(self.doc_ids)   # tie-break key per doc index
-        self.postings = postings            # term -> (int64 doc indices, f32 scores)
+        self.postings = postings    # term -> (int64 doc indices, f32 scores; f64 for BM25)
         self.config_hash = config_hash
         self.stats = dict(stats)
 

@@ -104,8 +104,15 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path):
+        """Read a ``save`` file; a malformed one raises ConfigError."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ConfigError:
+                raise
+            except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
+                raise ConfigError(f"{path}: malformed model config ({err})") \
+                    from None
 
 
 # -- explicit branch -------------------------------------------------------------

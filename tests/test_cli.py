@@ -192,6 +192,35 @@ def test_missing_file_is_runtime_error(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncated", "no_df"])
+def test_malformed_vocab_is_runtime_error(workspace, vocab_path, model_path,
+                                          damage, capsys):
+    root, _ = workspace
+    text = vocab_path.read_text()
+    bad = root / f"vocab_{damage}.json"
+    bad.write_text(text[:len(text) // 2] if damage == "truncated" else
+                   json.dumps({k: v for k, v in json.loads(text).items()
+                               if k != "df"}))
+    code = run_cli("index", "--docs", root / "docs.tsv", "--vocab", bad,
+                   "--model", model_path, "--out", root / "never.ckix")
+    assert code == 1
+    assert f"error: {bad}: malformed vocabulary" in capsys.readouterr().err
+
+
+def test_malformed_config_is_runtime_error(workspace, vocab_path, capsys):
+    root, _ = workspace
+    text = (root / "model_config.json").read_text()
+    bad = root / "config_truncated.json"
+    bad.write_text(text[:len(text) // 2])
+    code = run_cli("train", "--docs", root / "docs.tsv", "--vocab", vocab_path,
+                   "--queries", root / "train_queries.tsv",
+                   "--triples", root / "triples.tsv",
+                   "--candidates", root / "candidates.txt",
+                   "--config", bad, "--steps", "1", "--out", root / "never.ckpt")
+    assert code == 1
+    assert f"error: {bad}: malformed model config" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(workspace):
     with pytest.raises(SystemExit) as err:
         run_cli()

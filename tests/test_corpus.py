@@ -1,5 +1,7 @@
 """Tokenization, ingestion, vocabulary, and TREC-format file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from ckrank.corpus import (MAX_DOC_TOKENS, MAX_QUERY_TOKENS, Corpus,
                            DocumentRecord, Vocabulary, ingest_corpus,
                            load_queries, load_qrels, load_run, tokenize,
                            write_run)
-from ckrank.errors import ContractError
+from ckrank.errors import ContractError, IndexFormatError
 
 
 # -- tokenize -------------------------------------------------------------------
@@ -167,6 +169,25 @@ def test_vocabulary_round_trip(tmp_path):
     assert loaded.num_docs == vocab.num_docs
     assert loaded.mean_dlen == pytest.approx(vocab.mean_dlen)
     assert loaded.mean_tf == pytest.approx(vocab.mean_tf)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_df", "not_utf8", "not_object",
+                                    "df_not_mapping"])
+def test_vocabulary_load_malformed_is_format_error(tmp_path, damage):
+    path = tmp_path / "vocab.json"
+    Vocabulary.build(make_corpus([["a", "b"], ["a", "c"]])).save(path)
+    text = path.read_bytes()
+    blob = json.loads(text)
+    damaged = {
+        "truncated": text[:len(text) // 2],
+        "no_df": json.dumps({k: v for k, v in blob.items() if k != "df"}).encode(),
+        "not_utf8": b"\xff" + text,
+        "not_object": json.dumps([blob]).encode(),
+        "df_not_mapping": json.dumps({**blob, "df": "a"}).encode(),
+    }[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(IndexFormatError, match="malformed vocabulary"):
+        Vocabulary.load(path)
 
 
 # -- TREC files -----------------------------------------------------------------------

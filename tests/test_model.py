@@ -67,6 +67,23 @@ def test_config_file_round_trip(tmp_path):
     assert ModelConfig.load(path) == cfg
 
 
+@pytest.mark.parametrize("damage", ["truncated", "not_utf8", "not_object",
+                                    "wrong_type"])
+def test_config_load_malformed_is_config_error(tmp_path, damage):
+    path = tmp_path / "config.json"
+    micro_config("ndrm3").save(path)
+    text = path.read_bytes()
+    damaged = {
+        "truncated": text[:len(text) // 2],
+        "not_utf8": b"\xff" + text,
+        "not_object": b"[[1, 2]]",
+        "wrong_type": b'{"model_dim": "wide"}',
+    }[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(ConfigError, match="malformed model config"):
+        ModelConfig.load(path)
+
+
 # -- explicit branch ---------------------------------------------------------------
 
 
