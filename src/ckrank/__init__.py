@@ -21,8 +21,7 @@ from .index import ImpactIndex, RetrievalResult, build_index, load_index, \
     rerank, retrieve, save_index
 from .memory import MemoryTracker, tracker
 from .model import BSState, CKModel, DuetParams, ExplicitParams, ModelConfig, \
-    TermDocStats, duet_scores, ndrm2_term_score, ndrm2_term_scores, \
-    ndrm3_term_score
+    duet_scores, ndrm2_term_scores
 from .pooling import KernelBank, WindowConfig, interaction_row, \
     interaction_rows, kernel_features, latent_term_score, num_windows, \
     windowed_pool_term, windowed_pool_terms

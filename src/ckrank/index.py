@@ -3,19 +3,22 @@
 Because every ranker here scores a query as a sum of independent per-term
 scores, the whole model can be folded offline into posting lists of
 (document, score) pairs, one list per vocabulary term occurring in the
-document. Retrieval is then term-at-a-time float accumulation with no
-model in sight, followed by an array top-k: a partition keeps every touched
-document scoring at least the k-th best score, and only those few are
-sorted (score descending, then doc id ascending) and turned into Python
-tuples. Soft matches against documents that do not contain the literal term
-are deliberately dropped; scoring every (term, document) pair would be
-quadratic in the collection.
+document. Folding runs by columns over ``posting_table``: the explicit
+branch and ndrm3's duet score every pair in one elementwise call each, and
+only the latent branch encodes one document at a time. Retrieval is then
+term-at-a-time float accumulation with no model in sight, followed by an
+array top-k: a partition keeps every touched document scoring at least the
+k-th best score, and only those few are sorted (score descending, then doc
+id ascending) and turned into Python tuples. Soft matches against
+documents that do not contain the literal term are deliberately dropped;
+scoring every (term, document) pair would be quadratic in the collection.
 
 File layout: magic ``CKIX`` | u32 version | u64 meta length | meta JSON
 (doc table, term dictionary with offsets, config hash, frozen statistics) |
 posting blocks. Each block stores delta-encoded doc indices as unsigned
-varints followed by raw little-endian float32 scores; loading decodes the
-varints of all blocks at once with array ops. Round-trips are bit-exact.
+varints followed by raw little-endian float32 scores; saving encodes and
+loading decodes the varints of all blocks at once with array ops.
+Round-trips are bit-exact.
 """
 
 import json
@@ -97,8 +100,41 @@ class ImpactIndex:
         return self.config_hash == model.config.config_hash()
 
 
-def build_index(corpus, model, progress=None):
+def posting_table(corpus):
+    """The corpus as postings: sorted doc ids, their lengths (float64) and
+    term -> (int64 doc indices, int64 tf), doc indices ascending, for every
+    term in sorted order."""
+    doc_ids = sorted(corpus.docs)
+    docs = [corpus.get(d) for d in doc_ids]
+    lengths = np.array([doc.length for doc in docs], dtype=np.float64)
+    tokens, tfs, sizes = [], [], []
+    for doc in docs:
+        tokens.extend(doc.tf)
+        tfs.extend(doc.tf.values())
+        sizes.append(len(doc.tf))
+    terms = sorted(set(tokens))
+    term_id = {t: i for i, t in enumerate(terms)}
+    owner = np.fromiter(map(term_id.__getitem__, tokens), dtype=np.int64,
+                        count=len(tokens))
+    by_term = np.argsort(owner, kind="stable")
+    doc_idx = np.repeat(np.arange(len(docs), dtype=np.int64), sizes)[by_term]
+    tf = np.array(tfs, dtype=np.int64)[by_term]
+    counts = np.bincount(owner, minlength=len(terms))
+    stops = np.cumsum(counts)
+    return doc_ids, lengths, {t: (doc_idx[a:b], tf[a:b]) for t, a, b in
+                              zip(terms, (stops - counts).tolist(), stops.tolist())}
+
+
+def build_index(corpus, model):
     """Score every (vocabulary term, containing document) pair offline.
+
+    The pairs come from ``posting_table`` with their idf, tf and document
+    length. The explicit branch scores them all in one call and ndrm3's
+    duet mixes the two branches' columns in one call, both elementwise; only
+    the latent branch works one document at a time, encoding the document
+    once and scoring its terms in sorted order, so for ndrm1 and ndrm3 the
+    columns run document by document and are put back in term order at the
+    end. Scores are stored as float32.
 
     The model must be in eval mode so batch-dependent statistics are frozen;
     building from a training-mode model is refused. Nothing is recorded for
@@ -107,27 +143,47 @@ def build_index(corpus, model, progress=None):
     if model.training:
         raise ContractError("refusing to build an index from a model in train "
                             "mode: statistics are not frozen")
-    doc_ids = sorted(corpus.docs)
-    postings = {}
+    doc_ids, lengths, table = posting_table(corpus)
+    terms = [t for t in table if t in model.vocab]
+    if not terms:
+        return ImpactIndex(doc_ids, {}, model.config.config_hash(),
+                           model.running_stats())
+    counts = np.array([table[t][0].size for t in terms], dtype=np.int64)
+    doc_idx = np.concatenate([table[t][0] for t in terms])
+    owner = np.repeat(np.arange(len(terms)), counts)
+    order = np.lexsort((owner, doc_idx)) if model.needs_latent \
+        else np.arange(doc_idx.size)
+    col_doc = doc_idx[order]
+    lat = exp = None
     with T.no_grad():
-        for doc_idx, doc_id in enumerate(doc_ids):
-            doc = corpus.get(doc_id)
-            terms = sorted(t for t in doc.tf if t in model.vocab)
-            if not terms:
-                continue
-            enc = model.encode_document(doc) if model.needs_latent else None
-            scores = model.per_term_scores(terms, doc, doc_enc=enc)
-            for term, score in zip(terms, scores):
-                postings.setdefault(term, ([], []))
-                postings[term][0].append(doc_idx)
-                postings[term][1].append(np.float32(score))
-            if progress and (doc_idx + 1) % progress == 0:
-                print(f"indexed {doc_idx + 1}/{len(doc_ids)} documents")
-    packed = {t: (np.asarray(idx, dtype=np.int64),
-                  np.asarray(sc, dtype=np.float32))
-              for t, (idx, sc) in postings.items()}
-    return ImpactIndex(doc_ids, packed, model.config.config_hash(),
+        if model.needs_latent:
+            lat = _latent_column(corpus, model, doc_ids, terms, owner[order],
+                                 col_doc)
+        if model.needs_explicit:
+            idf = np.array([model.vocab.idf(t) for t in terms])[owner[order]]
+            tf = np.concatenate([table[t][1] for t in terms])[order]
+            exp = model.explicit_scores(idf, tf, np.maximum(lengths[col_doc], 1.0))
+        column = model.mix_scores(lat, exp).data
+    scores = np.empty(doc_idx.size, dtype=np.float32)
+    scores[order] = column
+    stops = np.cumsum(counts)
+    postings = {t: (doc_idx[a:b], scores[a:b]) for t, a, b
+                in zip(terms, (stops - counts).tolist(), stops.tolist())}
+    return ImpactIndex(doc_ids, postings, model.config.config_hash(),
                        model.running_stats())
+
+
+def _latent_column(corpus, model, doc_ids, terms, col_term, col_doc):
+    """Latent scores of a doc-major column of (term, document) pairs: one
+    encoding and one ``latent_term_scores`` call per document."""
+    starts = np.flatnonzero(np.diff(col_doc, prepend=-1))
+    stops = np.append(starts[1:], col_doc.size)
+    chunks = []
+    for a, b in zip(starts.tolist(), stops.tolist()):
+        doc = corpus.get(doc_ids[col_doc[a]])
+        chunks.append(model.latent_term_scores(
+            [terms[i] for i in col_term[a:b].tolist()], model.encode_document(doc)))
+    return chunks[0] if len(chunks) == 1 else T.concat(chunks)
 
 
 def retrieve(query, index, k=100):
@@ -175,15 +231,23 @@ def rerank(query, candidates, model, corpus, k=None):
 # -- binary format ---------------------------------------------------------------
 
 
-def _write_varint(buf, value):
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
+def _write_varints(values):
+    """Encode unsigned values as consecutive varints, 7 bits a byte, low
+    bits first, the continuation bit set on every byte but each value's last
+    -> (uint8 bytes, int64 offsets: where each varint starts, then the total
+    length). The inverse of ``_read_varints``."""
+    values = np.asarray(values, dtype=np.uint64)
+    lengths = np.ones(values.size, dtype=np.int64)
+    for byte in range(1, 10):
+        lengths += values >= np.uint64(1) << np.uint64(7 * byte)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    out = np.empty(offsets[-1], dtype=np.uint8)
+    for byte in range(int(lengths.max(initial=0))):
+        more = lengths > byte
+        low = (values[more] >> np.uint64(7 * byte)) & np.uint64(0x7F)
+        cont = (lengths[more] > byte + 1).astype(np.uint8) << 7
+        out[offsets[:-1][more] + byte] = low.astype(np.uint8) | cont
+    return out, offsets
 
 
 def _read_varints(blob, starts, counts):
@@ -225,25 +289,39 @@ def _read_varints(blob, starts, counts):
 
 
 def save_index(index, path):
+    """Write ``index`` as a CKIX file: each term's doc indices as varint gaps
+    (the first from -1), then its scores as little-endian float32, terms in
+    sorted order."""
+    terms = sorted(index.postings)
+    counts = np.array([index.postings[t][0].size for t in terms], dtype=np.int64)
+    doc_idx = np.concatenate([np.asarray(index.postings[t][0], dtype=np.int64)
+                              for t in terms] + [np.zeros(0, dtype=np.int64)])
+    stops = np.cumsum(counts)
+    firsts = (stops - counts)[counts > 0]
+    prev = np.roll(doc_idx, 1)
+    prev[firsts] = -1
+    # Gaps are unsigned varints: a negative one cannot be written.
+    bad = np.flatnonzero(doc_idx <= prev)
+    if bad.size:
+        term = terms[int(np.searchsorted(stops, bad[0], side="right"))]
+        raise ContractError(f"posting list of term {term!r} has doc indices "
+                            "that are negative or not strictly increasing")
+    # gap = (index + 1) - (previous index + 1): uint64 holds both terms,
+    # even for an index of 2**63 - 1
+    nexts = doc_idx.astype(np.uint64) + np.uint64(1)
+    bases = np.roll(nexts, 1)
+    bases[firsts] = 0
+    varints, offsets = _write_varints(nexts - bases)
+    block_ends = offsets[stops].tolist()
     dictionary = []
     blocks = []
-    offset = 0
-    for term in sorted(index.postings):
-        doc_idx, scores = index.postings[term]
-        # Deltas are unsigned varints: a negative one would never terminate.
-        if doc_idx.size and (doc_idx[0] < 0 or np.any(np.diff(doc_idx) <= 0)):
-            raise ContractError(f"posting list of term {term!r} has doc indices "
-                                "that are negative or not strictly increasing")
-        buf = bytearray()
-        prev = -1
-        for i in doc_idx.tolist():
-            _write_varint(buf, i - prev)
-            prev = i
-        buf.extend(scores.astype("<f4", copy=False).tobytes())
-        dictionary.append({"term": term, "offset": offset,
-                           "count": int(doc_idx.size)})
-        blocks.append(bytes(buf))
-        offset += len(buf)
+    offset = begin = 0
+    for term, count, end in zip(terms, counts.tolist(), block_ends):
+        scores = index.postings[term][1].astype("<f4", copy=False).tobytes()
+        blocks += [varints[begin:end].tobytes(), scores]
+        dictionary.append({"term": term, "offset": offset, "count": count})
+        offset += end - begin + len(scores)
+        begin = end
     meta = json.dumps({
         "num_docs": index.num_docs,
         "doc_ids": index.doc_ids,
@@ -256,8 +334,7 @@ def save_index(index, path):
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(meta)))
         fh.write(meta)
-        for block in blocks:
-            fh.write(block)
+        fh.writelines(blocks)
 
 
 _HEADER = struct.Struct("<4sIQ")          # magic, version, meta length

@@ -119,18 +119,6 @@ class ModelConfig:
 
 
 @dataclass
-class TermDocStats:
-    idf: float
-    tf: float
-    dlen: float
-
-    def __post_init__(self):
-        if self.tf < 0 or self.dlen < 1 or self.idf < 0:
-            raise ContractError(f"invalid term/document statistics: idf={self.idf}, "
-                                f"tf={self.tf}, dlen={self.dlen}")
-
-
-@dataclass
 class BSState:
     """Running means used by the x / (E[x] + eps) scale normalization."""
     mean_tf: float = 1.0
@@ -152,19 +140,13 @@ class ExplicitParams:
             raise ConfigError("epsilon must be positive")
 
 
-def ndrm2_term_score(stats, params, bs_state):
-    """Saturating lexical score: idf * bs(tf) / (bs(tf) + relu-dlen-term + eps).
+def ndrm2_term_scores(idf, tf, dlen, params, bs_state):
+    """Saturating lexical scores over parallel idf/tf/dlen arrays -> Tensor[m]:
+    idf * bs(tf) / (bs(tf) + relu-dlen-term + eps), elementwise.
 
     bs(x) = x / (running_mean + eps). The relu term is the only place the
     two learnable scalars enter, so gradients exist w.r.t. them alone.
     """
-    scores = ndrm2_term_scores(np.array([stats.idf]), np.array([stats.tf]),
-                               np.array([stats.dlen]), params, bs_state)
-    return T.reshape(scores, ())
-
-
-def ndrm2_term_scores(idf, tf, dlen, params, bs_state):
-    """Vectorized explicit scores over parallel idf/tf/dlen arrays -> Tensor[m]."""
     dt = T.default_dtype()
     eps = params.epsilon
     bs_tf = np.asarray(tf, dtype=dt) / (bs_state.mean_tf + eps)
@@ -218,13 +200,6 @@ def duet_scores(s_latent, s_explicit, params, mode):
                                     params.bn_explicit_var, params.var_floor)
     mixed = T.add(T.mul(bn_lat, params.w1), T.mul(bn_exp, params.w2))
     return T.add(mixed, params.b)
-
-
-def ndrm3_term_score(s_latent, s_explicit, params, mode="infer"):
-    """Scalar convenience wrapper over duet_scores."""
-    lat = T.reshape(s_latent, (1,)) if s_latent.ndim == 0 else s_latent
-    exp = T.reshape(s_explicit, (1,)) if s_explicit.ndim == 0 else s_explicit
-    return T.reshape(duet_scores(lat, exp, params, mode), ())
 
 
 # -- the model ----------------------------------------------------------------------
@@ -391,9 +366,22 @@ class CKModel:
         dlen = np.full(len(terms), max(doc.length, 1), dtype=np.float64)
         return idf, tf, dlen
 
-    def explicit_term_scores(self, terms, doc):
-        idf, tf, dlen = self.explicit_stats(terms, doc)
+    def explicit_scores(self, idf, tf, dlen):
+        """Tensor[m] of explicit scores over parallel idf/tf/dlen columns."""
         return ndrm2_term_scores(idf, tf, dlen, self.explicit, self.bs)
+
+    def explicit_term_scores(self, terms, doc):
+        return self.explicit_scores(*self.explicit_stats(terms, doc))
+
+    def mix_scores(self, lat, exp):
+        """The variant's scores from parallel branch vectors (the branch it
+        lacks is None); ndrm3 mixes them with duet_scores in the model's
+        mode, so in train mode the batch is exactly these vectors."""
+        if self.variant == "ndrm1":
+            return lat
+        if self.variant == "ndrm2":
+            return exp
+        return duet_scores(lat, exp, self.duet, self.mode)
 
     def term_scores(self, terms, doc, doc_enc=None):
         """Tensor[t] of per-term scores under the configured variant.
@@ -404,15 +392,14 @@ class CKModel:
         """
         if not terms:
             raise ContractError("term_scores needs at least one query term")
-        if self.variant == "ndrm2":
-            return self.explicit_term_scores(terms, doc)
-        if doc_enc is None:
-            doc_enc = self.encode_document(doc)
-        lat = self.latent_term_scores(terms, doc_enc)
-        if self.variant == "ndrm1":
-            return lat
-        exp = self.explicit_term_scores(terms, doc)
-        return duet_scores(lat, exp, self.duet, self.mode)
+        lat = exp = None
+        if self.needs_latent:
+            if doc_enc is None:
+                doc_enc = self.encode_document(doc)
+            lat = self.latent_term_scores(terms, doc_enc)
+        if self.needs_explicit:
+            exp = self.explicit_term_scores(terms, doc)
+        return self.mix_scores(lat, exp)
 
     # -- whole-query scoring ------------------------------------------------------
 

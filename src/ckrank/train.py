@@ -19,7 +19,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, NonFiniteError, TrainingDiverged
-from .model import duet_scores
 
 DOCS_PER_INSTANCE = 4  # positive, candidate negative, two collection negatives
 PAIRS_PER_INSTANCE = 5
@@ -201,39 +200,46 @@ class TrainResult:
 def batch_loss(model, instances, corpus, query_tokens):
     """Score every instance document, expand pairs, return (loss, stats).
 
-    stats carries the observed (tf, dlen) values feeding the running scale
-    means, gathered during graph construction so updates happen post-step.
+    The latent branch encodes and scores one document at a time; the
+    explicit branch scores the whole batch's (idf, tf, dlen) column in one
+    call, with each query's idf looked up once per instance. stats carries
+    the observed (tf, dlen) values feeding the running scale means, gathered
+    during graph construction so updates happen post-step.
     """
+    if not instances:
+        raise ContractError("batch_loss needs at least one instance")
     lat_chunks = []
-    exp_chunks = []
-    seg_ids = []
-    tf_seen = []
+    idf_parts = []
+    tf_col = []
+    dlen_col = []
     dlen_seen = []
+    seg_ids = []
     doc_count = 0
     for inst in instances:
         terms = query_tokens[inst.query_id]
         if not terms:
             raise ContractError(f"query {inst.query_id} has no tokens")
+        if model.needs_explicit:
+            idf = np.array([model.vocab.idf(t) for t in terms])
         for doc_id in inst.doc_ids:
             doc = corpus.get(doc_id)
             if model.needs_latent:
                 enc = model.encode_document(doc)
                 lat_chunks.append(model.latent_term_scores(terms, enc))
             if model.needs_explicit:
-                exp_chunks.append(model.explicit_term_scores(terms, doc))
-                _, tf, _ = model.explicit_stats(terms, doc)
-                tf_seen.extend(tf[tf > 0].tolist())
+                idf_parts.append(idf)
+                tf_col.extend(doc.tf.get(t, 0) for t in terms)
+                dlen_col.extend([max(doc.length, 1)] * len(terms))
                 dlen_seen.append(doc.length)
             seg_ids.extend([doc_count] * len(terms))
             doc_count += 1
-    if model.variant == "ndrm1":
-        scores = T.concat(lat_chunks, axis=0)
-    elif model.variant == "ndrm2":
-        scores = T.concat(exp_chunks, axis=0)
-    else:
-        lat_all = T.concat(lat_chunks, axis=0)
-        exp_all = T.concat(exp_chunks, axis=0)
-        scores = duet_scores(lat_all, exp_all, model.duet, model.mode)
+    lat = T.concat(lat_chunks, axis=0) if model.needs_latent else None
+    exp = None
+    tf = np.array(tf_col, dtype=np.float64)
+    if model.needs_explicit:
+        exp = model.explicit_scores(np.concatenate(idf_parts), tf,
+                                    np.array(dlen_col, dtype=np.float64))
+    scores = model.mix_scores(lat, exp)
     totals = T.segment_sum(scores, seg_ids, doc_count)
     pref_idx = []
     other_idx = []
@@ -243,7 +249,7 @@ def batch_loss(model, instances, corpus, query_tokens):
             pref_idx.append(base + a)
             other_idx.append(base + b)
     losses = ranknet_loss(T.gather(totals, pref_idx), T.gather(totals, other_idx))
-    return T.tmean(losses), (tf_seen, dlen_seen)
+    return T.tmean(losses), (tf[tf > 0].tolist(), dlen_seen)
 
 
 def train(model, corpus, query_tokens, instances, cfg, trace_path=None):

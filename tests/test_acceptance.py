@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from helpers import micro_config, micro_corpus
+from oracles import TermDocStats, ndrm2_term_score
 
 import ckrank.tensor as T
 from ckrank.attention import (AttentionConfig, conformer_block,
@@ -21,8 +22,7 @@ from ckrank.evalmetrics import evaluate
 from ckrank.gradcheck import finite_difference_check
 from ckrank.index import retrieve
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
-                          TermDocStats, duet_scores, ndrm2_term_score,
-                          ndrm2_term_scores)
+                          duet_scores, ndrm2_term_scores)
 from ckrank.pooling import (KernelBank, WindowConfig, init_head_params,
                             interaction_rows, kernel_features,
                             latent_term_scores, windowed_pool_term,

@@ -1,5 +1,6 @@
 """Impact index: offline scoring, binary format, retrieval, and synthetic data."""
 
+import itertools
 import os
 import struct
 import tempfile
@@ -9,13 +10,14 @@ import pytest
 from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import build_index_per_document, save_index_per_posting
 
 import ckrank.tensor as T
-from ckrank.corpus import (QueryRecord, ingest_corpus, load_qrels,
-                           load_queries)
+from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
+                           ingest_corpus, load_qrels, load_queries)
 from ckrank.errors import ConfigError, ContractError, IndexFormatError
 from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varints,
-                          _write_varint, build_index, load_index, rerank,
+                          _write_varints, build_index, load_index, rerank,
                           retrieve, save_index)
 from ckrank.model import CKModel
 from ckrank.synth import (make_synthetic, write_candidates, write_qrels,
@@ -191,6 +193,58 @@ def test_posting_scores_match_fresh_model(indexed):
         assert stored == pytest.approx(fresh, rel=1e-5)
 
 
+# Vocabulary terms a-f, terms below min_df (r1, r2) and a term with no df (zz).
+FOLD_VOCAB = Vocabulary({t: i for i, t in enumerate("abcdef")},
+                        {"a": 6, "b": 2, "c": 3, "d": 5, "e": 2, "f": 4,
+                         "r1": 1, "r2": 1}, num_docs=9, mean_dlen=5.0,
+                        mean_tf=1.4)
+FOLD_TOKENS = list("abcdef") + ["r1", "r2", "zz"]
+FOLD_FIXED_DOCS = [("B!", ["r1", "zz", "r1"]),       # no vocabulary term
+                   ("A!", ["c"]),                    # one term
+                   ("C!", ["a", "r2", "a", "e", "a"]),  # repeats, below min_df
+                   ("B!!", [])]
+
+
+@pytest.fixture(scope="module")
+def fold_models():
+    models = {}
+    for variant in ("ndrm1", "ndrm2", "ndrm3"):
+        model = CKModel(micro_config(variant, seed=3), FOLD_VOCAB)
+        if model.needs_explicit:
+            model.explicit.w_dlen.data[...] = 0.8
+            model.explicit.b_dlen.data[...] = 0.15
+        if model.duet is not None:
+            model.load_running_stats({
+                "bs_tf_mean": 1.3, "bs_dlen_mean": 4.5,
+                "bn_latent_mean": 0.05, "bn_latent_var": 0.3,
+                "bn_explicit_mean": 0.9, "bn_explicit_var": 0.6})
+        models[variant] = model
+    return models
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.text("ABC", min_size=1, max_size=3),
+                          st.lists(st.sampled_from(FOLD_TOKENS), max_size=10)),
+                max_size=6, unique_by=lambda d: d[0]),
+       st.data())
+def test_build_index_matches_per_document_oracle(fold_models, drawn, data):
+    corpus = Corpus()
+    for doc_id, tokens in data.draw(st.permutations(drawn + FOLD_FIXED_DOCS)):
+        corpus.add(DocumentRecord(doc_id, tokens))
+    for variant, model in fold_models.items():
+        got = build_index(corpus, model)
+        want = build_index_per_document(corpus, model)
+        assert got.doc_ids == want.doc_ids
+        assert got.postings.keys() == want.postings.keys(), variant
+        for term, (doc_idx, scores) in want.postings.items():
+            assert got.postings[term][0].dtype == np.int64
+            assert got.postings[term][0].tolist() == doc_idx.tolist()
+            assert got.postings[term][1].dtype == np.float32
+            assert got.postings[term][1].tobytes() == scores.tobytes(), \
+                (variant, term)
+        assert (got.config_hash, got.stats) == (want.config_hash, want.stats)
+
+
 def test_index_matches_model_config(indexed):
     _, vocab, model, index = indexed
     assert index.matches(model)
@@ -287,27 +341,54 @@ def test_rerank_scores_and_skips(indexed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**63 - 1))
 def test_varint_round_trip(value):
-    buf = bytearray()
-    _write_varint(buf, value)
-    out, stops = _read_varints(bytes(buf), [0], [1])
+    buf, offsets = _write_varints([value])
+    assert offsets.tolist() == [0, len(buf)]
+    out, stops = _read_varints(buf.tobytes(), [0], [1])
     assert out.tolist() == [value] and stops.tolist() == [len(buf)]
 
 
 def test_varint_streams_concatenate():
-    buf = bytearray()
     values = [0, 1, 127, 128, 300, 2**40]
-    for v in values:
-        _write_varint(buf, v)
+    buf, _ = _write_varints(values)
+    buf = buf.tobytes()
     pos = 0
     out = []
     while pos < len(buf):
-        v, stops = _read_varints(bytes(buf), [pos], [1])
+        v, stops = _read_varints(buf, [pos], [1])
         out.extend(v.tolist())
         pos = int(stops[0])
     assert out == values
-    together, stops = _read_varints(bytes(buf), [0, 0, 3], [len(values), 0, 2])
+    together, stops = _read_varints(buf, [0, 0, 3], [len(values), 0, 2])
     assert together.tolist() == values + values[3:5]
     assert stops.tolist() == [len(buf), 0, 7]
+
+
+VARINT_GAPS = st.one_of(
+    st.sampled_from([1, 2, 127, 128, 129, 16383, 16384, 16385, 2**21 - 1,
+                     2**21, 2**56, 2**62, 2**63]),
+    st.integers(1, 2**63))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), st.lists(VARINT_GAPS, max_size=6),
+                       max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_save_index_matches_per_posting_writer(gap_lists, seed):
+    rng = np.random.default_rng(seed)
+    postings = {}
+    for term, gaps in gap_lists.items():
+        # a gap is measured from the previous doc index, the first from -1
+        idx = [end - 1 for end in itertools.accumulate(gaps) if end <= 2**63]
+        postings[term] = (np.array(idx, dtype=np.int64),
+                          rng.standard_normal(len(idx)).astype(np.float32))
+    index = ImpactIndex(["D0", "D1", "D2"], postings, "hash", {"bs_tf_mean": 1.5})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, os.path.join(tmp, "array.ckix"))
+        save_index_per_posting(index, os.path.join(tmp, "oracle.ckix"))
+        with open(os.path.join(tmp, "array.ckix"), "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(tmp, "oracle.ckix"), "rb") as fh:
+            assert got == fh.read()
 
 
 def test_save_load_bit_exact(indexed, tmp_path):
@@ -329,8 +410,8 @@ def test_save_load_bit_exact(indexed, tmp_path):
 @pytest.mark.parametrize("doc_idx", [[1, 0], [0, 2, 2], [-2, 0]],
                          ids=["decreasing", "repeated", "negative"])
 def test_save_refuses_postings_not_strictly_increasing(doc_idx, tmp_path):
-    # The check runs before any varint is written: a negative delta would
-    # make _write_varint loop forever.
+    # The check runs before any varint is written: a negative delta has no
+    # unsigned varint.
     idx = np.array(doc_idx, dtype=np.int64)
     index = ImpactIndex(["A", "B", "C"],
                         {"t": (idx, np.ones(idx.size, np.float32))}, "h", {})

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from helpers import micro_config, micro_corpus
+from oracles import TermDocStats, ndrm2_term_score, ndrm3_term_score
 
 import ckrank.tensor as T
 from ckrank.corpus import DocumentRecord, QueryRecord
 from ckrank.errors import ConfigError, ContractError
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
-                          ModelConfig, TermDocStats, duet_scores,
-                          ndrm2_term_score, ndrm2_term_scores, ndrm3_term_score)
+                          ModelConfig, duet_scores, ndrm2_term_scores)
 
 
 @pytest.fixture(scope="module")

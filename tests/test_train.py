@@ -7,6 +7,7 @@ import pytest
 from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import batch_loss_per_document
 
 import ckrank.tensor as T
 from ckrank.errors import ContractError, TrainingDiverged
@@ -208,6 +209,37 @@ def test_batch_loss_positive_scalar(training_setup):
     assert loss.item() > 0.0
     assert len(dlen_seen) == 2 * DOCS_PER_INSTANCE
     assert all(tf > 0 for tf in tf_seen)
+
+
+@pytest.mark.parametrize("variant", ["ndrm2", "ndrm3"])
+def test_batch_loss_matches_per_document_oracle(training_setup, variant):
+    corpus, vocab, query_tokens, instances = training_setup
+    with T.precision("float64"):
+        model = CKModel(micro_config(variant, dropout_rate=0.0), vocab)
+        model.train()
+        model.explicit.w_dlen.data[...] = 0.6
+        model.explicit.b_dlen.data[...] = 0.25
+        stats = model.running_stats()
+        runs = []
+        for loss_fn in (batch_loss, batch_loss_per_document):
+            model.load_running_stats(stats)
+            for p in model.parameters().values():
+                p.drop_grad()
+            loss, seen = loss_fn(model, instances, corpus, query_tokens)
+            T.backward(loss)
+            runs.append((loss.item(), {k: p.grad for k, p in
+                                       model.parameters().items()},
+                         seen, model.running_stats()))
+    (loss, grads, seen, after), (want_loss, want_grads, want_seen, want_after) = runs
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    for name, grad in want_grads.items():
+        assert grad is not None and grads[name] is not None, name
+        np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+    for got_values, want_values in zip(seen, want_seen):
+        assert len(got_values) == len(want_values)
+        np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=1e-12)
+    assert after == pytest.approx(want_after, rel=1e-12, abs=1e-12)
 
 
 def test_train_config_defaults():
