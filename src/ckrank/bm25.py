@@ -2,17 +2,20 @@
 rankers are, plus a small tuning grid. Scores stay float64, so rankings equal
 those of a term-at-a-time sum of Python floats."""
 
+import numpy as np
+
 from .evalmetrics import evaluate
-from .index import ImpactIndex, posting_table, retrieve
+from .index import ImpactIndex, posting_table, retrieve, split_postings
 
 
 def _bm25_index(table, vocab, k1, b):
     """Score every posting of ``posting_table(corpus)`` at (k1, b)."""
-    doc_ids, lengths, postings = table
+    doc_ids, lengths, terms, counts, doc_idx, tf = table
     norm = k1 * (1.0 - b + b * lengths / max(vocab.mean_dlen, 1e-9))
-    impacts = {term: (idx, vocab.idf(term) * tf * (k1 + 1.0) / (tf + norm[idx]))
-               for term, (idx, tf) in postings.items()}
-    return ImpactIndex(doc_ids, impacts, "bm25", {"k1": k1, "b": b})
+    idf = np.repeat([vocab.idf(term) for term in terms], counts)
+    impacts = idf * tf * (k1 + 1.0) / (tf + norm[doc_idx])
+    return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, impacts),
+                       "bm25", {"k1": k1, "b": b})
 
 
 class BM25Searcher:

@@ -97,13 +97,14 @@ class ImpactIndex:
         return sum(idx.size for idx, _ in self.postings.values())
 
     def matches(self, model):
-        return self.config_hash == model.config.config_hash()
+        return self.config_hash == model.config_hash
 
 
 def posting_table(corpus):
-    """The corpus as postings: sorted doc ids, their lengths (float64) and
-    term -> (int64 doc indices, int64 tf), doc indices ascending, for every
-    term in sorted order."""
+    """The corpus as one column of postings: sorted doc ids, their lengths
+    (float64), the terms in sorted order, each term's posting count, and the
+    postings' int64 doc indices and int64 tf, term by term, doc indices
+    ascending within a term."""
     doc_ids = sorted(corpus.docs)
     docs = [corpus.get(d) for d in doc_ids]
     lengths = np.array([doc.length for doc in docs], dtype=np.float64)
@@ -119,10 +120,15 @@ def posting_table(corpus):
     by_term = np.argsort(owner, kind="stable")
     doc_idx = np.repeat(np.arange(len(docs), dtype=np.int64), sizes)[by_term]
     tf = np.array(tfs, dtype=np.int64)[by_term]
-    counts = np.bincount(owner, minlength=len(terms))
+    return doc_ids, lengths, terms, np.bincount(owner, minlength=len(terms)), \
+        doc_idx, tf
+
+
+def split_postings(terms, counts, doc_idx, scores):
+    """term -> (doc indices, scores) slices of a term-by-term column."""
     stops = np.cumsum(counts)
-    return doc_ids, lengths, {t: (doc_idx[a:b], tf[a:b]) for t, a, b in
-                              zip(terms, (stops - counts).tolist(), stops.tolist())}
+    return {t: (doc_idx[a:b], scores[a:b]) for t, a, b in
+            zip(terms, (stops - counts).tolist(), stops.tolist())}
 
 
 def build_index(corpus, model):
@@ -143,13 +149,13 @@ def build_index(corpus, model):
     if model.training:
         raise ContractError("refusing to build an index from a model in train "
                             "mode: statistics are not frozen")
-    doc_ids, lengths, table = posting_table(corpus)
-    terms = [t for t in table if t in model.vocab]
+    doc_ids, lengths, terms, counts, doc_idx, tf = posting_table(corpus)
+    keep = np.array([t in model.vocab for t in terms], dtype=bool)
+    posted = np.repeat(keep, counts)
+    terms = [t for t, k in zip(terms, keep.tolist()) if k]
+    counts, doc_idx, tf = counts[keep], doc_idx[posted], tf[posted]
     if not terms:
-        return ImpactIndex(doc_ids, {}, model.config.config_hash(),
-                           model.running_stats())
-    counts = np.array([table[t][0].size for t in terms], dtype=np.int64)
-    doc_idx = np.concatenate([table[t][0] for t in terms])
+        return ImpactIndex(doc_ids, {}, model.config_hash, model.running_stats())
     owner = np.repeat(np.arange(len(terms)), counts)
     order = np.lexsort((owner, doc_idx)) if model.needs_latent \
         else np.arange(doc_idx.size)
@@ -161,16 +167,13 @@ def build_index(corpus, model):
                                  col_doc)
         if model.needs_explicit:
             idf = np.array([model.vocab.idf(t) for t in terms])[owner[order]]
-            tf = np.concatenate([table[t][1] for t in terms])[order]
-            exp = model.explicit_scores(idf, tf, np.maximum(lengths[col_doc], 1.0))
+            exp = model.explicit_scores(idf, tf[order],
+                                        np.maximum(lengths[col_doc], 1.0))
         column = model.mix_scores(lat, exp).data
     scores = np.empty(doc_idx.size, dtype=np.float32)
     scores[order] = column
-    stops = np.cumsum(counts)
-    postings = {t: (doc_idx[a:b], scores[a:b]) for t, a, b
-                in zip(terms, (stops - counts).tolist(), stops.tolist())}
-    return ImpactIndex(doc_ids, postings, model.config.config_hash(),
-                       model.running_stats())
+    return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, scores),
+                       model.config_hash, model.running_stats())
 
 
 def _latent_column(corpus, model, doc_ids, terms, col_term, col_doc):
@@ -291,9 +294,15 @@ def _read_varints(blob, starts, counts):
 def save_index(index, path):
     """Write ``index`` as a CKIX file: each term's doc indices as varint gaps
     (the first from -1), then its scores as little-endian float32, terms in
-    sorted order."""
+    sorted order. Before anything is written, refuses a posting list that
+    ``load_index`` would refuse or misread: scores and doc indices of unequal
+    length, or doc indices not strictly increasing inside the doc table."""
     terms = sorted(index.postings)
     counts = np.array([index.postings[t][0].size for t in terms], dtype=np.int64)
+    for term, count in zip(terms, counts.tolist()):
+        if index.postings[term][1].size != count:
+            raise ContractError(f"posting list of term {term!r} has {count} doc "
+                                f"indices but {index.postings[term][1].size} scores")
     doc_idx = np.concatenate([np.asarray(index.postings[t][0], dtype=np.int64)
                               for t in terms] + [np.zeros(0, dtype=np.int64)])
     stops = np.cumsum(counts)
@@ -301,17 +310,13 @@ def save_index(index, path):
     prev = np.roll(doc_idx, 1)
     prev[firsts] = -1
     # Gaps are unsigned varints: a negative one cannot be written.
-    bad = np.flatnonzero(doc_idx <= prev)
+    bad = np.flatnonzero((doc_idx <= prev) | (doc_idx >= index.num_docs))
     if bad.size:
         term = terms[int(np.searchsorted(stops, bad[0], side="right"))]
-        raise ContractError(f"posting list of term {term!r} has doc indices "
-                            "that are negative or not strictly increasing")
-    # gap = (index + 1) - (previous index + 1): uint64 holds both terms,
-    # even for an index of 2**63 - 1
-    nexts = doc_idx.astype(np.uint64) + np.uint64(1)
-    bases = np.roll(nexts, 1)
-    bases[firsts] = 0
-    varints, offsets = _write_varints(nexts - bases)
+        raise ContractError(f"posting list of term {term!r} has doc indices that "
+                            "are negative, not strictly increasing or past the "
+                            "doc table")
+    varints, offsets = _write_varints(doc_idx - prev)
     block_ends = offsets[stops].tolist()
     dictionary = []
     blocks = []

@@ -1,13 +1,15 @@
 """Live-byte accounting for tensor allocations.
 
-Every tensor data/grad buffer reports its size here on allocation and
-release, so peak memory of a code region can be measured analytically
-(tracked tensor bytes, not process RSS). Scopes nest; each scope reports
-the peak of bytes allocated on top of what was live at scope entry.
+A tensor is charged once, by ``MemoryTracker.register``, when it is made,
+and releases its bytes when it is deallocated; gradient buffers and kept
+intermediates are charged and released as they come and go. So peak memory
+of a code region can be measured analytically (tracked tensor bytes, not
+process RSS). Scopes nest; each scope reports the peak of bytes allocated on
+top of what was live at scope entry.
 """
 
+import gc
 import threading
-import weakref
 from contextlib import contextmanager
 
 
@@ -36,8 +38,6 @@ class MemoryTracker:
         self.live_bytes = 0
         self.peak_bytes = 0
         self._scopes = []
-        # Weak registry of live tensors, used by audit().
-        self._registry = weakref.WeakSet()
         # Optional shape log for tests that assert on allocation shapes.
         self._shape_log = None
 
@@ -54,11 +54,11 @@ class MemoryTracker:
             self.live_bytes -= nbytes
 
     def register(self, tensor):
-        self._registry.add(tensor)
-
-    def log_shape(self, shape):
+        """Charge a new tensor's bytes and log its shape if shapes are being
+        recorded: the one tracker call every tensor makes."""
+        self.alloc(tensor.tracked_nbytes())
         if self._shape_log is not None:
-            self._shape_log.append(tuple(shape))
+            self._shape_log.append(tuple(tensor.shape))
 
     @contextmanager
     def scope(self):
@@ -81,12 +81,15 @@ class MemoryTracker:
             self._shape_log = previous
 
     def audit(self):
-        """Sum byte sizes of all live tensors; must equal live_bytes.
+        """Sum byte sizes of all live tensors, found among the garbage
+        collector's objects; must equal live_bytes.
 
         Callers should run gc.collect() first if the graph may contain
         unreleased references.
         """
-        return sum(t.tracked_nbytes() for t in self._registry)
+        from .tensor import Tensor
+        return sum(obj.tracked_nbytes() for obj in gc.get_objects()
+                   if isinstance(obj, Tensor))
 
     def reset_peak(self):
         with self._lock:

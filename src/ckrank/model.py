@@ -215,6 +215,7 @@ class CKModel:
 
     def __init__(self, config, vocab):
         self.config = config
+        self.config_hash = config.config_hash()  # of the config built with
         self.vocab = vocab
         self.acfg = config.attention_config()
         self.wcfg = config.window_config()
@@ -313,7 +314,8 @@ class CKModel:
         tokens = tokens[:self.config.max_doc_tokens]
         if not tokens:
             raise ContractError("cannot encode an empty document")
-        ids = [self.vocab.id_of(t) for t in tokens]
+        lookup, oov = self.vocab.term_to_id.get, self.vocab.oov_id
+        ids = [lookup(t, oov) for t in tokens]
         x = T.embedding(self.embedding, ids)
         x = T.add(x, T.constant(positional_encoding(len(ids), self.config.model_dim)))
         for block in self.blocks:
@@ -336,7 +338,8 @@ class CKModel:
         Unknown query terms carry an empty interaction: their kernel features
         are the constant no-match vector, so only the head touches them.
         """
-        iv = [(i, self.vocab.id_of(t)) for i, t in enumerate(terms) if t in self.vocab]
+        lookup = self.vocab.term_to_id.get
+        iv = [(i, tid) for i, t in enumerate(terms) if (tid := lookup(t)) is not None]
         pieces = []
         slot = {}
         if iv:

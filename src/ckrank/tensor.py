@@ -9,7 +9,10 @@ order, accumulates gradients into leaf tensors, and releases the graph.
 Broadcasting is deliberately narrow: elementwise binary ops accept equal
 shapes, a scalar operand, or a trailing-dimension bias vector. Everything
 else must be shaped explicitly, which keeps the allocation accounting in
-:mod:`ckrank.memory` an exact model of what the math needs.
+:mod:`ckrank.memory` an exact model of what the math needs. Each tensor
+makes one ``tracker.register`` call when it is made, which charges its
+bytes, and gives them back in ``__del__`` when it is deallocated; there is
+no registry of live tensors (``tracker.audit()`` walks the collector).
 
 ``grouped_conv1d`` pads its input group-major, so every receptive field is
 one contiguous run of window * cg values and all fields are a strided view.
@@ -20,7 +23,6 @@ helper; the kernel gradient multiplies the view directly.
 """
 
 import contextvars
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -70,17 +72,18 @@ def finite_checks(enabled):
     return _setting(_CHECK_FINITE, enabled)
 
 
-def _free_cell(cell):
-    tracker.free(cell[0])
-
-
 class Tensor:
-    """A dense array plus optional gradient buffer and backward closure."""
+    """A dense array plus optional gradient buffer and backward closure.
+
+    ``_nbytes`` is what the tensor has charged to the tracker (data, gradient
+    buffer, kept intermediates); deallocation releases all of it.
+    """
 
     __slots__ = ("_data", "grad", "requires_grad", "_parents", "_backward",
-                 "_kept", "_acct", "_cleared", "__weakref__")
+                 "_kept", "_nbytes", "_cleared")
 
     def __init__(self, data, requires_grad=False, dtype=None):
+        self._nbytes = 0  # __del__ runs even when the conversion below raises
         arr = np.array(data, dtype=dtype or _DEFAULT_DTYPE.get(), order="C")
         self._init_from(arr, requires_grad)
 
@@ -92,22 +95,22 @@ class Tensor:
         self._backward = None
         self._kept = 0
         self._cleared = False
-        self._acct = [arr.nbytes]
-        tracker.alloc(arr.nbytes)
-        tracker.log_shape(arr.shape)
+        self._nbytes = arr.nbytes
         tracker.register(self)
-        weakref.finalize(self, _free_cell, self._acct)
+
+    def __del__(self, _free=tracker.free):
+        # _free is bound at class creation, so this still works while module
+        # globals are being torn down at interpreter exit.
+        _free(self._nbytes)
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
         """Adopt a freshly computed array without copying.
 
-        np.ascontiguousarray would promote 0-d arrays to shape (1,), so
-        contiguity is only enforced when actually missing.
+        np.ascontiguousarray would promote 0-d arrays to shape (1,);
+        asarray with order="C" copies only a non-contiguous array.
         """
-        arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")
         t = cls.__new__(cls)
         t._init_from(arr, requires_grad)
         return t
@@ -145,7 +148,7 @@ class Tensor:
         return self._data.copy()
 
     def tracked_nbytes(self):
-        return self._acct[0]
+        return self._nbytes
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -157,7 +160,7 @@ class Tensor:
         if self.grad is None:
             g = np.zeros_like(self._data)
             self.grad = g
-            self._acct[0] += g.nbytes
+            self._nbytes += g.nbytes
             tracker.alloc(g.nbytes)
 
     def _accumulate(self, g):
@@ -170,7 +173,7 @@ class Tensor:
         if self.grad is not None:
             nbytes = self.grad.nbytes
             self.grad = None
-            self._acct[0] -= nbytes
+            self._nbytes -= nbytes
             tracker.free(nbytes)
 
     def _release_graph(self):
@@ -178,7 +181,7 @@ class Tensor:
         self._parents = ()
         self._cleared = True
         if self._kept:
-            self._acct[0] -= self._kept
+            self._nbytes -= self._kept
             tracker.free(self._kept)
             self._kept = 0
 
@@ -247,7 +250,7 @@ def wrap_op(out_data, parents, backward_fn, name, saved=()):
         out._backward = backward_fn
         if saved:
             out._kept = sum(a.nbytes for a in saved)
-            out._acct[0] += out._kept
+            out._nbytes += out._kept
             tracker.alloc(out._kept)
     return out
 
@@ -347,10 +350,9 @@ def add_const(a, c):
 
 def relu(a):
     data = np.maximum(a._data, 0)
-    mask = a._data > 0
 
     def backward(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * (data > 0))
 
     return wrap_op(data, (a,), backward, "relu")
 
@@ -621,18 +623,23 @@ def embedding(table, ids):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each row over the last dimension, then affine-transform."""
-    mu = x._data.mean(axis=-1, keepdims=True)
-    var = x._data.var(axis=-1, keepdims=True)
-    denom = np.sqrt(var + eps)
-    xhat = (x._data - mu) / denom
-    data = xhat * gamma._data + beta._data
+    """Normalize each row over the last dimension, then affine-transform:
+    centre once, take the variance as a row-wise dot, scale in place."""
+    d = x.shape[-1]
+    xhat = x._data - np.add.reduce(x._data, axis=-1, keepdims=True) / d
+    denom = np.sqrt(np.vecdot(xhat, xhat)[..., None] / d + eps)
+    xhat /= denom
+    data = xhat * gamma._data
+    data += beta._data
 
     def backward(g):
         gg = g * gamma._data
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate((gg - m1 - xhat * m2) / denom)
+        # The rounded mean leaves the centred rows a tiny mean of their own;
+        # removing it here keeps the gradient that of the computed forward.
+        xc = xhat - xhat.mean(axis=-1, keepdims=True)
+        x._accumulate((gg - m1 - xc * m2) / denom)
         gamma._accumulate(_reduce_to(g * xhat, gamma._data.shape))
         beta._accumulate(_reduce_to(g, beta._data.shape))
 

@@ -47,6 +47,23 @@ def ndrm3_term_score(s_latent, s_explicit, params, mode="infer"):
     return T.reshape(duet_scores(lat, exp, params, mode), ())
 
 
+def layer_norm_rows(x, gamma, beta, eps=1e-5):
+    """Textbook layer norm of an (n, d) tensor, one row at a time from
+    primitive ops, so its gradients come from their backward rules: the
+    row mean mu, the variance var of the centred row, then
+    (x - mu) / sqrt(var + eps) * gamma + beta."""
+    n, d = x.shape
+    count = T.constant(float(d))
+    rows = []
+    for i in range(n):
+        row = T.reshape(T.narrow(x, 0, i, 1), (d,))
+        centred = T.sub(row, T.div(T.tsum(row), count))
+        var = T.div(T.tsum(T.mul(centred, centred)), count)
+        xhat = T.div(centred, T.sqrt(T.add_const(var, eps)))
+        rows.append(T.reshape(T.add(T.mul(xhat, gamma), beta), (1, d)))
+    return T.concat(rows, axis=0)
+
+
 def build_index_per_document(corpus, model):
     """``build_index`` one document at a time: each document's sorted
     vocabulary terms through ``per_term_scores``, appended to the terms'

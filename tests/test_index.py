@@ -10,7 +10,7 @@ import pytest
 from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_index_per_document, save_index_per_posting
+from oracles import build_index_per_document, save_index_per_posting, write_varint
 
 import ckrank.tensor as T
 from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
@@ -370,7 +370,26 @@ VARINT_GAPS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text(max_size=4), st.lists(VARINT_GAPS, max_size=6),
+@given(st.lists(VARINT_GAPS, max_size=8))
+def test_write_varints_matches_per_value_writer(gaps):
+    buf, offsets = _write_varints(gaps)
+    want = bytearray()
+    ends = []
+    for gap in gaps:
+        write_varint(want, gap)
+        ends.append(len(want))
+    assert buf.tobytes() == bytes(want)
+    assert offsets.tolist() == [0] + ends
+
+
+# Gaps of one, two and three varint bytes; a doc index must name a document,
+# so the doc table grows with the largest index drawn.
+DOC_GAPS = st.one_of(st.sampled_from([1, 2, 127, 128, 129, 16383, 16384, 16385]),
+                     st.integers(1, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), st.lists(DOC_GAPS, max_size=6),
                        max_size=5),
        st.integers(0, 2**32 - 1))
 def test_save_index_matches_per_posting_writer(gap_lists, seed):
@@ -378,10 +397,12 @@ def test_save_index_matches_per_posting_writer(gap_lists, seed):
     postings = {}
     for term, gaps in gap_lists.items():
         # a gap is measured from the previous doc index, the first from -1
-        idx = [end - 1 for end in itertools.accumulate(gaps) if end <= 2**63]
+        idx = [end - 1 for end in itertools.accumulate(gaps)]
         postings[term] = (np.array(idx, dtype=np.int64),
                           rng.standard_normal(len(idx)).astype(np.float32))
-    index = ImpactIndex(["D0", "D1", "D2"], postings, "hash", {"bs_tf_mean": 1.5})
+    num_docs = max((sum(gaps) for gaps in gap_lists.values()), default=0) + 3
+    index = ImpactIndex([f"D{i}" for i in range(num_docs)], postings, "hash",
+                        {"bs_tf_mean": 1.5})
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, os.path.join(tmp, "array.ckix"))
         save_index_per_posting(index, os.path.join(tmp, "oracle.ckix"))
@@ -417,6 +438,21 @@ def test_save_refuses_postings_not_strictly_increasing(doc_idx, tmp_path):
                         {"t": (idx, np.ones(idx.size, np.float32))}, "h", {})
     with pytest.raises(ContractError, match="'t'"):
         save_index(index, tmp_path / "bad.ckix")
+
+
+@pytest.mark.parametrize("bad,postings", [
+    ("a", {"a": ([0, 1], [1.0]), "b": ([1], [7.0])}),
+    ("a", {"a": ([0], [1.0, 2.0])}),
+    ("b", {"a": ([0], [1.0]), "b": ([1, 2], [1.0, 2.0])}),
+], ids=["fewer-scores", "more-scores", "past-doc-table"])
+def test_save_refuses_malformed_postings(bad, postings, tmp_path):
+    index = ImpactIndex(["A", "B"], {t: (np.array(i, dtype=np.int64),
+                                         np.array(s, dtype=np.float32))
+                                     for t, (i, s) in postings.items()}, "h", {})
+    path = tmp_path / "bad.ckix"
+    with pytest.raises(ContractError, match=repr(bad)):
+        save_index(index, path)
+    assert not path.exists()
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -475,7 +511,8 @@ def test_load_rejects_postings_past_the_doc_table(tmp_path):
     index = ImpactIndex(["D0"], {"t": (np.array([3]), np.ones(1, np.float32))},
                         "hash", {})
     path = tmp_path / "range.ckix"
-    save_index(index, path)
+    # save_index refuses such a posting, so write the file posting by posting.
+    save_index_per_posting(index, path)
     with pytest.raises(IndexFormatError):
         load_index(path)
 

@@ -1,13 +1,20 @@
 """Tensor op semantics, broadcasting rules, backward contract, accounting."""
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import layer_norm_rows
 
+import ckrank
 import ckrank.tensor as T
 from ckrank.errors import ContractError, NonFiniteError, ShapeError
 from ckrank.memory import tracker
@@ -262,6 +269,34 @@ def test_layer_norm_standardizes_rows():
     np.testing.assert_allclose(y.var(axis=-1), np.ones(5), rtol=1e-3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8),
+       st.sampled_from(["random", "constant", "offset"]), st.integers(0, 2**32 - 1))
+@example(3, 1, "random", 0)
+@example(3, 5, "constant", 0)
+@example(3, 5, "offset", 0)
+def test_layer_norm_matches_textbook_oracle(n, d, rows, seed):
+    """Forward and every gradient equal the primitive-op textbook form;
+    rows may be constant (variance 0), one wide, or offset by 1e4."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d), scale=3.0)
+    if rows == "constant":
+        x = np.repeat(x[:, :1], d, axis=1)
+    elif rows == "offset":
+        x += 1e4
+    arrays = (x, rng.normal(size=d), rng.normal(size=d))
+    weights = rng.normal(size=(n, d))
+    results = []
+    with T.precision("float64"):
+        for layer_norm in (T.layer_norm, layer_norm_rows):
+            params = [T.parameter(a) for a in arrays]
+            y = layer_norm(*params)
+            T.backward(T.tsum(T.mul(y, T.constant(weights))))
+            results.append([y.numpy()] + [p.grad for p in params])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_grouped_conv1d_identity_kernel():
     n, groups, cg, window = 6, 2, 3, 3
     x = ten(np.random.default_rng(0).normal(size=(n, groups * cg)))
@@ -428,6 +463,67 @@ def test_tracker_audit_balances_after_gc():
     gc.collect()
     assert tracker.live_bytes >= before_live
     assert tracker.audit() == tracker.live_bytes
+
+
+def test_live_bytes_return_to_baseline_after_build_index():
+    from helpers import micro_config, micro_corpus
+
+    from ckrank.index import build_index
+    from ckrank.model import CKModel
+
+    corpus, vocab = micro_corpus(num_docs=6)
+    model = CKModel(micro_config("ndrm3"), vocab)
+    gc.collect()
+    before = tracker.live_bytes
+    index = build_index(corpus, model)
+    assert index.num_postings > 0
+    # Released on deallocation, with no collector pass.
+    assert tracker.live_bytes == before
+
+
+def test_live_bytes_return_to_baseline_after_backward():
+    from helpers import micro_config, micro_corpus
+
+    from ckrank.model import CKModel
+
+    corpus, vocab = micro_corpus(num_docs=6)
+    model = CKModel(micro_config("ndrm1"), vocab)
+    doc = corpus.get(sorted(corpus.docs)[0])
+    gc.collect()
+    before = tracker.live_bytes
+    T.backward(T.tsum(model.term_scores(["w00", "w01", "zzz"], doc)))
+    grads = [p.grad for p in model.parameters().values() if p.grad is not None]
+    assert grads
+    assert tracker.live_bytes == before + sum(g.nbytes for g in grads)
+    for p in model.parameters().values():
+        p.drop_grad()
+    assert tracker.live_bytes == before
+
+
+def test_exit_with_live_tensors_writes_nothing_to_stderr():
+    script = textwrap.dedent("""
+        import sys
+
+        import numpy as np
+        import ckrank.tensor as T
+
+        KEPT = [T.constant(np.ones(3)) for _ in range(100)]
+        x = T.parameter(np.ones(4))
+        y = T.mul(x, x)                  # a recorded graph, never consumed
+        cycle = [T.constant(np.ones(2))]
+        cycle.append(cycle)
+        # sys keeps ckrank.tensor alive until the interpreter clears module
+        # globals in order at exit: `tracker` goes before this tensor does.
+        T.kept_by_module = T.constant(np.ones(2))
+        sys.kept_module = T
+    """)
+    src = str(Path(ckrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 # -- property tests ------------------------------------------------------------
