@@ -6,12 +6,13 @@ scores, the whole model can be folded offline into posting lists of
 document. Folding runs by columns over ``posting_table``: the explicit
 branch and ndrm3's duet score every pair in one elementwise call each, and
 only the latent branch encodes one document at a time. Retrieval is then
-term-at-a-time float accumulation with no model in sight, followed by an
-array top-k: a partition keeps every touched document scoring at least the
-k-th best score, and only those few are sorted (score descending, then doc
-id ascending) and turned into Python tuples. Soft matches against
-documents that do not contain the literal term are deliberately dropped;
-scoring every (term, document) pair would be quadratic in the collection.
+one weighted ``bincount`` over the query's posting lists, with no model in
+sight, followed by an array top-k: a partition keeps every touched document
+scoring at least the k-th best score, and only those few are sorted (score
+descending, then doc id ascending) and turned into Python tuples. Soft
+matches against documents that do not contain the literal term are
+deliberately dropped; scoring every (term, document) pair would be
+quadratic in the collection.
 
 File layout: magic ``CKIX`` | u32 version | u64 meta length | meta JSON
 (doc table, term dictionary with offsets, config hash, frozen statistics) |
@@ -46,24 +47,33 @@ class RetrievalResult:
                 raise ContractError("ranking must be non-increasing by score")
 
 
-def _id_ranks(doc_ids):
-    """Each doc id's place in ascending id order (equal ids by position): the
-    tie-break key of the ranking rule, as an int array."""
-    ids = np.fromiter(doc_ids, dtype=object, count=len(doc_ids))
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[np.argsort(ids, kind="stable")] = np.arange(len(ids))
+def _id_ranks(ids):
+    """Each id of an object array's place in ascending id order (equal ids by
+    position): the tie-break key of the ranking rule, as an int array."""
+    ranks = np.empty(ids.size, dtype=np.int64)
+    ranks[np.argsort(ids, kind="stable")] = np.arange(ids.size)
     return ranks
+
+
+def _query_parts(query):
+    """(query id, tokens) of a query record or token list; a string is refused."""
+    tokens = getattr(query, "tokens", query)
+    if isinstance(tokens, str):
+        raise ContractError(f"query must be a token sequence, not {tokens!r}")
+    return getattr(query, "query_id", ""), tokens
 
 
 def _best_first(scores, ranks, k):
     """Positions of scores ordered by score descending, then rank ascending,
-    cut at k (sliced like a list, so None keeps all).
+    cut at k; None keeps all, and a negative or non-integer k is refused.
 
     For 0 < k < len(scores) a partition first finds the k-th best score and
     only the candidates scoring at least that much are sorted; every score
     tied with the k-th is kept, so ties at the cut are broken by rank, never
     by the partition's order.
     """
+    if k is not None and not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ContractError(f"k must be None or a non-negative integer, not {k!r}")
     if k is not None and 0 < k < scores.size:
         kth = np.partition(scores, scores.size - k)[scores.size - k]
         pos = np.flatnonzero(scores >= kth)
@@ -76,14 +86,15 @@ def _rank(scored, k):
     """Order (doc_id, score) pairs best-first, doc id ascending on ties, cut
     at k."""
     scores = np.array([score for _, score in scored], dtype=np.float64)
-    ranks = _id_ranks([doc_id for doc_id, _ in scored])
+    ranks = _id_ranks(np.fromiter((d for d, _ in scored), object, len(scored)))
     return [scored[i] for i in _best_first(scores, ranks, k).tolist()]
 
 
 class ImpactIndex:
     def __init__(self, doc_ids, postings, config_hash, stats):
         self.doc_ids = list(doc_ids)
-        self.doc_rank = _id_ranks(self.doc_ids)   # tie-break key per doc index
+        self.doc_id_array = np.fromiter(self.doc_ids, object, len(self.doc_ids))
+        self.doc_rank = _id_ranks(self.doc_id_array)  # tie-break key per doc index
         self.postings = postings    # term -> (int64 doc indices, f32 scores; f64 for BM25)
         self.config_hash = config_hash
         self.stats = dict(stats)
@@ -190,36 +201,32 @@ def _latent_column(corpus, model, doc_ids, terms, col_term, col_doc):
 
 
 def retrieve(query, index, k=100):
-    """Term-at-a-time accumulation over the query's token occurrences.
+    """Sum the query's posting lists, one per token occurrence, per document.
 
-    Repeated terms accumulate repeatedly. Only documents sharing at least
-    one indexed term appear, whatever their score; scores accumulate in
-    float64. Ranked as ``_rank`` ranks: score descending, doc id ascending.
+    One weighted ``bincount`` over the lists concatenated in token order adds
+    in input order in float64, so each sum is the term-at-a-time sum. Only
+    documents sharing at least one indexed term appear, whatever their
+    score. Ranked as ``_rank`` ranks: score descending, doc id ascending.
     """
-    tokens = getattr(query, "tokens", query)
-    qid = getattr(query, "query_id", "")
-    acc = np.zeros(index.num_docs, dtype=np.float64)
+    qid, tokens = _query_parts(query)
+    hits = [hit for hit in map(index.postings.get, tokens) if hit is not None]
+    doc_idx, weights = map(np.concatenate, zip(*hits)) if hits else \
+        (np.zeros(0, dtype=np.int64), np.zeros(0))
+    acc = np.bincount(doc_idx, weights=weights, minlength=index.num_docs)
     touched = np.zeros(index.num_docs, dtype=bool)
-    for term in tokens:
-        hit = index.postings.get(term)
-        if hit is None:
-            continue
-        doc_idx, scores = hit
-        acc[doc_idx] += scores
-        touched[doc_idx] = True
+    touched[doc_idx] = True
     live = np.flatnonzero(touched)
     scores = acc[live]
     top = _best_first(scores, index.doc_rank[live], k)
-    ranking = [(index.doc_ids[i], score)
-               for i, score in zip(live[top].tolist(), scores[top].tolist())]
+    ranking = list(zip(index.doc_id_array[live[top]].tolist(),
+                       scores[top].tolist()))
     return RetrievalResult(qid, ranking)
 
 
 def rerank(query, candidates, model, corpus, k=None):
     """Fresh forward scoring of candidate documents; unknown ids are skipped
     and counted on the result."""
-    tokens = getattr(query, "tokens", query)
-    qid = getattr(query, "query_id", "")
+    qid, tokens = _query_parts(query)
     scored = []
     skipped = 0
     for doc_id in candidates:

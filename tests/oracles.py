@@ -12,7 +12,7 @@ import numpy as np
 
 import ckrank.tensor as T
 from ckrank.errors import ContractError
-from ckrank.index import ImpactIndex
+from ckrank.index import ImpactIndex, _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
 from ckrank.train import DOCS_PER_INSTANCE, _PAIR_SLOTS, ranknet_loss
 
@@ -85,6 +85,27 @@ def build_index_per_document(corpus, model):
               for t, (idx, sc) in postings.items()}
     return ImpactIndex(doc_ids, packed, model.config.config_hash(),
                        model.running_stats())
+
+
+def retrieve_term_at_a_time(tokens, index, k=100):
+    """``retrieve``'s ranking by term-at-a-time accumulation: each token
+    occurrence's posting list added into a float64 accumulator in turn
+    (``acc[doc_idx] += scores``), the documents it touches marked, then the
+    touched documents ranked best-first and cut at k."""
+    acc = np.zeros(index.num_docs, dtype=np.float64)
+    touched = np.zeros(index.num_docs, dtype=bool)
+    for term in tokens:
+        hit = index.postings.get(term)
+        if hit is None:
+            continue
+        doc_idx, scores = hit
+        acc[doc_idx] += scores
+        touched[doc_idx] = True
+    live = np.flatnonzero(touched)
+    scores = acc[live]
+    top = _best_first(scores, index.doc_rank[live], k)
+    return [(index.doc_ids[i], score)
+            for i, score in zip(live[top].tolist(), scores[top].tolist())]
 
 
 def write_varint(buf, value):

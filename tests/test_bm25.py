@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ckrank.bm25 import BM25Searcher, tune_bm25
 from ckrank.corpus import Corpus, DocumentRecord, QueryRecord, Vocabulary
+from ckrank.errors import ContractError
 from ckrank.evalmetrics import evaluate
 from ckrank.synth import make_synthetic
 
@@ -177,8 +178,12 @@ def test_searcher_matches_dict_accumulator_oracle(corpus, query, params, data):
     live = len(oracle.search(query, k=None))
     k = data.draw(st.one_of(st.sampled_from((None, 0, 1, live + 1)),
                             st.integers(-2, 14)), label="k")
-    assert BM25Searcher(corpus, vocab, k1=k1, b=b).search(query, k=k) == \
-        oracle.search(query, k=k)
+    searcher = BM25Searcher(corpus, vocab, k1=k1, b=b)
+    if k is not None and k < 0:     # refused, not sliced off the end
+        with pytest.raises(ContractError):
+            searcher.search(query, k=k)
+    else:
+        assert searcher.search(query, k=k) == oracle.search(query, k=k)
 
 
 def test_tune_bm25_returns_grid_best():

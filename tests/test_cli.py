@@ -179,6 +179,17 @@ def test_bench_memory_capping(workspace):
                for line in out.read_text().splitlines())
 
 
+def test_search_refuses_negative_k(workspace, index_path, capsys):
+    root, _ = workspace
+    out = root / "never_run.txt"
+    assert run_cli("search", "--index", index_path,
+                   "--queries", root / "eval_queries.tsv",
+                   "--k", "-1", "--out", out) == 1
+    assert "error: k must be None or a non-negative integer" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert run_cli("selftest") == 0
     assert "FAIL" not in capsys.readouterr().out

@@ -10,7 +10,8 @@ import pytest
 from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_index_per_document, save_index_per_posting, write_varint
+from oracles import (build_index_per_document, retrieve_term_at_a_time,
+                     save_index_per_posting, write_varint)
 
 import ckrank.tensor as T
 from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
@@ -49,12 +50,20 @@ def test_rank_tie_breaks_by_doc_id():
 
 
 TIED_SCORES = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+# Scores whose sums depend on the order they are added in.
+ROUNDING_SCORES = st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16])
 
 
 def sorted_oracle(scored, k):
     """The ranking rule as a plain full sort: score descending, doc id
     ascending, cut at k."""
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def bits(ranking):
+    """A ranking with each score as its float64 bit pattern, so that ``==``
+    compares scores bit for bit."""
+    return [(doc_id, struct.pack("<d", score)) for doc_id, score in ranking]
 
 
 def accumulate_oracle(index, tokens):
@@ -70,18 +79,23 @@ def accumulate_oracle(index, tokens):
 
 @st.composite
 def tied_indexes(draw):
-    """Small indexes with few distinct scores (negative and zero included)
-    and doc ids out of sorted order (D10 sorts before D2)."""
-    n = draw(st.integers(1, 30))
+    """Small indexes, possibly without documents, with few distinct scores
+    (negative and zero included, some rounding when summed), doc ids out of
+    sorted order (D10 sorts before D2) and float32, float64 or mixed posting
+    lists; queries repeat tokens and may hit nothing."""
+    n = draw(st.integers(0, 30))
     doc_ids = [f"D{i}" for i in draw(st.permutations(range(n)))]
     postings = {}
     for t in range(draw(st.integers(1, 4))):
-        docs = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-        scores = draw(st.lists(TIED_SCORES, min_size=len(docs), max_size=len(docs)))
+        docs = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))) if n else []
+        scores = draw(st.lists(TIED_SCORES | ROUNDING_SCORES, min_size=len(docs),
+                               max_size=len(docs)))
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
         postings[f"t{t}"] = (np.array(docs, dtype=np.int64),
-                             np.array(scores, dtype=np.float32))
+                             np.array(scores, dtype=dtype))
     tokens = draw(st.lists(st.sampled_from(sorted(postings) + ["absent"]),
                            max_size=6))
+    tokens += tokens[:draw(st.integers(0, len(tokens)))]
     return ImpactIndex(doc_ids, postings, "hash", {}), tokens
 
 
@@ -96,8 +110,43 @@ def test_retrieve_matches_full_sort_oracle(case, data):
     scored = accumulate_oracle(index, tokens)
     for k in k_values(len(scored), data):
         got = retrieve(tokens, index, k=k).ranking
-        assert got == sorted_oracle(scored, k)
+        assert bits(got) == bits(sorted_oracle(scored, k))
+        assert bits(got) == bits(retrieve_term_at_a_time(tokens, index, k))
         assert all(type(score) is float for _, score in got)
+
+
+@pytest.mark.parametrize("name", ["ndrm2", "bm25"])
+def test_retrieve_matches_oracles_on_session_indexes(name, synth, index_ndrm2,
+                                                     bm25_tuned):
+    """Rankings and every score bit for bit, on the float32 ndrm2 index and
+    the float64 BM25 one."""
+    index = index_ndrm2 if name == "ndrm2" else bm25_tuned.index
+    for query in synth.eval_queries:
+        scored = accumulate_oracle(index, query.tokens)
+        for k in (100, None):
+            got = bits(retrieve(query, index, k=k).ranking)
+            assert got == bits(retrieve_term_at_a_time(query.tokens, index, k))
+            assert got == bits(sorted_oracle(scored, k))
+
+
+@pytest.mark.parametrize("k", [-1, -7, 1.5, "3", float("nan")])
+def test_bad_k_is_refused(indexed, k):
+    corpus, _, model, index = indexed
+    tokens = sorted(index.postings)[:3]
+    with pytest.raises(ContractError, match="non-negative integer"):
+        retrieve(tokens, index, k=k)
+    with pytest.raises(ContractError, match="non-negative integer"):
+        rerank(tokens, index.doc_ids[:4], model, corpus, k=k)
+
+
+def test_string_query_is_refused(indexed):
+    corpus, _, model, index = indexed
+    term = next(t for t in index.postings if len(t) > 1)
+    for query in (term, QueryRecord("Q1", term)):
+        with pytest.raises(ContractError, match="token sequence"):
+            retrieve(query, index)
+        with pytest.raises(ContractError, match="token sequence"):
+            rerank(query, index.doc_ids[:4], model, corpus)
 
 
 @settings(max_examples=200, deadline=None)
