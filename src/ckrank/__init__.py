@@ -22,9 +22,8 @@ from .index import ImpactIndex, RetrievalResult, build_index, load_index, \
 from .memory import MemoryTracker, tracker
 from .model import BSState, CKModel, DuetParams, ExplicitParams, ModelConfig, \
     duet_scores, ndrm2_term_scores
-from .pooling import KernelBank, WindowConfig, interaction_row, \
-    interaction_rows, kernel_features, latent_term_score, num_windows, \
-    windowed_pool_term, windowed_pool_terms
+from .pooling import KernelBank, WindowConfig, interaction_rows, num_windows, \
+    windowed_pool_terms
 from .tensor import Tensor, backward, constant, finite_checks, no_grad, \
     parameter, precision
 from .train import Adam, TrainConfig, TrainInstance, TrainPair, expand_pairs, \

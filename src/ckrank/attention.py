@@ -215,23 +215,23 @@ def multi_head(x, params, cfg, variant="separable"):
 
 def conformer_block(x, params, cfg, training=False, rng=None, variant="separable"):
     """Grouped conv, separable multi-head attention, and FFN sublayers, each
-    as residual + dropout + layer norm."""
+    followed by dropout and a layer norm of the sum with its input."""
     p = cfg.dropout_rate
 
     conv = T.grouped_conv1d(x, params["conv_kernel"], cfg.conv_groups,
                             cfg.conv_window, params["conv_bias"])
     conv = T.dropout(conv, p, training, rng)
-    y1 = T.layer_norm(T.add(x, conv), params["ln1_gamma"], params["ln1_beta"])
+    y1 = T.layer_norm(x, params["ln1_gamma"], params["ln1_beta"], residual=conv)
 
     attn = multi_head(y1, params, cfg, variant=variant)
     attn = T.dropout(attn, p, training, rng)
-    y2 = T.layer_norm(T.add(y1, attn), params["ln2_gamma"], params["ln2_beta"])
+    y2 = T.layer_norm(y1, params["ln2_gamma"], params["ln2_beta"], residual=attn)
 
     ffn = T.linear(y2, params["ffn_w1"], params["ffn_b1"])
     ffn = T.relu(ffn)
     ffn = T.linear(ffn, params["ffn_w2"], params["ffn_b2"])
     ffn = T.dropout(ffn, p, training, rng)
-    return T.layer_norm(T.add(y2, ffn), params["ln3_gamma"], params["ln3_beta"])
+    return T.layer_norm(y2, params["ln3_gamma"], params["ln3_beta"], residual=ffn)
 
 
 def init_block_params(cfg, rng):

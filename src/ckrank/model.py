@@ -149,11 +149,20 @@ def ndrm2_term_scores(idf, tf, dlen, params, bs_state):
     """
     dt = T.default_dtype()
     eps = params.epsilon
+    w, b = params.w_dlen, params.b_dlen
     bs_tf = np.asarray(tf, dtype=dt) / (bs_state.mean_tf + eps)
     bs_dl = np.asarray(dlen, dtype=dt) / (bs_state.mean_dlen + eps)
-    lin = T.add(T.mul(T.constant(bs_dl), params.w_dlen), params.b_dlen)
-    denom = T.add(T.relu(lin), T.constant(bs_tf + eps))
-    return T.div(T.constant(np.asarray(idf, dtype=dt) * bs_tf), denom)
+    lin = bs_dl * w.data + b.data
+    denom = np.maximum(lin, 0) + (bs_tf + eps)
+    num = np.asarray(idf, dtype=dt) * bs_tf
+    data = num / denom
+
+    def backward(g):
+        glin = -g * num / (denom * denom) * (lin > 0)
+        w._accumulate((glin * bs_dl).sum())
+        b._accumulate(glin.sum())
+
+    return T.wrap_op(data, (w, b), backward, "ndrm2_term_scores")
 
 
 # -- duet branch -------------------------------------------------------------------
@@ -198,8 +207,18 @@ def duet_scores(s_latent, s_explicit, params, mode):
                                     params.bn_latent_var, params.var_floor)
         bn_exp = T.batch_norm_infer(s_explicit, params.bn_explicit_mean,
                                     params.bn_explicit_var, params.var_floor)
-    mixed = T.add(T.mul(bn_lat, params.w1), T.mul(bn_exp, params.w2))
-    return T.add(mixed, params.b)
+    w1, w2, b = params.w1, params.w2, params.b
+    lat, exp = bn_lat.data, bn_exp.data
+    data = lat * w1.data + exp * w2.data + b.data
+
+    def backward(g):
+        bn_lat._accumulate(g * w1.data)
+        bn_exp._accumulate(g * w2.data)
+        w1._accumulate((g * lat).sum())
+        w2._accumulate((g * exp).sum())
+        b._accumulate(g.sum())
+
+    return T.wrap_op(data, (bn_lat, bn_exp, w1, w2, b), backward, "duet_mix")
 
 
 # -- the model ----------------------------------------------------------------------
@@ -350,9 +369,8 @@ class CKModel:
             for j, (i, _) in enumerate(iv):
                 slot[i] = j
         if len(iv) < len(terms):
-            s_oov = pooling.latent_term_score(
-                T.constant(empty_features(self.bank)), self.head)
-            pieces.append(T.reshape(s_oov, (1,)))
+            pieces.append(pooling.latent_term_scores(
+                T.constant(empty_features(self.bank)[None, :]), self.head))
             oov_slot = pieces[0].shape[0] if len(pieces) == 2 else 0
             for i in range(len(terms)):
                 slot.setdefault(i, oov_slot)

@@ -6,15 +6,11 @@ features summarize a window of cosines as log-sums of Gaussian bumps; the
 pooled feature vector for a term is the elementwise max over windows, which
 keeps a strong match anywhere in the document visible to the scoring head.
 
-The `*_terms` variants are fused batched ops (one graph node for all query
-terms). Windowed pooling evaluates the Gaussian kernels once per
-(term, position) into a kernel-major (k, t, positions) array, so
-overlapping windows share the exponentials instead of recomputing them.
-Window starts and ends all fall on multiples of b = gcd(window_len, stride),
-so positions are summed in blocks of b once and each window sums
-window_len / b consecutive blocks; coprime settings give b = 1. The
-scalar/single-row forms are thin compositions kept as a cross-check
-surface.
+Every op here is fused and batched (one graph node for all query terms).
+Windowed pooling evaluates the Gaussian kernels once per (term, position)
+into a kernel-major (k, t, positions) array, so overlapping windows share
+the exponentials, and takes every window's sum in one matmul with a 0/1
+(positions, windows) cover matrix.
 """
 
 import math
@@ -121,64 +117,7 @@ def interaction_rows(q_embs, doc_enc):
     return T.wrap_op(cos, (q_embs, doc_enc), backward, "interaction_rows")
 
 
-def interaction_row(q_emb, doc_enc):
-    """Cosine row for a single query-term embedding -> Tensor[n]."""
-    if q_emb.ndim != 1:
-        raise ShapeError(f"interaction_row expects a vector, got {tuple(q_emb.shape)}")
-    rows = interaction_rows(T.reshape(q_emb, (1, q_emb.shape[0])), doc_enc)
-    return T.reshape(rows, (doc_enc.shape[0],))
-
-
-# -- kernel features -----------------------------------------------------------
-
-
-def kernel_features(row, bank):
-    """log(eps + sum_j exp(-(row_j - mu)^2 / (2 sigma^2))) per kernel.
-
-    An empty row (zero real positions) yields log(eps) everywhere, the
-    padding/no-match convention used throughout scoring.
-    """
-    if row.ndim != 1:
-        raise ShapeError(f"kernel_features expects a vector, got {tuple(row.shape)}")
-    r = row.data
-    mus = bank.mus.astype(r.dtype)
-    inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
-    ex = np.exp(-(r[:, None] - mus) ** 2 * inv2s)        # (w, k)
-    denom = bank.eps_log + ex.sum(axis=0)
-    data = np.log(denom).astype(r.dtype)
-
-    def backward(g):
-        z = g / denom
-        drow = (ex * (-(r[:, None] - mus) * 2.0 * inv2s) * z).sum(axis=1)
-        row._accumulate(drow)
-
-    return T.wrap_op(data, (row,), backward, "kernel_features")
-
-
 # -- windowed pooling ----------------------------------------------------------
-
-
-def windowed_pool_term(row, wcfg, bank):
-    """Kernel features per window, elementwise max across windows -> Tensor[k].
-
-    Reference composition over narrow/kernel_features/max; the fused batched
-    form below must agree with this exactly.
-    """
-    if row.ndim != 1:
-        raise ShapeError(f"windowed_pool_term expects a vector, got {tuple(row.shape)}")
-    n = row.shape[0]
-    if n < 1:
-        raise ShapeError("windowed_pool_term needs at least one position")
-    w = num_windows(n, wcfg)
-    if w == 1:
-        return kernel_features(row, bank)
-    feats = []
-    for i in range(w):
-        start = i * wcfg.stride
-        length = min(wcfg.window_len, n - start)
-        feats.append(T.reshape(kernel_features(T.narrow(row, 0, start, length), bank),
-                               (1, bank.k)))
-    return T.reshape(T.tmax(T.concat(feats, axis=0), axis=0), (bank.k,))
 
 
 def windowed_pool_terms(rows, wcfg, bank):
@@ -194,27 +133,21 @@ def windowed_pool_terms(rows, wcfg, bank):
         raise ShapeError("windowed_pool_terms needs at least one position")
     w = num_windows(n, wcfg)
     wlen, stride = wcfg.window_len, wcfg.stride
-    padded_len = (w - 1) * stride + wlen
     r = rows.data
     k = bank.k
     mus = bank.mus.astype(r.dtype)
     inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
-    # Kernel values once per position, written kernel-major in place so
-    # numpy's inner loops run over positions; positions past n stay zero,
-    # which is what a short last window contributes there.
-    ex = np.zeros((k, t, padded_len), dtype=r.dtype)
-    d = ex[:, :, :n]
-    np.subtract(r, mus[:, None, None], out=d)
-    d *= d
-    d *= -inv2s[:, None, None]
-    np.exp(d, out=d)
-    # Every window start and end falls on a multiple of b, so positions are
-    # summed in blocks of b once, and each window sums wlen / b consecutive
-    # blocks at a step of stride / b.
-    b = math.gcd(wlen, stride)
-    blocks = ex.reshape(k, t, padded_len // b, b).sum(axis=3)
-    bw = np.lib.stride_tricks.sliding_window_view(blocks, wlen // b, axis=2)
-    e = bw[:, :, ::stride // b].sum(axis=3)              # (k, t, w)
+    # Kernel values once per position, kernel-major, computed in place.
+    ex = np.subtract(r, mus[:, None, None])              # (k, t, n)
+    ex *= ex
+    ex *= -inv2s[:, None, None]
+    np.exp(ex, out=ex)
+    # cover[p, i] = 1 when window i covers position p, so one matmul sums
+    # every window; a short last window covers fewer positions.
+    starts = np.arange(w) * stride
+    pos = np.arange(n)[:, None]
+    cover = ((pos >= starts) & (pos < starts + wlen)).astype(r.dtype)
+    e = (ex.reshape(k * t, n) @ cover).reshape(k, t, w)
     f = np.log(bank.eps_log + e)
     arg = f.argmax(axis=2)                               # (k, t)
     data = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0].T
@@ -239,16 +172,21 @@ def windowed_pool_terms(rows, wcfg, bank):
 # -- scoring head ---------------------------------------------------------------
 
 
-def latent_term_score(features, head):
-    """w . features + b for one term's pooled feature vector."""
-    return T.add(T.tsum(T.mul(features, head["w"])), head["b"])
-
-
 def latent_term_scores(features, head):
-    """Batched head over Tensor[t, k] -> Tensor[t]."""
-    k = features.shape[1]
-    out = T.matmul(features, T.reshape(head["w"], (k, 1)))
-    return T.add(T.reshape(out, (features.shape[0],)), head["b"])
+    """Batched head over Tensor[t, k] -> Tensor[t]: features @ w + b."""
+    w, b = head["w"], head["b"]
+    if features.ndim != 2 or features.shape[1] != w.shape[0]:
+        raise ShapeError(f"latent_term_scores: features {tuple(features.shape)} "
+                         f"do not match head weights {tuple(w.shape)}")
+    f_data, w_data = features.data, w.data
+    data = f_data @ w_data + b.data
+
+    def backward(g):
+        features._accumulate(np.outer(g, w_data))
+        w._accumulate(f_data.T @ g)
+        b._accumulate(g.sum())
+
+    return T.wrap_op(data, (features, w, b), backward, "latent_term_scores")
 
 
 def init_head_params(rng, k):

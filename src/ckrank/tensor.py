@@ -622,11 +622,16 @@ def embedding(table, ids):
     return wrap_op(data, (table,), backward, "embedding")
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each row over the last dimension, then affine-transform:
-    centre once, take the variance as a row-wise dot, scale in place."""
+def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
+    """Normalize each row of x (plus residual, when given) over the last
+    dimension, then affine-transform: centre once, take the variance as a
+    row-wise dot, scale in place. x and residual get the same gradient."""
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual shape {tuple(residual.shape)} "
+                         f"!= input shape {tuple(x.shape)}")
     d = x.shape[-1]
-    xhat = x._data - np.add.reduce(x._data, axis=-1, keepdims=True) / d
+    s = x._data if residual is None else x._data + residual._data
+    xhat = s - np.add.reduce(s, axis=-1, keepdims=True) / d
     denom = np.sqrt(np.vecdot(xhat, xhat)[..., None] / d + eps)
     xhat /= denom
     data = xhat * gamma._data
@@ -639,11 +644,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         # The rounded mean leaves the centred rows a tiny mean of their own;
         # removing it here keeps the gradient that of the computed forward.
         xc = xhat - xhat.mean(axis=-1, keepdims=True)
-        x._accumulate((gg - m1 - xc * m2) / denom)
+        dx = (gg - m1 - xc * m2) / denom
+        x._accumulate(dx)
+        if residual is not None:
+            residual._accumulate(dx)
         gamma._accumulate(_reduce_to(g * xhat, gamma._data.shape))
         beta._accumulate(_reduce_to(g, beta._data.shape))
 
-    return wrap_op(data, (x, gamma, beta), backward, "layer_norm")
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return wrap_op(data, parents, backward, "layer_norm")
 
 
 # Bytes of receptive fields copied per matmul: a run of positions whose

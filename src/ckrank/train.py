@@ -102,12 +102,16 @@ def make_instances(triples, candidates, corpus, rng):
     """Sample one candidate negative and two collection negatives per triple.
 
     Triples whose query has no usable candidates, or whose documents are
-    missing from the corpus, are skipped.
+    missing from the corpus, are skipped. A corpus of fewer than
+    DOCS_PER_INSTANCE documents cannot hold an instance and is refused.
     """
+    all_ids = sorted(corpus.docs)
+    if len(all_ids) < DOCS_PER_INSTANCE:
+        raise ContractError(f"an instance needs {DOCS_PER_INSTANCE} distinct "
+                            f"documents, the corpus has {len(all_ids)}")
     positives_by_query = {}
     for qid, pos in triples:
         positives_by_query.setdefault(qid, set()).add(pos)
-    all_ids = sorted(corpus.docs)
     instances = []
     for qid, pos in triples:
         if pos not in corpus:

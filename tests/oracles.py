@@ -1,19 +1,22 @@
 """Reference forms the suite checks the package against.
 
-Scalar and per-document restatements of vectorized code in ``ckrank``: they
-are slow and written for plain reading, and nothing in the package uses them.
+Scalar and per-document restatements of vectorized code in ``ckrank``, and
+the chains of small ops that its fused ops replace: they are slow and
+written for plain reading, and nothing in the package uses them.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 import ckrank.tensor as T
-from ckrank.errors import ContractError
+from ckrank.errors import ContractError, ShapeError
 from ckrank.index import ImpactIndex, _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
+from ckrank.pooling import interaction_rows, num_windows
 from ckrank.train import DOCS_PER_INSTANCE, _PAIR_SLOTS, ranknet_loss
 
 
@@ -190,3 +193,137 @@ def batch_loss_per_document(model, instances, corpus, query_tokens):
     losses = ranknet_loss(T.gather(totals, [a for a, _ in pairs]),
                           T.gather(totals, [b for _, b in pairs]))
     return T.tmean(losses), (tf_seen, dlen_seen)
+
+
+# -- pooling and the scoring head, one term at a time ---------------------------
+
+
+def interaction_row(q_emb, doc_enc):
+    """Cosine row for a single query-term embedding -> Tensor[n]."""
+    if q_emb.ndim != 1:
+        raise ShapeError(f"interaction_row expects a vector, got {tuple(q_emb.shape)}")
+    rows = interaction_rows(T.reshape(q_emb, (1, q_emb.shape[0])), doc_enc)
+    return T.reshape(rows, (doc_enc.shape[0],))
+
+
+def kernel_features(row, bank):
+    """log(eps + sum_j exp(-(row_j - mu)^2 / (2 sigma^2))) per kernel.
+
+    An empty row (zero real positions) yields log(eps) everywhere, the
+    padding/no-match convention used throughout scoring.
+    """
+    if row.ndim != 1:
+        raise ShapeError(f"kernel_features expects a vector, got {tuple(row.shape)}")
+    r = row.data
+    mus = bank.mus.astype(r.dtype)
+    inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
+    ex = np.exp(-(r[:, None] - mus) ** 2 * inv2s)        # (w, k)
+    denom = bank.eps_log + ex.sum(axis=0)
+    data = np.log(denom).astype(r.dtype)
+
+    def backward(g):
+        z = g / denom
+        drow = (ex * (-(r[:, None] - mus) * 2.0 * inv2s) * z).sum(axis=1)
+        row._accumulate(drow)
+
+    return T.wrap_op(data, (row,), backward, "kernel_features")
+
+
+def windowed_pool_term(row, wcfg, bank):
+    """Kernel features per window, elementwise max across windows -> Tensor[k],
+    composed from narrow/kernel_features/max."""
+    if row.ndim != 1:
+        raise ShapeError(f"windowed_pool_term expects a vector, got {tuple(row.shape)}")
+    n = row.shape[0]
+    if n < 1:
+        raise ShapeError("windowed_pool_term needs at least one position")
+    w = num_windows(n, wcfg)
+    if w == 1:
+        return kernel_features(row, bank)
+    feats = []
+    for i in range(w):
+        start = i * wcfg.stride
+        length = min(wcfg.window_len, n - start)
+        feats.append(T.reshape(kernel_features(T.narrow(row, 0, start, length), bank),
+                               (1, bank.k)))
+    return T.reshape(T.tmax(T.concat(feats, axis=0), axis=0), (bank.k,))
+
+
+def latent_term_score(features, head):
+    """w . features + b for one term's pooled feature vector."""
+    return T.add(T.tsum(T.mul(features, head["w"])), head["b"])
+
+
+# -- the op chains that fused ops replace ------------------------------------------
+
+
+def layer_norm_after_add(x, residual, gamma, beta, eps=1e-5):
+    """``layer_norm`` of ``add(x, residual)``: two ops."""
+    return T.layer_norm(T.add(x, residual), gamma, beta, eps)
+
+
+def ndrm2_term_scores_composed(idf, tf, dlen, params, bs_state):
+    """``ndrm2_term_scores`` as mul/add/relu/add/div over constant columns."""
+    dt = T.default_dtype()
+    eps = params.epsilon
+    bs_tf = np.asarray(tf, dtype=dt) / (bs_state.mean_tf + eps)
+    bs_dl = np.asarray(dlen, dtype=dt) / (bs_state.mean_dlen + eps)
+    lin = T.add(T.mul(T.constant(bs_dl), params.w_dlen), params.b_dlen)
+    denom = T.add(T.relu(lin), T.constant(bs_tf + eps))
+    return T.div(T.constant(np.asarray(idf, dtype=dt) * bs_tf), denom)
+
+
+def duet_mix_composed(bn_lat, bn_exp, params):
+    """w1 * bn_lat + w2 * bn_exp + b as mul/mul/add/add."""
+    mixed = T.add(T.mul(bn_lat, params.w1), T.mul(bn_exp, params.w2))
+    return T.add(mixed, params.b)
+
+
+def latent_term_scores_composed(features, head):
+    """features @ w + b as reshape/matmul/reshape/add."""
+    k = features.shape[1]
+    out = T.matmul(features, T.reshape(head["w"], (k, 1)))
+    return T.add(T.reshape(out, (features.shape[0],)), head["b"])
+
+
+def windowed_pool_terms_blocks(rows, wcfg, bank):
+    """``windowed_pool_terms`` with window sums built from blocks: positions
+    summed in blocks of b = gcd(window_len, stride) in a zero-padded buffer,
+    and each window summing window_len / b consecutive blocks."""
+    t, n = rows.shape
+    w = num_windows(n, wcfg)
+    wlen, stride = wcfg.window_len, wcfg.stride
+    padded_len = (w - 1) * stride + wlen
+    r = rows.data
+    k = bank.k
+    mus = bank.mus.astype(r.dtype)
+    inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
+    ex = np.zeros((k, t, padded_len), dtype=r.dtype)
+    d = ex[:, :, :n]
+    np.subtract(r, mus[:, None, None], out=d)
+    d *= d
+    d *= -inv2s[:, None, None]
+    np.exp(d, out=d)
+    b = math.gcd(wlen, stride)
+    blocks = ex.reshape(k, t, padded_len // b, b).sum(axis=3)
+    bw = np.lib.stride_tricks.sliding_window_view(blocks, wlen // b, axis=2)
+    e = bw[:, :, ::stride // b].sum(axis=3)              # (k, t, w)
+    f = np.log(bank.eps_log + e)
+    arg = f.argmax(axis=2)                               # (k, t)
+    data = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0].T
+
+    def backward(g):
+        e_win = np.take_along_axis(e, arg[:, :, None], axis=2)[:, :, 0]
+        z = g.T / (bank.eps_log + e_win)                 # (k, t)
+        idx_k = np.arange(k)[:, None, None]
+        idx_t = np.arange(t)[None, :, None]
+        pos = (arg * stride)[:, :, None] + np.arange(wlen)[None, None, :]
+        valid = pos < n
+        pos = np.minimum(pos, n - 1)                     # (k, t, wlen)
+        coef = -(r[idx_t, pos] - mus[:, None, None]) * 2.0 * inv2s[:, None, None]
+        dwin = z[:, :, None] * ex[idx_k, idx_t, pos] * coef
+        dr = np.zeros_like(r)
+        np.add.at(dr, (np.broadcast_to(idx_t, pos.shape), pos), dwin * valid)
+        rows._accumulate(dr)
+
+    return T.wrap_op(data, (rows,), backward, "windowed_pool_terms_blocks")

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 from helpers import micro_config, micro_corpus
-from oracles import TermDocStats, ndrm2_term_score
+from oracles import (TermDocStats, kernel_features, ndrm2_term_score,
+                     windowed_pool_term)
 
 import ckrank.tensor as T
 from ckrank.attention import (AttentionConfig, conformer_block,
@@ -24,8 +25,7 @@ from ckrank.index import retrieve
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
                           duet_scores, ndrm2_term_scores)
 from ckrank.pooling import (KernelBank, WindowConfig, init_head_params,
-                            interaction_rows, kernel_features,
-                            latent_term_scores, windowed_pool_term,
+                            interaction_rows, latent_term_scores,
                             windowed_pool_terms)
 from ckrank.train import (Adam, TrainConfig, TrainInstance, batch_loss,
                           clip_gradients, expand_pairs, ranknet_loss, train)

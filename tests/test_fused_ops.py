@@ -1,0 +1,242 @@
+"""Fused ops against the chains of small ops they replace (``oracles.py``).
+
+Each fused op must give the forward value and every gradient of its chain,
+within 1e-12 in float64; ``ndrm2_term_scores`` repeats the chain's numpy
+operations in order, so its forward and gradients are ``==`` in float32 and
+float64.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (duet_mix_composed, latent_term_scores_composed,
+                     layer_norm_after_add, ndrm2_term_scores_composed,
+                     windowed_pool_terms_blocks)
+
+import ckrank.tensor as T
+from ckrank.errors import ShapeError
+from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
+    ndrm2_term_scores
+from ckrank.pooling import KernelBank, WindowConfig, latent_term_scores, \
+    windowed_pool_terms
+
+TOL = 1e-12
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def value_and_grads(build, arrays, mix_seed=0):
+    """build(params) -> Tensor; its value and the gradient of
+    sum(value * mix) for every array, as leaf tensors built fresh."""
+    params = {name: T.parameter(a) for name, a in arrays.items()}
+    out = build(params)
+    mix = np.random.default_rng(mix_seed).normal(size=out.shape)
+    T.backward(T.tsum(T.mul(out, T.constant(mix))))
+    grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
+             for name, p in params.items()}
+    return out.numpy(), grads
+
+
+def assert_same(fused, composed, tol=TOL):
+    (got, got_grads), (want, want_grads) = fused, composed
+    if tol is None:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    assert got_grads.keys() == want_grads.keys()
+    for name in got_grads:
+        if tol is None:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name],
+                                          err_msg=name)
+        else:
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=0, atol=tol, err_msg=name)
+
+
+# -- residual inside layer_norm ------------------------------------------------------
+
+
+def _ln_arrays(rng, n, d):
+    return {"x": rng.normal(size=(n, d)), "r": rng.normal(size=(n, d)),
+            "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), SEEDS)
+def test_layer_norm_residual_matches_add_then_layer_norm(n, d, seed):
+    arrays = _ln_arrays(np.random.default_rng(seed), n, d)
+    with T.precision("float64"):
+        fused = value_and_grads(lambda p: T.layer_norm(
+            p["x"], p["gamma"], p["beta"], residual=p["r"]), arrays)
+        composed = value_and_grads(lambda p: layer_norm_after_add(
+            p["x"], p["r"], p["gamma"], p["beta"]), arrays)
+    assert_same(fused, composed)
+
+
+def test_layer_norm_zero_residual_is_plain_layer_norm():
+    arrays = _ln_arrays(np.random.default_rng(3), 4, 6)
+    arrays["r"] = np.zeros((4, 6))
+    for mode in ("float32", "float64"):
+        with T.precision(mode):
+            fused = value_and_grads(lambda p: T.layer_norm(
+                p["x"], p["gamma"], p["beta"], residual=p["r"]), arrays)
+            plain = value_and_grads(
+                lambda p: T.layer_norm(p["x"], p["gamma"], p["beta"]),
+                {name: a for name, a in arrays.items() if name != "r"})
+        got, got_grads = fused
+        want, want_grads = plain
+        np.testing.assert_array_equal(got, want)
+        for name in want_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name])
+        # the residual gets the gradient x gets
+        np.testing.assert_array_equal(got_grads["r"], want_grads["x"])
+
+
+def test_layer_norm_refuses_residual_of_another_shape():
+    x = T.constant(np.ones((3, 4)))
+    gamma, beta = T.constant(np.ones(4)), T.constant(np.zeros(4))
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, gamma, beta, residual=T.constant(np.ones((3, 1))))
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, gamma, beta, residual=T.constant(np.ones(4)))
+
+
+# -- the explicit branch ---------------------------------------------------------------
+
+
+def _ndrm2_pair(idf, tf, dlen, w, b, mode):
+    """(fused, composed) value and gradients of the two scalars."""
+    bs = BSState(mean_tf=1.7, mean_dlen=48.0)
+    with T.precision(mode):
+        runs = []
+        for fn in (ndrm2_term_scores, ndrm2_term_scores_composed):
+            def build(p, fn=fn):
+                params = ExplicitParams(w_dlen=p["w"], b_dlen=p["b"])
+                return fn(idf, tf, dlen, params, bs)
+            runs.append(value_and_grads(build, {"w": np.array(w),
+                                                "b": np.array(b)}))
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64"])
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 12), w=st.floats(-3, 3), b=st.floats(-4, 2),
+       seed=SEEDS)
+def test_ndrm2_term_scores_equal_the_chain(mode, m, w, b, seed):
+    # b below -bs_dl * w drives lin below 0 for some or all terms.
+    rng = np.random.default_rng(seed)
+    idf = rng.uniform(0, 5, size=m)
+    tf = rng.integers(0, 6, size=m).astype(np.float64)
+    dlen = rng.integers(1, 120, size=m).astype(np.float64)
+    fused, composed = _ndrm2_pair(idf, tf, dlen, w, b, mode)
+    assert_same(fused, composed, tol=None)
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64"])
+@pytest.mark.parametrize("w, b", [(0.0, 0.0), (1.0, -5.0), (-1.0, 0.5)],
+                         ids=["lin-zero", "lin-negative", "lin-mixed"])
+@pytest.mark.parametrize("m", [0, 1, 3], ids=["zero-terms", "one-term", "three"])
+def test_ndrm2_term_scores_edge_cases(mode, w, b, m):
+    idf = np.array([1.2, 0.7, 2.0])[:m]
+    tf = np.array([3.0, 1.0, 0.0])[:m]
+    dlen = np.array([40.0, 60.0, 10.0])[:m]
+    fused, composed = _ndrm2_pair(idf, tf, dlen, w, b, mode)
+    assert_same(fused, composed, tol=None)
+    if w == 0.0 and b == 0.0:     # lin is exactly 0: relu passes no gradient
+        assert fused[1]["w"] == 0.0 and fused[1]["b"] == 0.0
+
+
+# -- the duet mix ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 10), seed=SEEDS)
+def test_duet_mix_matches_the_chain(mode, m, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {"lat": rng.normal(size=m), "exp": rng.normal(size=m),
+              "w1": np.array(rng.normal()), "w2": np.array(rng.normal()),
+              "b": np.array(rng.normal())}
+    stats = dict(bn_latent_mean=0.3, bn_latent_var=2.0, bn_explicit_mean=-0.1,
+                 bn_explicit_var=0.5)
+
+    def params_of(p):
+        return DuetParams(w1=p["w1"], w2=p["w2"], b=p["b"], **stats)
+
+    def composed(p):
+        params = params_of(p)
+        if mode == "train":
+            bn_lat = T.batch_norm_train(p["lat"], params.var_floor)[0]
+            bn_exp = T.batch_norm_train(p["exp"], params.var_floor)[0]
+        else:
+            bn_lat = T.batch_norm_infer(p["lat"], params.bn_latent_mean,
+                                        params.bn_latent_var, params.var_floor)
+            bn_exp = T.batch_norm_infer(p["exp"], params.bn_explicit_mean,
+                                        params.bn_explicit_var, params.var_floor)
+        return duet_mix_composed(bn_lat, bn_exp, params)
+
+    with T.precision("float64"):
+        fused = value_and_grads(
+            lambda p: duet_scores(p["lat"], p["exp"], params_of(p), mode), arrays)
+        want = value_and_grads(composed, arrays)
+    assert_same(fused, want)
+
+
+# -- the latent head -------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.integers(0, 6), k=st.integers(1, 12), seed=SEEDS)
+def test_latent_head_matches_the_chain(t, k, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {"f": rng.normal(size=(t, k)), "w": rng.normal(size=k),
+              "b": np.array(rng.normal())}
+    with T.precision("float64"):
+        fused = value_and_grads(
+            lambda p: latent_term_scores(p["f"], {"w": p["w"], "b": p["b"]}), arrays)
+        want = value_and_grads(lambda p: latent_term_scores_composed(
+            p["f"], {"w": p["w"], "b": p["b"]}), arrays)
+    assert_same(fused, want)
+
+
+def test_latent_head_refuses_mismatched_features():
+    head = {"w": T.constant(np.ones(4)), "b": T.constant(np.zeros(()))}
+    with pytest.raises(ShapeError):
+        latent_term_scores(T.constant(np.ones((2, 3))), head)
+    with pytest.raises(ShapeError):
+        latent_term_scores(T.constant(np.ones(4)), head)
+
+
+# -- window sums -------------------------------------------------------------------------
+
+
+def _pool_pair(t, n, window_len, stride, seed, bank):
+    wcfg = WindowConfig(window_len=window_len, stride=stride)
+    rows = np.random.default_rng(seed).uniform(-1, 1, size=(t, n))
+    with T.precision("float64"):
+        fused = value_and_grads(
+            lambda p: windowed_pool_terms(p["rows"], wcfg, bank), {"rows": rows})
+        blocks = value_and_grads(
+            lambda p: windowed_pool_terms_blocks(p["rows"], wcfg, bank),
+            {"rows": rows})
+    return fused, blocks
+
+
+@pytest.mark.parametrize("window_len, stride", [(5, 2), (6, 4), (7, 3), (4, 4)],
+                         ids=["5-2", "6-4", "coprime-7-3", "stride-eq-window"])
+@pytest.mark.parametrize("n_from_window", [None, -1, 0, 1],
+                         ids=["n-1", "below-window", "at-window", "window-plus-1"])
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_matmul_window_sums_match_blocks(window_len, stride, n_from_window, t):
+    n = 1 if n_from_window is None else window_len + n_from_window
+    fused, blocks = _pool_pair(t, n, window_len, stride, n + t, KernelBank())
+    assert_same(fused, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 40), st.integers(1, 12),
+       st.integers(1, 12), SEEDS)
+def test_matmul_window_sums_match_blocks_random(t, n, window_len, stride, seed):
+    stride = min(stride, window_len)
+    fused, blocks = _pool_pair(t, n, window_len, stride, seed, KernelBank())
+    assert_same(fused, blocks)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import kernel_features, windowed_pool_term
 
 import ckrank.tensor as T
 from ckrank.attention import (AttentionConfig, conformer_block, init_block_params,
@@ -9,8 +10,8 @@ from ckrank.attention import (AttentionConfig, conformer_block, init_block_param
 from ckrank.gradcheck import finite_difference_check
 from ckrank.model import BSState, DuetParams, ExplicitParams, ndrm2_term_scores
 from ckrank.pooling import (KernelBank, WindowConfig, init_head_params,
-                            interaction_rows, kernel_features, latent_term_scores,
-                            windowed_pool_term, windowed_pool_terms)
+                            interaction_rows, latent_term_scores,
+                            windowed_pool_terms)
 from ckrank.train import ranknet_loss
 
 RNG = np.random.default_rng(12345)

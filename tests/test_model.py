@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 from helpers import micro_config, micro_corpus
-from oracles import TermDocStats, ndrm2_term_score, ndrm3_term_score
+from oracles import (TermDocStats, latent_term_score, ndrm2_term_score,
+                     ndrm3_term_score)
 
 import ckrank.tensor as T
 from ckrank.corpus import DocumentRecord, QueryRecord
@@ -266,7 +267,7 @@ def test_oov_terms_get_constant_no_match_score(micro):
     doc = next(iter(corpus))
     enc = model.encode_document(doc)
     mixed = model.latent_term_scores(["qqq", "w00", "zzz"], enc).numpy()
-    from ckrank.pooling import empty_features, latent_term_score
+    from ckrank.pooling import empty_features
     want = latent_term_score(T.constant(empty_features(model.bank)),
                              model.head).item()
     assert mixed[0] == pytest.approx(want, rel=1e-5)

@@ -1,0 +1,52 @@
+"""Tensor ops per document fold and per training step, pinned.
+
+Every op output passes through ``ckrank.tensor.wrap_op``, and per-op
+bookkeeping is a large share of what a short document costs to fold, so an
+op added to either path fails here, not only in the benchmark.
+"""
+
+import pytest
+from helpers import micro_config, micro_corpus, tiny_config
+
+import ckrank.tensor as T
+from ckrank.corpus import Corpus
+from ckrank.index import build_index
+from ckrank.model import CKModel
+from ckrank.train import TrainInstance, batch_loss
+
+
+@pytest.fixture
+def op_count(monkeypatch):
+    calls = []
+    wrap_op = T.wrap_op
+
+    def counted(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs["name"])
+        return wrap_op(*args, **kwargs)
+
+    monkeypatch.setattr(T, "wrap_op", counted)
+    return calls
+
+
+def test_tiny_ndrm3_fold_of_one_document_takes_34_ops(op_count):
+    corpus, vocab = micro_corpus()
+    one = Corpus()
+    one.add(next(iter(corpus)))
+    model = CKModel(tiny_config("ndrm3"), vocab)
+    index = build_index(one, model)
+    assert index.postings
+    # embedding, positional add, 2 blocks x 12, then the query embedding,
+    # interaction rows, pooling, head, explicit scores, 2 batch norms, mix
+    assert len(op_count) == 34, op_count
+
+
+def test_ndrm2_training_step_takes_8_ops(op_count):
+    corpus, vocab = micro_corpus()
+    doc_ids = sorted(corpus.docs)
+    model = CKModel(micro_config("ndrm2"), vocab)
+    model.train()
+    inst = TrainInstance("Q1", doc_ids[0], doc_ids[1], tuple(doc_ids[2:4]))
+    loss, _ = batch_loss(model, [inst], corpus, {"Q1": ["w00", "w01", "w02"]})
+    T.backward(loss)
+    # explicit scores, segment sum, 2 gathers, sub, softplus, sum, scale
+    assert len(op_count) == 8, op_count

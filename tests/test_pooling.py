@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (interaction_row, kernel_features, latent_term_score,
+                     windowed_pool_term)
 
 import ckrank.tensor as T
 from ckrank.errors import ConfigError, ShapeError
 from ckrank.pooling import (KernelBank, WindowConfig, empty_features,
-                            init_head_params, interaction_row, interaction_rows,
-                            kernel_features, latent_term_score,
-                            latent_term_scores, num_windows, windowed_pool_term,
-                            windowed_pool_terms)
+                            init_head_params, interaction_rows,
+                            latent_term_scores, num_windows, windowed_pool_terms)
 
 LOG_EPS = np.log(1e-10)
 
@@ -167,7 +167,7 @@ def _pool_value_and_grad(pool, rows, mix):
 @pytest.mark.parametrize("n,window_len,stride", [
     *(pytest.param(n, 5, 2, id=str(n)) for n in (1, 4, 5, 7, 12, 13)),
     *(pytest.param(n, 300, 100, id=str(n)) for n in (300, 500)),
-    # Blocks of gcd(window_len, stride) positions: 2, 3, 1 (coprime) and 4.
+    # window_len and stride with gcd 2, 3, 1 (coprime) and 4.
     *(pytest.param(n, w, s, id=f"{n}-{w}-{s}") for w, s in ((6, 4), (9, 6), (7, 3), (4, 4))
       for n in (5, 23, 30)),
 ])

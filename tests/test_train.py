@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import batch_loss_per_document
 
 import ckrank.tensor as T
+from ckrank.corpus import Corpus, DocumentRecord
 from ckrank.errors import ContractError, TrainingDiverged
 from ckrank.model import CKModel
 from ckrank.train import (DOCS_PER_INSTANCE, PAIRS_PER_INSTANCE, Adam,
@@ -145,6 +146,15 @@ def test_make_instances_deterministic(training_setup):
     a = make_instances(triples, candidates, corpus, np.random.default_rng(5))
     b = make_instances(triples, candidates, corpus, np.random.default_rng(5))
     assert a == b
+
+
+def test_make_instances_refuses_corpus_too_small_for_an_instance():
+    corpus = Corpus()
+    for doc_id in ("D0", "D1", "D2"):
+        corpus.add(DocumentRecord(doc_id=doc_id, tokens=["a", "b"]))
+    with pytest.raises(ContractError, match="distinct documents"):
+        make_instances([("Q1", "D0")], {"Q1": ["D1"]}, corpus,
+                       np.random.default_rng(0))
 
 
 # -- optimizer -----------------------------------------------------------------
