@@ -7,14 +7,18 @@ giving a d_key-by-d_value summary, so nothing quadratic in sequence length
 is ever allocated. The separable path applies no 1/sqrt(d_key) scaling; the
 two normalizations already bound the logits.
 
-``multi_head`` runs every head in one fused op. The separable one holds q
-and k key-major, as contiguous (heads, d_key, n) arrays, so the q softmax
+The separable ``multi_head`` sublayer is one op, projections included. It
+projects q, k and v key-major in one product, wᵀ @ xᵀ, so each is a
+contiguous (heads, d, n) block with no transposing copy, and the q softmax
 (over d_key) and the k softmax (over n) both reduce with runs of n
-contiguous values, not over a short strided axis.
+contiguous values. The output projection is folded into the per-head
+summaries, so the last product is the size of that projection alone. The
+standard variant, a baseline for memory growth, projects with ``linear``
+around one op for all heads.
 
 The encoder block wraps grouped convolution, separable multi-head
-attention, and a position-wise feed-forward network, each with residual
-connection, dropout, and a trailing layer norm.
+attention, and a position-wise feed-forward network (one op), each with
+residual connection, dropout, and a trailing layer norm.
 """
 
 import math
@@ -120,12 +124,13 @@ def _merge_heads(a):
     return a.transpose(1, 0, 2).reshape(n, heads * d)
 
 
-def _softmax(x, axis):
-    """Softmax of a fresh array along axis."""
-    e = x - x.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+def _softmax(x, axis, out=None):
+    """Softmax along axis, into out (a fresh array when None; x itself may
+    be out)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def _softmax_backward(s, g, axis):
@@ -135,43 +140,56 @@ def _softmax_backward(s, g, axis):
     return g
 
 
-def _key_major(a, heads):
-    """(n, heads * d) -> contiguous (heads, d, n)."""
-    return np.ascontiguousarray(a.T).reshape(heads, -1, a.shape[0])
+def _separable_attention(x, params, heads):
+    """The separable attention sublayer as one op -> Tensor[n, model_dim].
 
-
-def _from_key_major(a):
-    """(heads, d, n) -> (n, heads * d) view."""
-    heads, d, n = a.shape
-    return a.reshape(heads * d, n).T
-
-
-def _separable_heads(q, k, v, heads):
-    """Separable attention of every head at once -> Tensor[n, heads * d_value].
-
-    Per head: softmax(q_h over d_key) @ (softmax(k_hᵀ over n) @ v_h); the
-    largest intermediates are the key-major (heads, d_key, n) q and k.
+    q, k and v come out key-major from one product, w_qkvᵀ @ xᵀ, a
+    contiguous (2p_k + p_v, n) array of (heads, d, n) blocks; both softmaxes
+    run in place on it. Per head, summary_h = softmax(k_h over n) @ v_hᵀ is
+    (d_key, d_value); folding the output projection into it gives
+    M_h = summary_h @ wo_h, so out = softmax(q over d_key)ᵀ @ M + bo is one
+    product the size of the output projection.
     """
-    vh = _split_heads(v.data, heads)                          # (h, n, dv)
-    phi_q = _softmax(_key_major(q.data, heads), axis=1)       # (h, dk, n)
-    phi_k = _softmax(_key_major(k.data, heads), axis=2)       # (h, dk, n)
-    summary = phi_k @ vh                                      # (h, dk, dv)
-    out = _merge_heads(phi_q.transpose(0, 2, 1) @ summary)
+    wq, bq, wk, bk, wv, bv, wo, bo = (params[name] for name in (
+        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
+    pk, pv, m = wq.shape[1], wv.shape[1], wo.shape[1]
+    spans = ((0, pk), (pk, 2 * pk), (2 * pk, 2 * pk + pv))
+    x_data, wo_data = x._data, wo._data
+    n = x_data.shape[0]
+    w_qkv = np.concatenate((wq._data, wk._data, wv._data), axis=1)
+    qkv = w_qkv.T @ x_data.T                                   # (2pk + pv, n)
+    qkv += np.concatenate((bq._data, bk._data, bv._data))[:, None]
+    phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
+    _softmax(phi_q, 1, out=phi_q)                              # (h, dk, n)
+    _softmax(phi_k, 2, out=phi_k)                              # (h, dk, n)
+    wo_h = wo_data.reshape(heads, -1, m)                       # (h, dv, m)
+    summary = phi_k @ vk.transpose(0, 2, 1)                    # (h, dk, dv)
+    mixed = (summary @ wo_h).reshape(pk, m)                    # (h * dk, m)
+    out = qkv[:pk].T @ mixed
+    out += bo._data
 
     def backward(g):
-        gh = _split_heads(g, heads)                           # (h, n, dv)
-        if q.requires_grad:
-            dphi_q = summary @ gh.transpose(0, 2, 1)          # (h, dk, n)
-            q._accumulate(_from_key_major(_softmax_backward(phi_q, dphi_q, 1)))
-        d_summary = phi_q @ gh                                # (h, dk, dv)
-        if k.requires_grad:
-            dphi_k = d_summary @ vh.transpose(0, 2, 1)        # (h, dk, n)
-            k._accumulate(_from_key_major(_softmax_backward(phi_k, dphi_k, 2)))
-        if v.requires_grad:
-            v._accumulate(_merge_heads(phi_k.transpose(0, 2, 1) @ d_summary))
+        bo._accumulate(g.sum(axis=0))
+        d_mixed = (qkv[:pk] @ g).reshape(heads, -1, m)         # (h, dk, m)
+        wo._accumulate((summary.transpose(0, 2, 1) @ d_mixed).reshape(pv, m))
+        d_summary = d_mixed @ wo_h.transpose(0, 2, 1)          # (h, dk, dv)
+        d_qkv = np.empty_like(qkv)
+        dq, dk, dv = (d_qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
+        np.matmul(mixed, g.T, out=d_qkv[:pk])
+        _softmax_backward(phi_q, dq, 1)
+        np.matmul(d_summary, vk, out=dk)
+        _softmax_backward(phi_k, dk, 2)
+        np.matmul(d_summary.transpose(0, 2, 1), phi_k, out=dv)
+        d_w = x_data.T @ d_qkv.T                               # (m, 2pk + pv)
+        d_b = d_qkv.sum(axis=1)
+        for w, b, (lo, hi) in zip((wq, wk, wv), (bq, bk, bv), spans):
+            w._accumulate(d_w[:, lo:hi])
+            b._accumulate(d_b[lo:hi])
+        if x.requires_grad:
+            x._accumulate((w_qkv @ d_qkv).T)
 
-    return T.wrap_op(out, (q, k, v), backward, "separable_heads",
-                     saved=(phi_q, phi_k, summary))
+    return T.wrap_op(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward,
+                     "separable_attention", saved=(w_qkv, qkv, summary, mixed))
 
 
 def _standard_heads(q, k, v, heads):
@@ -198,19 +216,45 @@ def _standard_heads(q, k, v, heads):
 
 
 def multi_head(x, params, cfg, variant="separable"):
-    """Project to per-head q/k/v, attend with all heads in one batched op,
-    project the concatenated heads out."""
+    """Multi-head attention sublayer: q/k/v projections, every head, and the
+    output projection. The separable variant is one fused op; the standard
+    one projects with ``linear`` around one op for all heads."""
     if x.ndim != 2 or x.shape[1] != cfg.model_dim:
         raise ShapeError(f"multi_head expects (n, {cfg.model_dim}) input, "
                          f"got {tuple(x.shape)}")
     if variant not in ("standard", "separable"):
         raise ConfigError(f"unknown attention variant {variant!r}")
-    attend = _standard_heads if variant == "standard" else _separable_heads
+    if variant == "separable":
+        return _separable_attention(x, params, cfg.num_heads)
     q = T.linear(x, params["wq"], params["bq"])
     k = T.linear(x, params["wk"], params["bk"])
     v = T.linear(x, params["wv"], params["bv"])
-    heads = attend(q, k, v, cfg.num_heads)
+    heads = _standard_heads(q, k, v, cfg.num_heads)
     return T.linear(heads, params["wo"], params["bo"])
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """Position-wise FFN as one op: relu(x @ w1 + b1) @ w2 + b2, the relu in
+    place; the post-relu hidden array is kept for the backward pass."""
+    x_data, w1_data, w2_data = x._data, w1._data, w2._data
+    hidden = x_data @ w1_data
+    hidden += b1._data
+    np.maximum(hidden, 0, out=hidden)
+    out = hidden @ w2_data
+    out += b2._data
+
+    def backward(g):
+        w2._accumulate(hidden.T @ g)
+        b2._accumulate(g.sum(axis=0))
+        d_hidden = g @ w2_data.T
+        d_hidden *= hidden > 0
+        w1._accumulate(x_data.T @ d_hidden)
+        b1._accumulate(d_hidden.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(d_hidden @ w1_data.T)
+
+    return T.wrap_op(out, (x, w1, b1, w2, b2), backward, "feed_forward",
+                     saved=(hidden,))
 
 
 def conformer_block(x, params, cfg, training=False, rng=None, variant="separable"):
@@ -227,9 +271,8 @@ def conformer_block(x, params, cfg, training=False, rng=None, variant="separable
     attn = T.dropout(attn, p, training, rng)
     y2 = T.layer_norm(y1, params["ln2_gamma"], params["ln2_beta"], residual=attn)
 
-    ffn = T.linear(y2, params["ffn_w1"], params["ffn_b1"])
-    ffn = T.relu(ffn)
-    ffn = T.linear(ffn, params["ffn_w2"], params["ffn_b2"])
+    ffn = feed_forward(y2, params["ffn_w1"], params["ffn_b1"], params["ffn_w2"],
+                       params["ffn_b2"])
     ffn = T.dropout(ffn, p, training, rng)
     return T.layer_norm(y2, params["ln3_gamma"], params["ln3_beta"], residual=ffn)
 

@@ -12,7 +12,7 @@ def _bm25_index(table, vocab, k1, b):
     """Score every posting of ``posting_table(corpus)`` at (k1, b)."""
     doc_ids, lengths, terms, counts, doc_idx, tf = table
     norm = k1 * (1.0 - b + b * lengths / max(vocab.mean_dlen, 1e-9))
-    idf = np.repeat([vocab.idf(term) for term in terms], counts)
+    idf = np.repeat(vocab.idfs(terms), counts)
     impacts = idf * tf * (k1 + 1.0) / (tf + norm[doc_idx])
     return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, impacts),
                        "bm25", {"k1": k1, "b": b})

@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ContractError, IndexFormatError
 from .index import _rank
 
@@ -157,6 +159,19 @@ class Vocabulary:
 
     def idf(self, term):
         return math.log((self.num_docs + 1) / (self.df.get(term, 0) + 1))
+
+    @cached_property
+    def _idf_table(self):
+        """term -> idf for every term with a df, and the idf of an unseen
+        term; df and num_docs never change after construction."""
+        return {t: self.idf(t) for t in self.df}, math.log(self.num_docs + 1)
+
+    def idfs(self, terms):
+        """float64 array of ``idf`` over a term sequence, from logs taken
+        once per vocabulary."""
+        table, unseen = self._idf_table
+        return np.fromiter((table.get(t, unseen) for t in terms), np.float64,
+                           len(terms))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -63,9 +63,11 @@ def _query_parts(query):
     return getattr(query, "query_id", ""), tokens
 
 
-def _best_first(scores, ranks, k):
+def _best_first(scores, ranks, k, ids=None):
     """Positions of scores ordered by score descending, then rank ascending,
     cut at k; None keeps all, and a negative or non-integer k is refused.
+    The rank of position i is ranks[i], or ranks[ids[i]] when ids is given,
+    so only the candidates' ranks are gathered.
 
     For 0 < k < len(scores) a partition first finds the k-th best score and
     only the candidates scoring at least that much are sorted; every score
@@ -79,7 +81,8 @@ def _best_first(scores, ranks, k):
         pos = np.flatnonzero(scores >= kth)
     else:
         pos = np.arange(scores.size)
-    return pos[np.lexsort((ranks[pos], -scores[pos]))][:k]
+    return pos[np.lexsort((ranks[pos if ids is None else ids[pos]],
+                           -scores[pos]))][:k]
 
 
 def _rank(scored, k):
@@ -177,7 +180,7 @@ def build_index(corpus, model):
             lat = _latent_column(corpus, model, doc_ids, terms, owner[order],
                                  col_doc)
         if model.needs_explicit:
-            idf = np.array([model.vocab.idf(t) for t in terms])[owner[order]]
+            idf = model.vocab.idfs(terms)[owner[order]]
             exp = model.explicit_scores(idf, tf[order],
                                         np.maximum(lengths[col_doc], 1.0))
         column = model.mix_scores(lat, exp).data
@@ -217,7 +220,7 @@ def retrieve(query, index, k=100):
     touched[doc_idx] = True
     live = np.flatnonzero(touched)
     scores = acc[live]
-    top = _best_first(scores, index.doc_rank[live], k)
+    top = _best_first(scores, index.doc_rank, k, live)
     ranking = list(zip(index.doc_id_array[live[top]].tolist(),
                        scores[top].tolist()))
     return RetrievalResult(qid, ranking)

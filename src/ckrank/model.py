@@ -189,8 +189,8 @@ def duet_scores(s_latent, s_explicit, params, mode):
     """w1 * BN(latent) + w2 * BN(explicit) + b over parallel score vectors.
 
     Train mode normalizes by the statistics of the vectors given here (and
-    folds them into the running averages); infer mode uses the frozen
-    running statistics elementwise.
+    folds them into the running averages), then mixes; infer mode is one
+    elementwise op over the frozen running statistics.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"unknown duet mode {mode!r}")
@@ -202,23 +202,32 @@ def duet_scores(s_latent, s_explicit, params, mode):
         params.bn_latent_var = mom * params.bn_latent_var + (1 - mom) * v_l
         params.bn_explicit_mean = mom * params.bn_explicit_mean + (1 - mom) * m_e
         params.bn_explicit_var = mom * params.bn_explicit_var + (1 - mom) * v_e
-    else:
-        bn_lat = T.batch_norm_infer(s_latent, params.bn_latent_mean,
-                                    params.bn_latent_var, params.var_floor)
-        bn_exp = T.batch_norm_infer(s_explicit, params.bn_explicit_mean,
-                                    params.bn_explicit_var, params.var_floor)
+        return _duet_mix(bn_lat, bn_exp, params, (0.0, 1.0), (0.0, 1.0))
+    floor = params.var_floor
+    return _duet_mix(s_latent, s_explicit, params,
+                     (params.bn_latent_mean,
+                      float(np.sqrt(max(params.bn_latent_var, floor)))),
+                     (params.bn_explicit_mean,
+                      float(np.sqrt(max(params.bn_explicit_var, floor)))))
+
+
+def _duet_mix(lat, exp, params, lat_norm, exp_norm):
+    """w1 * (lat - mean_l) / sd_l + w2 * (exp - mean_e) / sd_e + b in one op,
+    with each (mean, sd) pair a constant."""
     w1, w2, b = params.w1, params.w2, params.b
-    lat, exp = bn_lat.data, bn_exp.data
-    data = lat * w1.data + exp * w2.data + b.data
+    (m_l, d_l), (m_e, d_e) = lat_norm, exp_norm
+    bn_lat = (lat.data - m_l) / d_l
+    bn_exp = (exp.data - m_e) / d_e
+    data = bn_lat * w1.data + bn_exp * w2.data + b.data
 
     def backward(g):
-        bn_lat._accumulate(g * w1.data)
-        bn_exp._accumulate(g * w2.data)
-        w1._accumulate((g * lat).sum())
-        w2._accumulate((g * exp).sum())
+        lat._accumulate(g * w1.data / d_l)
+        exp._accumulate(g * w2.data / d_e)
+        w1._accumulate((g * bn_lat).sum())
+        w2._accumulate((g * bn_exp).sum())
         b._accumulate(g.sum())
 
-    return T.wrap_op(data, (bn_lat, bn_exp, w1, w2, b), backward, "duet_mix")
+    return T.wrap_op(data, (lat, exp, w1, w2, b), backward, "duet_mix")
 
 
 # -- the model ----------------------------------------------------------------------
@@ -335,8 +344,8 @@ class CKModel:
             raise ContractError("cannot encode an empty document")
         lookup, oov = self.vocab.term_to_id.get, self.vocab.oov_id
         ids = [lookup(t, oov) for t in tokens]
-        x = T.embedding(self.embedding, ids)
-        x = T.add(x, T.constant(positional_encoding(len(ids), self.config.model_dim)))
+        x = T.embedding(self.embedding, ids,
+                        positional_encoding(len(ids), self.config.model_dim))
         for block in self.blocks:
             x = conformer_block(x, block, self.acfg, training=self.training,
                                 rng=self.dropout_rng, variant=encoder_variant)
@@ -382,7 +391,7 @@ class CKModel:
 
     def explicit_stats(self, terms, doc):
         """(idf, tf, dlen) arrays over the query terms against one document."""
-        idf = np.array([self.vocab.idf(t) for t in terms], dtype=np.float64)
+        idf = self.vocab.idfs(terms)
         tf = np.array([doc.tf.get(t, 0) for t in terms], dtype=np.float64)
         dlen = np.full(len(terms), max(doc.length, 1), dtype=np.float64)
         return idf, tf, dlen

@@ -605,14 +605,21 @@ def linear(x, weight, bias=None):
     return wrap_op(data, parents, backward, "linear")
 
 
-def embedding(table, ids):
-    """Row lookup into an embedding table; gradient scatter-adds by id."""
+def embedding(table, ids, offset=None):
+    """Row lookup into an embedding table, plus a constant (len(ids), dim)
+    array ``offset`` when given (positional features); the gradient
+    scatter-adds by id and nothing flows to the offset."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("embedding ids must be a 1-d sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"embedding id out of range for table of {table.shape[0]} rows")
-    data = table._data[idx].copy()
+    data = table._data[idx]
+    if offset is not None:
+        if offset.shape != data.shape:
+            raise ShapeError(f"embedding offset shape {tuple(offset.shape)} != "
+                             f"{tuple(data.shape)}")
+        data += offset
 
     def backward(g):
         if table.requires_grad:
@@ -768,17 +775,6 @@ def batch_norm_train(x, var_floor=1e-5):
 
     out = wrap_op(xhat, (x,), backward, "batch_norm_train")
     return out, mean, var
-
-
-def batch_norm_infer(x, mean, var, var_floor=1e-5):
-    """Normalize by frozen statistics; linear, so backward is a rescale."""
-    denom = float(np.sqrt(max(var, var_floor)))
-    data = (x._data - mean) / denom
-
-    def backward(g):
-        x._accumulate(g / denom)
-
-    return wrap_op(data, (x,), backward, "batch_norm_infer")
 
 
 # -- backward pass -------------------------------------------------------------

@@ -224,7 +224,7 @@ def batch_loss(model, instances, corpus, query_tokens):
         if not terms:
             raise ContractError(f"query {inst.query_id} has no tokens")
         if model.needs_explicit:
-            idf = np.array([model.vocab.idf(t) for t in terms])
+            idf = model.vocab.idfs(terms)
         for doc_id in inst.doc_ids:
             doc = corpus.get(doc_id)
             if model.needs_latent:

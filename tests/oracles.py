@@ -14,6 +14,7 @@ import numpy as np
 
 import ckrank.tensor as T
 from ckrank.errors import ContractError, ShapeError
+from ckrank.attention import _softmax, _softmax_backward
 from ckrank.index import ImpactIndex, _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
 from ckrank.pooling import interaction_rows, num_windows
@@ -277,6 +278,80 @@ def duet_mix_composed(bn_lat, bn_exp, params):
     """w1 * bn_lat + w2 * bn_exp + b as mul/mul/add/add."""
     mixed = T.add(T.mul(bn_lat, params.w1), T.mul(bn_exp, params.w2))
     return T.add(mixed, params.b)
+
+
+def batch_norm_infer(x, mean, var, var_floor=1e-5):
+    """Normalize by frozen statistics; linear, so backward is a rescale."""
+    denom = float(np.sqrt(max(var, var_floor)))
+    data = (x.data - mean) / denom
+
+    def backward(g):
+        x._accumulate(g / denom)
+
+    return T.wrap_op(data, (x,), backward, "batch_norm_infer")
+
+
+def duet_infer_composed(s_latent, s_explicit, params):
+    """Infer-mode ``duet_scores`` as two ``batch_norm_infer`` ops and the
+    mix."""
+    bn_lat = batch_norm_infer(s_latent, params.bn_latent_mean,
+                              params.bn_latent_var, params.var_floor)
+    bn_exp = batch_norm_infer(s_explicit, params.bn_explicit_mean,
+                              params.bn_explicit_var, params.var_floor)
+    return duet_mix_composed(bn_lat, bn_exp, params)
+
+
+def embedding_then_add(table, ids, offset):
+    """``embedding`` with an offset as ``embedding`` then ``add`` of a
+    constant."""
+    return T.add(T.embedding(table, ids), T.constant(offset))
+
+
+def feed_forward_composed(x, w1, b1, w2, b2):
+    """``feed_forward`` as linear/relu/linear."""
+    return T.linear(T.relu(T.linear(x, w1, b1)), w2, b2)
+
+
+def _key_major(a, heads):
+    """(n, heads * d) -> contiguous (heads, d, n), by a transposing copy."""
+    return np.ascontiguousarray(a.T).reshape(heads, -1, a.shape[0])
+
+
+def _from_key_major(a):
+    """(heads, d, n) -> (n, heads * d) view."""
+    heads, d, n = a.shape
+    return a.reshape(heads * d, n).T
+
+
+def _separable_heads(q, k, v, heads):
+    """Separable attention of every head at once on projected q, k, v ->
+    Tensor[n, heads * d_value], with q and k copied key-major."""
+    n = v.shape[0]
+    vh = v.data.reshape(n, heads, -1).transpose(1, 0, 2)        # (h, n, dv)
+    phi_q = _softmax(_key_major(q.data, heads), 1)              # (h, dk, n)
+    phi_k = _softmax(_key_major(k.data, heads), 2)              # (h, dk, n)
+    summary = phi_k @ vh                                        # (h, dk, dv)
+    out = (phi_q.transpose(0, 2, 1) @ summary).transpose(1, 0, 2).reshape(n, -1)
+
+    def backward(g):
+        gh = g.reshape(n, heads, -1).transpose(1, 0, 2)         # (h, n, dv)
+        dphi_q = summary @ gh.transpose(0, 2, 1)                # (h, dk, n)
+        q._accumulate(_from_key_major(_softmax_backward(phi_q, dphi_q, 1)))
+        d_summary = phi_q @ gh                                  # (h, dk, dv)
+        dphi_k = d_summary @ vh.transpose(0, 2, 1)              # (h, dk, n)
+        k._accumulate(_from_key_major(_softmax_backward(phi_k, dphi_k, 2)))
+        dv = phi_k.transpose(0, 2, 1) @ d_summary               # (h, n, dv)
+        v._accumulate(dv.transpose(1, 0, 2).reshape(n, -1))
+
+    return T.wrap_op(out, (q, k, v), backward, "separable_heads")
+
+
+def separable_multi_head_composed(x, params, heads):
+    """The separable ``multi_head`` as four ``linear``s around one op for
+    every head."""
+    q, k, v = (T.linear(x, params[w], params[b])
+               for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")))
+    return T.linear(_separable_heads(q, k, v, heads), params["wo"], params["bo"])
 
 
 def latent_term_scores_composed(features, head):

@@ -152,10 +152,15 @@ def test_multi_head_matches_per_head_oracle(variant, heads, d_key, d_value, n):
     assert_same(batched, oracle, arrays, (n, cfg.model_dim))
 
 
-@pytest.mark.parametrize("variant,kept", [("standard", lambda h, n, dk, dv: h * n * n),
-                                          ("separable",
-                                           lambda h, n, dk, dv: 2 * h * n * dk + h * dk * dv)])
-def test_kept_intermediates_are_charged_until_backward(variant, kept):
+@pytest.mark.parametrize("variant,visible", [
+    # q, k, v, the heads output and the projection out, plus the kept weights.
+    ("standard", lambda h, n, dk, dv, m: 5 * n * m + h * n * n),
+    # The fused op's output plus its saved arrays: the stacked q/k/v weights
+    # (m, p), the key-major q/k/v (p, n) with p = h * (2 dk + dv), the
+    # summaries (h, dk, dv) and the summaries times wo (h * dk, m).
+    ("separable", lambda h, n, dk, dv, m:
+     n * m + (m + n) * h * (2 * dk + dv) + h * dk * (dv + m))])
+def test_kept_intermediates_are_charged_until_backward(variant, visible):
     cfg = head_cfg(2, 4, 4)
     n = 48
     params = init_block_params(cfg, np.random.default_rng(0))
@@ -164,8 +169,7 @@ def test_kept_intermediates_are_charged_until_backward(variant, kept):
     before = tracker.live_bytes
     out = multi_head(x, params, cfg, variant=variant)
     itemsize = np.dtype(np.float32).itemsize
-    # q, k, v, the heads output and the projection out, plus what is kept.
-    visible = (5 * n * cfg.model_dim + kept(2, n, 4, 4)) * itemsize
+    visible = visible(2, n, 4, 4, cfg.model_dim) * itemsize
     assert tracker.live_bytes - before == visible
     T.backward(T.tsum(out))
     grads = sum(p.grad.nbytes for p in params.values() if p.grad is not None)

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (duet_mix_composed, latent_term_scores_composed,
+from oracles import (duet_infer_composed, duet_mix_composed, embedding_then_add,
+                     feed_forward_composed, latent_term_scores_composed,
                      layer_norm_after_add, ndrm2_term_scores_composed,
-                     windowed_pool_terms_blocks)
+                     separable_multi_head_composed, windowed_pool_terms_blocks)
 
 import ckrank.tensor as T
+from ckrank.attention import AttentionConfig, feed_forward, multi_head
 from ckrank.errors import ShapeError
 from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
     ndrm2_term_scores
@@ -165,14 +167,10 @@ def test_duet_mix_matches_the_chain(mode, m, seed):
 
     def composed(p):
         params = params_of(p)
-        if mode == "train":
-            bn_lat = T.batch_norm_train(p["lat"], params.var_floor)[0]
-            bn_exp = T.batch_norm_train(p["exp"], params.var_floor)[0]
-        else:
-            bn_lat = T.batch_norm_infer(p["lat"], params.bn_latent_mean,
-                                        params.bn_latent_var, params.var_floor)
-            bn_exp = T.batch_norm_infer(p["exp"], params.bn_explicit_mean,
-                                        params.bn_explicit_var, params.var_floor)
+        if mode == "infer":
+            return duet_infer_composed(p["lat"], p["exp"], params)
+        bn_lat = T.batch_norm_train(p["lat"], params.var_floor)[0]
+        bn_exp = T.batch_norm_train(p["exp"], params.var_floor)[0]
         return duet_mix_composed(bn_lat, bn_exp, params)
 
     with T.precision("float64"):
@@ -180,6 +178,127 @@ def test_duet_mix_matches_the_chain(mode, m, seed):
             lambda p: duet_scores(p["lat"], p["exp"], params_of(p), mode), arrays)
         want = value_and_grads(composed, arrays)
     assert_same(fused, want)
+
+
+def test_infer_duet_with_variance_below_the_floor_matches_the_chain():
+    arrays = {"lat": np.array([0.5, -1.0, 2.0]), "exp": np.array([1.0, 0.0, 3.0]),
+              "w1": np.array(0.7), "w2": np.array(-1.3), "b": np.array(0.2)}
+
+    def params_of(p):
+        return DuetParams(w1=p["w1"], w2=p["w2"], b=p["b"], bn_latent_mean=1.0,
+                          bn_latent_var=0.0, bn_explicit_mean=0.0,
+                          bn_explicit_var=1e-9)
+
+    with T.precision("float64"):
+        fused = value_and_grads(
+            lambda p: duet_scores(p["lat"], p["exp"], params_of(p), "infer"), arrays)
+        want = value_and_grads(
+            lambda p: duet_infer_composed(p["lat"], p["exp"], params_of(p)), arrays)
+    assert_same(fused, want)
+
+
+# -- separable attention ---------------------------------------------------------------
+
+
+def _attention_arrays(rng, n, heads, d_key, d_value, m):
+    pk, pv = heads * d_key, heads * d_value
+    return {"x": rng.normal(size=(n, m)),
+            "wq": rng.normal(size=(m, pk)), "bq": rng.normal(size=pk),
+            "wk": rng.normal(size=(m, pk)), "bk": rng.normal(size=pk),
+            "wv": rng.normal(size=(m, pv)), "bv": rng.normal(size=pv),
+            "wo": rng.normal(size=(pv, m)) / np.sqrt(pv), "bo": rng.normal(size=m)}
+
+
+def _attention_pair(n, heads, d_key, d_value, per_head_dim, seed):
+    m = heads * per_head_dim
+    cfg = AttentionConfig(model_dim=m, num_heads=heads, d_key=d_key,
+                          d_value=d_value, conv_window=1, conv_groups=1)
+    arrays = _attention_arrays(np.random.default_rng(seed), n, heads, d_key,
+                               d_value, m)
+    with T.precision("float64"):
+        fused = value_and_grads(lambda p: multi_head(p["x"], p, cfg), arrays)
+        composed = value_and_grads(
+            lambda p: separable_multi_head_composed(p["x"], p, heads), arrays)
+    return fused, composed
+
+
+@pytest.mark.parametrize("n, heads, d_key, d_value, per_head_dim", [
+    (1, 1, 3, 3, 4), (1, 3, 2, 5, 2), (5, 1, 4, 4, 6), (5, 1, 2, 7, 3),
+    (7, 2, 3, 6, 4), (9, 4, 5, 2, 1), (40, 2, 8, 8, 16)],
+    ids=["n1-one-head", "n1-dk-ne-dv", "one-head", "one-head-dk-ne-dv",
+         "dk-lt-dv", "dk-gt-dv", "tiny-shape"])
+def test_separable_attention_matches_the_chain(n, heads, d_key, d_value,
+                                               per_head_dim):
+    assert_same(*_attention_pair(n, heads, d_key, d_value, per_head_dim, n + heads))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 4), SEEDS)
+def test_separable_attention_matches_the_chain_random(n, heads, d_key, d_value,
+                                                      per_head_dim, seed):
+    assert_same(*_attention_pair(n, heads, d_key, d_value, per_head_dim, seed))
+
+
+# -- the feed-forward sublayer ---------------------------------------------------------
+
+
+def _ffn_arrays(rng, n, m, hidden):
+    return {"x": rng.normal(size=(n, m)), "w1": rng.normal(size=(m, hidden)),
+            "b1": rng.normal(size=hidden), "w2": rng.normal(size=(hidden, m)),
+            "b2": rng.normal(size=m)}
+
+
+def _ffn_pair(arrays):
+    with T.precision("float64"):
+        return [value_and_grads(lambda p, fn=fn: fn(p["x"], p["w1"], p["b1"],
+                                                    p["w2"], p["b2"]), arrays)
+                for fn in (feed_forward, feed_forward_composed)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 12), SEEDS)
+def test_feed_forward_matches_the_chain(n, m, hidden, seed):
+    assert_same(*_ffn_pair(_ffn_arrays(np.random.default_rng(seed), n, m, hidden)))
+
+
+def test_feed_forward_passes_no_gradient_through_exact_zeros():
+    # Row 0 of x and column 0 of w1 are zero, and so are b1[0] and b1[2], so
+    # those pre-activations are exactly 0; relu sends them no gradient.
+    arrays = _ffn_arrays(np.random.default_rng(4), 4, 3, 5)
+    arrays["x"][0] = 0.0
+    arrays["w1"][:, 0] = 0.0
+    arrays["b1"][[0, 2]] = 0.0
+    fused, composed = _ffn_pair(arrays)
+    assert_same(fused, composed)
+    assert np.all(fused[1]["b1"][0] == 0.0)
+    assert np.all(fused[1]["w1"][:, 0] == 0.0)
+
+
+# -- the positional add inside the embedding -------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64"])
+@pytest.mark.parametrize("ids", [[0], [3, 1, 3, 0, 3], [2, 2]],
+                         ids=["one", "repeats", "all-same"])
+def test_embedding_offset_equals_embedding_then_add(mode, ids):
+    rng = np.random.default_rng(len(ids))
+    arrays = {"t": rng.normal(size=(4, 6))}
+    offset = rng.normal(size=(len(ids), 6))
+    with T.precision(mode):
+        offset = offset.astype(T.default_dtype())
+        fused = value_and_grads(lambda p: T.embedding(p["t"], ids, offset), arrays)
+        composed = value_and_grads(
+            lambda p: embedding_then_add(p["t"], ids, offset), arrays)
+    assert_same(fused, composed, tol=None)
+
+
+def test_embedding_refuses_offset_of_another_shape():
+    table = T.constant(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        T.embedding(table, [0, 1], np.zeros((3, 3)))
+    with pytest.raises(ShapeError):
+        T.embedding(table, [0, 1], np.zeros(3))
 
 
 # -- the latent head -------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from oracles import kernel_features, windowed_pool_term
+from oracles import batch_norm_infer, kernel_features, windowed_pool_term
 
 import ckrank.tensor as T
-from ckrank.attention import (AttentionConfig, conformer_block, init_block_params,
-                              multi_head, self_attention, separable_self_attention)
+from ckrank.attention import (AttentionConfig, conformer_block, feed_forward,
+                              init_block_params, multi_head, self_attention,
+                              separable_self_attention)
 from ckrank.gradcheck import finite_difference_check
-from ckrank.model import BSState, DuetParams, ExplicitParams, ndrm2_term_scores
+from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
+    ndrm2_term_scores
 from ckrank.pooling import (KernelBank, WindowConfig, init_head_params,
                             interaction_rows, latent_term_scores,
                             windowed_pool_terms)
@@ -145,6 +147,20 @@ def test_grad_embedding():
     check(lambda p: mixed(T.embedding(p["table"], ids)), {"table": rand(5, 4)})
 
 
+def test_grad_embedding_with_offset():
+    ids = np.array([1, 3, 1, 0])
+    offset = rand(4, 4)
+    check(lambda p: mixed(T.embedding(p["table"], ids, offset)),
+          {"table": rand(5, 4)})
+
+
+def test_grad_feed_forward():
+    arrays = {"x": rand(5, 4), "w1": rand(4, 6), "b1": rand(6), "w2": rand(6, 4),
+              "b2": rand(4)}
+    check(lambda p: mixed(feed_forward(p["x"], p["w1"], p["b1"], p["w2"],
+                                       p["b2"])), arrays)
+
+
 def test_grad_layer_norm():
     arrays = {"x": rand(5, 8), "gamma": rand(8, lo=0.5, hi=1.5), "beta": rand(8)}
     check(lambda p: mixed(T.layer_norm(p["x"], p["gamma"], p["beta"])), arrays)
@@ -170,7 +186,7 @@ def test_grad_batch_norm_train_both_branches():
 
 
 def test_grad_batch_norm_infer():
-    check(lambda p: mixed(T.batch_norm_infer(p["x"], mean=0.3, var=2.0)),
+    check(lambda p: mixed(batch_norm_infer(p["x"], mean=0.3, var=2.0)),
           {"x": rand(8)})
 
 
@@ -290,6 +306,18 @@ def test_grad_duet_combination():
         return duet_scores(lat, exp, duet, mode="train")
 
     arrays = {"w1": np.array(1.0), "w2": np.array(1.0), "b": np.array(0.0),
+              "lat": rand(8), "exp": rand(8, lo=0.1, hi=2.0)}
+    check(loss, arrays)
+
+
+def test_grad_duet_infer_mode():
+    def loss(p):
+        duet = DuetParams(w1=p["w1"], w2=p["w2"], b=p["b"], bn_latent_mean=0.3,
+                          bn_latent_var=2.0, bn_explicit_mean=-0.4,
+                          bn_explicit_var=0.5)
+        return mixed(duet_scores(p["lat"], p["exp"], duet, mode="infer"))
+
+    arrays = {"w1": np.array(0.8), "w2": np.array(-1.2), "b": np.array(0.1),
               "lat": rand(8), "exp": rand(8, lo=0.1, hi=2.0)}
     check(loss, arrays)
 

@@ -28,16 +28,17 @@ def op_count(monkeypatch):
     return calls
 
 
-def test_tiny_ndrm3_fold_of_one_document_takes_34_ops(op_count):
+def test_tiny_ndrm3_fold_of_one_document_takes_19_ops(op_count):
     corpus, vocab = micro_corpus()
     one = Corpus()
     one.add(next(iter(corpus)))
     model = CKModel(tiny_config("ndrm3"), vocab)
     index = build_index(one, model)
     assert index.postings
-    # embedding, positional add, 2 blocks x 12, then the query embedding,
-    # interaction rows, pooling, head, explicit scores, 2 batch norms, mix
-    assert len(op_count) == 34, op_count
+    # embedding (positional add inside), 2 blocks x [conv, layer norm,
+    # attention, layer norm, FFN, layer norm], then the query embedding,
+    # interaction rows, pooling, head, explicit scores, duet
+    assert len(op_count) == 19, op_count
 
 
 def test_ndrm2_training_step_takes_8_ops(op_count):
@@ -50,3 +51,18 @@ def test_ndrm2_training_step_takes_8_ops(op_count):
     T.backward(loss)
     # explicit scores, segment sum, 2 gathers, sub, softplus, sum, scale
     assert len(op_count) == 8, op_count
+
+
+def test_tiny_ndrm3_training_step_takes_104_ops(op_count):
+    corpus, vocab = micro_corpus()
+    doc_ids = sorted(corpus.docs)
+    model = CKModel(tiny_config("ndrm3"), vocab)
+    model.train()
+    inst = TrainInstance("Q1", doc_ids[0], doc_ids[1], tuple(doc_ids[2:4]))
+    loss, _ = batch_loss(model, [inst], corpus, {"Q1": ["w00", "w01", "w02"]})
+    T.backward(loss)
+    # 4 documents x [embedding, 2 blocks x (conv, attention, FFN, 3 dropouts,
+    # 3 layer norms), query embedding, interaction rows, pooling, head] = 92,
+    # then concat, explicit scores, 2 batch norms, duet, segment sum,
+    # 2 gathers, sub, softplus, sum, scale = 12
+    assert len(op_count) == 104, op_count
