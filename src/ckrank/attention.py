@@ -277,38 +277,44 @@ def conformer_block(x, params, cfg, training=False, rng=None, variant="separable
     return T.layer_norm(y2, params["ln3_gamma"], params["ln3_beta"], residual=ffn)
 
 
-def init_block_params(cfg, rng):
-    """Fresh parameter dict for one encoder block (Glorot-uniform linears)."""
+def block_param_specs(cfg):
+    """``(name, shape, init)`` of one encoder block's parameters in drawing
+    order, as ``tensor.init_parameters`` reads them (Glorot-uniform
+    linears)."""
     m = cfg.model_dim
     cg = m // cfg.conv_groups
     ffn_dim = 2 * m
     proj = cfg.num_heads * cfg.d_key
     vproj = cfg.num_heads * cfg.d_value
 
-    def glorot(fan_in, fan_out, shape):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return T.parameter(rng.uniform(-limit, limit, size=shape))
+    def glorot(fan_in, fan_out):
+        return math.sqrt(6.0 / (fan_in + fan_out))
 
-    return {
-        "conv_kernel": glorot(cg * cfg.conv_window, cg,
-                              (cfg.conv_groups, cfg.conv_window, cg, cg)),
-        "conv_bias": T.parameter(np.zeros(m)),
-        "ln1_gamma": T.parameter(np.ones(m)),
-        "ln1_beta": T.parameter(np.zeros(m)),
-        "wq": glorot(m, proj, (m, proj)),
-        "bq": T.parameter(np.zeros(proj)),
-        "wk": glorot(m, proj, (m, proj)),
-        "bk": T.parameter(np.zeros(proj)),
-        "wv": glorot(m, vproj, (m, vproj)),
-        "bv": T.parameter(np.zeros(vproj)),
-        "wo": glorot(vproj, m, (vproj, m)),
-        "bo": T.parameter(np.zeros(m)),
-        "ln2_gamma": T.parameter(np.ones(m)),
-        "ln2_beta": T.parameter(np.zeros(m)),
-        "ffn_w1": glorot(m, ffn_dim, (m, ffn_dim)),
-        "ffn_b1": T.parameter(np.zeros(ffn_dim)),
-        "ffn_w2": glorot(ffn_dim, m, (ffn_dim, m)),
-        "ffn_b2": T.parameter(np.zeros(m)),
-        "ln3_gamma": T.parameter(np.ones(m)),
-        "ln3_beta": T.parameter(np.zeros(m)),
-    }
+    return (
+        ("conv_kernel", (cfg.conv_groups, cfg.conv_window, cg, cg),
+         glorot(cg * cfg.conv_window, cg)),
+        ("conv_bias", (m,), "zeros"),
+        ("ln1_gamma", (m,), "ones"),
+        ("ln1_beta", (m,), "zeros"),
+        ("wq", (m, proj), glorot(m, proj)),
+        ("bq", (proj,), "zeros"),
+        ("wk", (m, proj), glorot(m, proj)),
+        ("bk", (proj,), "zeros"),
+        ("wv", (m, vproj), glorot(m, vproj)),
+        ("bv", (vproj,), "zeros"),
+        ("wo", (vproj, m), glorot(vproj, m)),
+        ("bo", (m,), "zeros"),
+        ("ln2_gamma", (m,), "ones"),
+        ("ln2_beta", (m,), "zeros"),
+        ("ffn_w1", (m, ffn_dim), glorot(m, ffn_dim)),
+        ("ffn_b1", (ffn_dim,), "zeros"),
+        ("ffn_w2", (ffn_dim, m), glorot(ffn_dim, m)),
+        ("ffn_b2", (m,), "zeros"),
+        ("ln3_gamma", (m,), "ones"),
+        ("ln3_beta", (m,), "zeros"),
+    )
+
+
+def init_block_params(cfg, rng):
+    """Fresh parameter dict for one encoder block."""
+    return T.init_parameters(block_param_specs(cfg), rng)

@@ -8,12 +8,14 @@ in at least ``min_df`` documents, but document frequencies are retained
 for every observed term so rare/unknown terms still get a principled IDF.
 """
 
+import hashlib
 import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -172,6 +174,26 @@ class Vocabulary:
         table, unseen = self._idf_table
         return np.fromiter((table.get(t, unseen) for t in terms), np.float64,
                            len(terms))
+
+    def fingerprint(self):
+        """sha256 over what a trained model depends on: the terms in id
+        order, every term's df and the document count.
+
+        Packed rather than written as JSON, which costs several times more
+        and runs on every checkpoint save and load: the document count, the
+        number of vocabulary terms and of all terms, then every term's length
+        and df as int64 and the utf-8 text of all terms; the vocabulary terms
+        come in id order, then the other terms with a df in sorted order.
+        """
+        tid, df = self.term_to_id, self.df
+        words = sorted(tid, key=tid.get) + sorted(df.keys() - tid.keys())
+        digest = hashlib.sha256(np.array([self.num_docs, len(tid), len(words)],
+                                         np.int64))
+        digest.update(np.fromiter(map(len, words), np.int64, len(words)))
+        digest.update(np.fromiter(map(df.get, words, repeat(0)), np.int64,
+                                  len(words)))
+        digest.update("".join(words).encode("utf-8"))
+        return digest.hexdigest()
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -25,6 +25,7 @@ Round-trips are bit-exact.
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -120,22 +121,23 @@ def posting_table(corpus):
     postings' int64 doc indices and int64 tf, term by term, doc indices
     ascending within a term."""
     doc_ids = sorted(corpus.docs)
-    docs = [corpus.get(d) for d in doc_ids]
+    docs = [corpus.docs[d] for d in doc_ids]
     lengths = np.array([doc.length for doc in docs], dtype=np.float64)
-    tokens, tfs, sizes = [], [], []
-    for doc in docs:
-        tokens.extend(doc.tf)
-        tfs.extend(doc.tf.values())
-        sizes.append(len(doc.tf))
+    tfs = [doc.tf for doc in docs]
+    tokens = list(chain.from_iterable(tfs))
     terms = sorted(set(tokens))
-    term_id = {t: i for i, t in enumerate(terms)}
-    owner = np.fromiter(map(term_id.__getitem__, tokens), dtype=np.int64,
-                        count=len(tokens))
-    by_term = np.argsort(owner, kind="stable")
-    doc_idx = np.repeat(np.arange(len(docs), dtype=np.int64), sizes)[by_term]
-    tf = np.array(tfs, dtype=np.int64)[by_term]
+    term_id = dict(zip(terms, range(len(terms))))
+    owner = np.fromiter(map(term_id.__getitem__, tokens), np.int64, len(tokens))
+    tf = np.fromiter(chain.from_iterable(map(dict.values, tfs)), np.int64,
+                     len(tokens))
+    doc_idx = np.arange(len(docs), dtype=np.int64).repeat(list(map(len, tfs)))
+    # (term, document) pairs are distinct, so this key is unique and any
+    # sort of it gives the stable order by term
+    key = owner * len(docs)
+    key += doc_idx
+    by_term = key.argsort()
     return doc_ids, lengths, terms, np.bincount(owner, minlength=len(terms)), \
-        doc_idx, tf
+        doc_idx[by_term], tf[by_term]
 
 
 def split_postings(terms, counts, doc_idx, scores):

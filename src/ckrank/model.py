@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import AttentionConfig, conformer_block, init_block_params, \
+from .attention import AttentionConfig, block_param_specs, conformer_block, \
     positional_encoding
 from .corpus import DocumentRecord, QueryRecord
 from .errors import ConfigError, ContractError
@@ -233,15 +233,37 @@ def _duet_mix(lat, exp, params, lat_norm, exp_norm):
 # -- the model ----------------------------------------------------------------------
 
 
+def parameter_specs(config, vocab_size):
+    """``(name, shape, init)`` of every parameter the variant trains, under
+    its ``CKModel.parameters()`` name and in drawing order, as
+    ``tensor.init_parameters`` reads them."""
+    specs = []
+    if config.variant in ("ndrm1", "ndrm3"):
+        specs.append(("embedding", (vocab_size + 1, config.model_dim), 0.05))
+        block = block_param_specs(config.attention_config())
+        for i in range(config.num_layers):
+            specs += [(f"block{i}.{key}", shape, init) for key, shape, init in block]
+        specs += [(f"head.{key}", shape, init) for key, shape, init in
+                  pooling.head_param_specs(len(config.kernel_mus))]
+    if config.variant in ("ndrm2", "ndrm3"):
+        specs += [("explicit.w_dlen", (), "ones"), ("explicit.b_dlen", (), "zeros")]
+    if config.variant == "ndrm3":
+        specs += [("duet.w1", (), "ones"), ("duet.w2", (), "ones"),
+                  ("duet.b", (), "zeros")]
+    return specs
+
+
 class CKModel:
     """Embedding table, document encoder, pooling head, and scoring branches.
 
     Construction is deterministic given (config, vocabulary): all parameter
     initialization derives from config.seed, and dropout noise from an
-    internal stream seeded alongside it.
+    internal stream seeded alongside it. ``arrays`` (name -> ndarray of
+    every ``parameter_specs`` entry, what ``load_model`` passes) supplies
+    the parameters instead, and nothing is drawn.
     """
 
-    def __init__(self, config, vocab):
+    def __init__(self, config, vocab, arrays=None):
         self.config = config
         self.config_hash = config.config_hash()  # of the config built with
         self.vocab = vocab
@@ -249,23 +271,24 @@ class CKModel:
         self.wcfg = config.window_config()
         self.bank = config.kernel_bank()
         self.training = False
-        rng = np.random.default_rng(config.seed)
+        rng = None if arrays is not None else np.random.default_rng(config.seed)
         self.dropout_rng = np.random.default_rng(config.seed + 1)
-        self.embedding = None
-        self.blocks = []
-        self.head = None
-        if self.needs_latent:
-            self.embedding = T.parameter(
-                rng.uniform(-0.05, 0.05, size=(vocab.size + 1, config.model_dim)))
-            self.blocks = [init_block_params(self.acfg, rng)
-                           for _ in range(config.num_layers)]
-            self.head = pooling.init_head_params(rng, self.bank.k)
-        self.explicit = ExplicitParams(epsilon=config.epsilon) \
+        self._params = T.init_parameters(parameter_specs(config, vocab.size),
+                                         rng, arrays)
+        groups = {}  # "block0" -> {"wq": ..., ...}, "head" -> ..., ...
+        for name, p in self._params.items():
+            owner, _, key = name.rpartition(".")
+            groups.setdefault(owner, {})[key] = p
+        self.embedding = self._params.get("embedding")
+        self.blocks = [groups[f"block{i}"] for i in range(config.num_layers)] \
+            if self.needs_latent else []
+        self.head = groups.get("head")
+        self.explicit = ExplicitParams(**groups["explicit"], epsilon=config.epsilon) \
             if self.needs_explicit else None
         self.bs = BSState(mean_tf=max(vocab.mean_tf, config.epsilon),
                           mean_dlen=max(vocab.mean_dlen, 1.0)) \
             if self.needs_explicit else None
-        self.duet = DuetParams(momentum=config.bn_momentum,
+        self.duet = DuetParams(**groups["duet"], momentum=config.bn_momentum,
                                var_floor=config.var_floor) \
             if config.variant == "ndrm3" else None
 
@@ -293,22 +316,7 @@ class CKModel:
 
     def parameters(self):
         """Flat name -> leaf tensor map of everything the variant trains."""
-        params = {}
-        if self.needs_latent:
-            params["embedding"] = self.embedding
-            for i, block in enumerate(self.blocks):
-                for key, tensor in block.items():
-                    params[f"block{i}.{key}"] = tensor
-            params["head.w"] = self.head["w"]
-            params["head.b"] = self.head["b"]
-        if self.needs_explicit:
-            params["explicit.w_dlen"] = self.explicit.w_dlen
-            params["explicit.b_dlen"] = self.explicit.b_dlen
-        if self.duet is not None:
-            params["duet.w1"] = self.duet.w1
-            params["duet.w2"] = self.duet.w2
-            params["duet.b"] = self.duet.b
-        return params
+        return dict(self._params)
 
     def running_stats(self):
         stats = {}

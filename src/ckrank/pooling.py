@@ -189,9 +189,11 @@ def latent_term_scores(features, head):
     return T.wrap_op(data, (features, w, b), backward, "latent_term_scores")
 
 
+def head_param_specs(k):
+    """``(name, shape, init)`` of the scoring head over k kernel features,
+    as ``tensor.init_parameters`` reads them (Glorot-uniform weights)."""
+    return (("w", (k,), math.sqrt(6.0 / (k + 1))), ("b", (), "zeros"))
+
+
 def init_head_params(rng, k):
-    limit = np.sqrt(6.0 / (k + 1))
-    return {
-        "w": T.parameter(rng.uniform(-limit, limit, size=k)),
-        "b": T.parameter(np.zeros(())),
-    }
+    return T.init_parameters(head_param_specs(k), rng)

@@ -225,6 +225,38 @@ def constant(data, dtype=None):
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
+def init_parameters(specs, rng=None, arrays=None):
+    """name -> parameter for ``(name, shape, init)`` specs.
+
+    Without ``arrays`` each parameter is made fresh, in spec order: ``init``
+    is ``"zeros"``, ``"ones"`` or the half-width of a uniform draw from
+    ``rng``. With ``arrays`` (name -> ndarray of the spec's shape) nothing
+    is drawn: each parameter adopts its array without a copy when it is an
+    owned, writeable, C-contiguous array of the default dtype, and a copy of
+    it otherwise.
+    """
+    params = {}
+    if arrays is not None:
+        dtype = np.dtype(_DEFAULT_DTYPE.get())
+        for name, _, _ in specs:
+            arr = arrays[name]
+            flags = arr.flags
+            if not (arr.dtype == dtype and flags.owndata and flags.writeable
+                    and flags.c_contiguous):
+                arr = np.array(arr, dtype=dtype, order="C")
+            params[name] = Tensor._wrap(arr, True)
+        return params
+    for name, shape, init in specs:
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            data = rng.uniform(-init, init, size=shape)
+        params[name] = parameter(data)
+    return params
+
+
 # -- op plumbing -------------------------------------------------------------
 
 

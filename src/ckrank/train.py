@@ -112,12 +112,17 @@ def make_instances(triples, candidates, corpus, rng):
     positives_by_query = {}
     for qid, pos in triples:
         positives_by_query.setdefault(qid, set()).add(pos)
+    docs = corpus.docs
+    pools = {}
     instances = []
     for qid, pos in triples:
-        if pos not in corpus:
+        if pos not in docs:
             continue
-        pool = [d for d in candidates.get(qid, ())
-                if d in corpus and d not in positives_by_query[qid]]
+        pool = pools.get(qid)
+        if pool is None:
+            positives = positives_by_query[qid]
+            pool = pools[qid] = [d for d in candidates.get(qid, ())
+                                 if d in docs and d not in positives]
         if not pool:
             continue
         cand = pool[rng.integers(len(pool))]

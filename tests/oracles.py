@@ -18,7 +18,9 @@ from ckrank.attention import _softmax, _softmax_backward
 from ckrank.index import ImpactIndex, _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
 from ckrank.pooling import interaction_rows, num_windows
-from ckrank.train import DOCS_PER_INSTANCE, _PAIR_SLOTS, ranknet_loss
+from ckrank.checkpoint import MAGIC, VERSION, _wire_dtype
+from ckrank.train import (DOCS_PER_INSTANCE, _PAIR_SLOTS, TrainInstance,
+                          ranknet_loss)
 
 
 @dataclass
@@ -89,6 +91,91 @@ def build_index_per_document(corpus, model):
               for t, (idx, sc) in postings.items()}
     return ImpactIndex(doc_ids, packed, model.config.config_hash(),
                        model.running_stats())
+
+
+def posting_table_by_stable_sort(corpus):
+    """``posting_table`` from Python lists: each document's tf keys and
+    values appended in turn, terms numbered through a dict comprehension,
+    and the postings put in term order by a stable argsort of the term
+    numbers alone."""
+    doc_ids = sorted(corpus.docs)
+    docs = [corpus.get(d) for d in doc_ids]
+    lengths = np.array([doc.length for doc in docs], dtype=np.float64)
+    tokens, tfs, sizes = [], [], []
+    for doc in docs:
+        tokens.extend(doc.tf)
+        tfs.extend(doc.tf.values())
+        sizes.append(len(doc.tf))
+    terms = sorted(set(tokens))
+    term_id = {t: i for i, t in enumerate(terms)}
+    owner = np.array([term_id[t] for t in tokens], dtype=np.int64)
+    by_term = np.argsort(owner, kind="stable")
+    doc_idx = np.repeat(np.arange(len(docs), dtype=np.int64), sizes)[by_term]
+    tf = np.array(tfs, dtype=np.int64)[by_term]
+    return doc_ids, lengths, terms, np.bincount(owner, minlength=len(terms)), \
+        doc_idx, tf
+
+
+def make_instances_pool_per_triple(triples, candidates, corpus, rng):
+    """``make_instances`` with each triple's candidate pool rebuilt from the
+    query's candidates, membership asked of the corpus."""
+    all_ids = sorted(corpus.docs)
+    if len(all_ids) < DOCS_PER_INSTANCE:
+        raise ContractError(f"an instance needs {DOCS_PER_INSTANCE} distinct "
+                            f"documents, the corpus has {len(all_ids)}")
+    positives_by_query = {}
+    for qid, pos in triples:
+        positives_by_query.setdefault(qid, set()).add(pos)
+    instances = []
+    for qid, pos in triples:
+        if pos not in corpus:
+            continue
+        pool = [d for d in candidates.get(qid, ())
+                if d in corpus and d not in positives_by_query[qid]]
+        if not pool:
+            continue
+        cand = pool[rng.integers(len(pool))]
+        taken = {pos, cand}
+        coll = []
+        while len(coll) < 2:
+            doc = all_ids[rng.integers(len(all_ids))]
+            if doc not in taken:
+                coll.append(doc)
+                taken.add(doc)
+        instances.append(TrainInstance(qid, pos, cand, tuple(coll)))
+    return instances
+
+
+def save_checkpoint_tobytes(path, config_dict, config_hash, params, stats):
+    """``save_checkpoint`` with every payload copied out by ``tobytes()``
+    and the copies written in turn."""
+    entries = []
+    payloads = []
+    offset = 0
+    for name in sorted(params):
+        arr = np.asarray(getattr(params[name], "data", params[name]))
+        if not arr.flags["C_CONTIGUOUS"]:
+            arr = np.ascontiguousarray(arr)
+        wire = _wire_dtype(arr)
+        buf = arr.astype(np.dtype(wire), copy=False).tobytes()
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": wire,
+                        "offset": offset, "nbytes": len(buf)})
+        payloads.append(buf)
+        offset += len(buf)
+    manifest = json.dumps({
+        "format_version": VERSION,
+        "config": config_dict,
+        "config_hash": config_hash,
+        "params": entries,
+        "stats": dict(stats),
+    }).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<Q", len(manifest)))
+        fh.write(manifest)
+        for buf in payloads:
+            fh.write(buf)
 
 
 def retrieve_term_at_a_time(tokens, index, k=100):

@@ -7,14 +7,22 @@ import tempfile
 
 import numpy as np
 import pytest
-from helpers import micro_config, micro_corpus
+from helpers import micro_config, micro_corpus, tiny_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import save_checkpoint_tobytes
 
+import ckrank.attention
+import ckrank.checkpoint
+import ckrank.pooling
+import ckrank.tensor as T
 from ckrank.checkpoint import (MAGIC, VERSION, load_checkpoint, load_model,
                                save_checkpoint, save_model)
+from ckrank.corpus import Vocabulary
 from ckrank.errors import IndexFormatError
-from ckrank.model import CKModel
+from ckrank.model import CKModel, parameter_specs
+from ckrank.train import TrainConfig, TrainInstance, train
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +188,233 @@ def test_load_model_detects_vocab_size_mismatch(tmp_path, micro):
     assert other_vocab.size != vocab.size
     with pytest.raises(IndexFormatError, match="shape"):
         load_model(path, other_vocab)
+
+
+# -- manifest tiling ---------------------------------------------------------------
+
+
+def _rewrite_manifest(path, edit, tail=b""):
+    blob = path.read_bytes()
+    mlen = struct.unpack_from("<Q", blob, 8)[0]
+    manifest = json.loads(blob[16:16 + mlen])
+    edit(manifest)
+    raw = json.dumps(manifest).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw +
+                     blob[16 + mlen:] + tail)
+
+
+def _two_param_checkpoint(path):
+    save_checkpoint(path, {}, "x", {"a": np.ones(2, dtype=np.float32),
+                                    "b": np.zeros(2, dtype=np.float32)}, {})
+
+
+def test_duplicate_parameter_names_rejected(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    _two_param_checkpoint(path)
+    _rewrite_manifest(path, lambda m: m["params"][1].update(name="a"))
+    with pytest.raises(IndexFormatError, match="twice"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "tail.ckpt"
+    _two_param_checkpoint(path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(IndexFormatError, match="after the last payload"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["params"].reverse(),                # out of file order
+    lambda m: m["params"][1].update(offset=0),      # overlaps the first
+    lambda m: m["params"].pop(),                    # leaves bytes unclaimed
+])
+def test_payloads_must_tile_the_file(tmp_path, edit):
+    path = tmp_path / "tile.ckpt"
+    _two_param_checkpoint(path)
+    _rewrite_manifest(path, edit)
+    with pytest.raises(IndexFormatError):
+        load_checkpoint(path)
+
+
+def test_version_1_refused_with_reason(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    _two_param_checkpoint(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(IndexFormatError, match="version 1 predates the "
+                                               "vocabulary fingerprint"):
+        load_checkpoint(path)
+
+
+# -- the writer against per-parameter copies ----------------------------------------
+
+
+def _param_arrays():
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    array = hnp.arrays(st.sampled_from([np.float32, np.float64]), shapes,
+                       elements=floats)
+    # a reversed or strided view is not C-contiguous
+    return st.tuples(array, st.sampled_from(["plain", "transpose", "stride"])) \
+        .map(lambda a: {"plain": a[0], "transpose": a[0].T,
+                        "stride": a[0][..., ::2]}[a[1]] if a[0].ndim else a[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text("abcdef.", min_size=1, max_size=6),
+                       _param_arrays(), max_size=5))
+def test_writer_matches_per_parameter_tobytes(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        save_checkpoint(ours, {"v": 1}, "h", params, {"m": 0.5})
+        save_checkpoint_tobytes(theirs, {"v": 1}, "h", params, {"m": 0.5})
+        blobs = []
+        for path in (ours, theirs):
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            mlen = struct.unpack_from("<Q", blob, 8)[0]
+            blobs.append((json.loads(blob[16:16 + mlen])["params"],
+                          blob[16 + mlen:]))
+        _, _, arrays, _ = load_checkpoint(ours)
+    assert blobs[0] == blobs[1]
+    for name, arr in params.items():
+        assert arrays[name].shape == arr.shape
+        assert arrays[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+
+
+# -- loading builds the model from the file, drawing nothing -------------------------
+
+
+class _NoDraws(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("a load drew a parameter")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a load initialized parameters")
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_load_draws_nothing_and_adopts_the_file(tmp_path, micro, monkeypatch,
+                                                variant, precision):
+    _, vocab = micro
+    path = tmp_path / "model.ckpt"
+    with T.precision(precision):
+        model = CKModel(micro_config(variant, seed=2), vocab)
+        save_model(model, path)
+        made = []
+
+        def default_rng(seed=None):
+            made.append((seed, _NoDraws(np.random.PCG64(seed))))
+            return made[-1][1]
+
+        read = ckrank.checkpoint._read
+        files = []
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        monkeypatch.setattr(ckrank.attention, "init_block_params", _refuse)
+        monkeypatch.setattr(ckrank.pooling, "init_head_params", _refuse)
+        monkeypatch.setattr(ckrank.checkpoint, "_read",
+                            lambda p: files.append(read(p)) or files[-1])
+        loaded = load_model(path, vocab)
+        monkeypatch.undo()
+    # only the dropout stream was made, and it is untouched
+    assert [seed for seed, _ in made] == [model.config.seed + 1]
+    assert made[0][1].bit_generator.state == \
+        np.random.PCG64(model.config.seed + 1).state
+    _, arrays = files[0]
+    saved = model.parameters()
+    assert list(loaded.parameters()) == list(saved)
+    for name, tensor in loaded.parameters().items():
+        data = tensor.data
+        assert data is arrays[name]          # adopted, not copied again
+        assert data.dtype == saved[name].data.dtype
+        assert data.flags.owndata and data.flags.writeable
+        assert data.dtype.isnative
+        assert data.tobytes() == saved[name].data.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_parameter_specs_name_every_parameter(micro, variant):
+    _, vocab = micro
+    model = CKModel(micro_config(variant), vocab)
+    specs = parameter_specs(model.config, vocab.size)
+    assert [(name, shape) for name, shape, _ in specs] == \
+        [(name, p.shape) for name, p in model.parameters().items()]
+
+
+def test_loaded_copy_trains_like_the_original(tmp_path, micro):
+    corpus, vocab = micro
+    doc_ids = sorted(corpus.docs)
+    rng = np.random.default_rng(11)
+    queries = {f"Q{i}": [f"w{j:02d}" for j in rng.integers(40, size=3)]
+               for i in range(4)}
+    instances = [TrainInstance(q, *(doc_ids[j] for j in picks[:2]),
+                               tuple(doc_ids[j] for j in picks[2:]))
+                 for q, picks in ((q, rng.choice(len(doc_ids), 4, replace=False))
+                                  for q in queries)]
+    model = CKModel(tiny_config("ndrm3", seed=6), vocab)
+    path = tmp_path / "fresh.ckpt"
+    save_model(model, path)
+    loaded = load_model(path, vocab)
+    cfg = TrainConfig(batch_size=2, steps=3, lr=3e-3, seed=1)
+    traces = [train(m, corpus, queries, instances, cfg).loss_trace
+              for m in (model, loaded)]
+    assert len(traces[0]) == 3
+    assert traces[0] == traces[1]
+    for name, tensor in model.parameters().items():
+        assert tensor.data.tobytes() == loaded.parameters()[name].data.tobytes()
+
+
+# -- the vocabulary fingerprint -------------------------------------------------------
+
+
+def _vocab_like(vocab, term_to_id=None, df=None, num_docs=None):
+    return Vocabulary(vocab.term_to_id if term_to_id is None else term_to_id,
+                      vocab.df if df is None else df,
+                      vocab.num_docs if num_docs is None else num_docs,
+                      vocab.mean_dlen, vocab.mean_tf)
+
+
+@pytest.mark.parametrize("change", ["reversed terms", "df", "num_docs"])
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_load_model_refuses_another_vocabulary(tmp_path, micro, variant, change):
+    _, vocab = micro
+    path = tmp_path / "model.ckpt"
+    save_model(CKModel(micro_config(variant), vocab), path)
+    terms = sorted(vocab.term_to_id, key=vocab.term_to_id.get)
+    other = {
+        "reversed terms": lambda: _vocab_like(
+            vocab, term_to_id={t: i for i, t in enumerate(reversed(terms))}),
+        "df": lambda: _vocab_like(vocab, df={**vocab.df,
+                                             terms[0]: vocab.df[terms[0]] + 1}),
+        "num_docs": lambda: _vocab_like(vocab, num_docs=vocab.num_docs + 1),
+    }[change]()
+    assert other.size == vocab.size
+    with pytest.raises(IndexFormatError, match="different vocabulary"):
+        load_model(path, other)
+
+
+def test_load_model_accepts_a_saved_and_reloaded_vocabulary(tmp_path, micro):
+    corpus, vocab = micro
+    model = CKModel(micro_config("ndrm3", seed=1), vocab)
+    save_model(model, tmp_path / "model.ckpt")
+    vocab.save(tmp_path / "vocab.json")
+    reloaded = Vocabulary.load(tmp_path / "vocab.json")
+    assert reloaded.fingerprint() == vocab.fingerprint()
+    loaded = load_model(tmp_path / "model.ckpt", reloaded)
+    doc = next(iter(corpus))
+    model.eval()
+    assert loaded.score_query_document(["w01", "w03"], doc) == \
+        model.score_query_document(["w01", "w03"], doc)
+
+
+def test_raw_checkpoint_without_fingerprint_is_not_a_model(tmp_path, micro):
+    _, vocab = micro
+    model = CKModel(micro_config("ndrm2"), vocab)
+    path = tmp_path / "raw.ckpt"
+    save_checkpoint(path, model.config.to_dict(), model.config.config_hash(),
+                    model.parameters(), model.running_stats())
+    with pytest.raises(IndexFormatError, match="different vocabulary"):
+        load_model(path, vocab)

@@ -10,16 +10,17 @@ import pytest
 from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (build_index_per_document, retrieve_term_at_a_time,
-                     save_index_per_posting, write_varint)
+from oracles import (build_index_per_document, posting_table_by_stable_sort,
+                     retrieve_term_at_a_time, save_index_per_posting,
+                     write_varint)
 
 import ckrank.tensor as T
 from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
                            ingest_corpus, load_qrels, load_queries)
 from ckrank.errors import ConfigError, ContractError, IndexFormatError
 from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varints,
-                          _write_varints, build_index, load_index, rerank,
-                          retrieve, save_index)
+                          _write_varints, build_index, load_index,
+                          posting_table, rerank, retrieve, save_index)
 from ckrank.model import CKModel
 from ckrank.synth import (make_synthetic, write_candidates, write_qrels,
                           write_queries_tsv, write_triples, write_tsv_corpus)
@@ -171,6 +172,38 @@ def test_tie_order_survives_save_and_load(tmp_path):
 
 
 # -- building -------------------------------------------------------------------
+
+
+def _assert_tables_equal(got, want):
+    assert got[0] == want[0] and got[2] == want[2]
+    for a, b in zip(got[1:2] + got[3:], want[1:2] + want[3:]):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert [a.dtype for a in got[3:]] == [np.dtype(np.int64)] * 3
+    assert got[1].dtype == np.float64
+
+
+def test_posting_table_matches_stable_sort_oracle(synth):
+    _assert_tables_equal(posting_table(synth.corpus),
+                         posting_table_by_stable_sort(synth.corpus))
+
+
+_TERMS = ["a", "b", "zz", "\u00e9t\u00e9", "\u65e5\u672c", "stra\u00dfe", "a1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(st.lists(st.sampled_from(_TERMS), max_size=12), max_size=8),
+    st.lists(st.lists(st.sampled_from(_TERMS), max_size=12), max_size=1),
+    # one term in every document, repeated
+    st.lists(st.integers(1, 5), min_size=1, max_size=6).map(
+        lambda ns: [["\u00e9t\u00e9"] * n for n in ns])))
+def test_posting_table_matches_oracle_on_small_corpora(docs):
+    corpus = Corpus()
+    for i, tokens in enumerate(docs):
+        corpus.add(DocumentRecord(f"D{(i * 7) % 11:02d}-{i}", tokens))
+    _assert_tables_equal(posting_table(corpus),
+                         posting_table_by_stable_sort(corpus))
 
 
 def test_build_refuses_training_mode(indexed):

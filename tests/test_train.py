@@ -7,7 +7,7 @@ import pytest
 from helpers import micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import batch_loss_per_document
+from oracles import batch_loss_per_document, make_instances_pool_per_triple
 
 import ckrank.tensor as T
 from ckrank.corpus import Corpus, DocumentRecord
@@ -339,3 +339,35 @@ def test_bs_stats_move_during_training(training_setup):
     train(model, corpus, query_tokens, instances,
           TrainConfig(batch_size=4, steps=10, lr=1e-4, seed=0))
     assert model.bs.mean_dlen != before
+
+
+# -- instance sampling against the per-triple oracle -------------------------------
+
+
+def _same_instances(triples, candidates, corpus, seed):
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    got = make_instances(triples, candidates, corpus, rngs[0])
+    want = make_instances_pool_per_triple(triples, candidates, corpus, rngs[1])
+    assert got == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    return got
+
+
+def test_make_instances_matches_oracle_on_synthetic(synth):
+    instances = _same_instances(synth.triples, synth.candidates, synth.corpus, 7)
+    assert len(instances) > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 16), st.data())
+def test_make_instances_matches_oracle(seed, data):
+    num_docs = data.draw(st.integers(DOCS_PER_INSTANCE, 9))
+    corpus = Corpus()
+    for i in range(num_docs):
+        corpus.add(DocumentRecord(f"D{i}", ["w"]))
+    # ids past num_docs are missing from the corpus
+    doc = st.integers(0, num_docs + 2).map(lambda i: f"D{i}")
+    qid = st.sampled_from(["Q0", "Q1", "Q2"])
+    triples = data.draw(st.lists(st.tuples(qid, doc), max_size=12))
+    candidates = data.draw(st.dictionaries(qid, st.lists(doc, max_size=6)))
+    _same_instances(triples, candidates, corpus, seed)
