@@ -140,6 +140,28 @@ def _softmax_backward(s, g, axis):
     return g
 
 
+def _project(x, w_qkv, b_qkv, out=None):
+    """Key-major q, k and v of the rows of x: w_qkvᵀ @ xᵀ + b_qkv."""
+    out = np.matmul(w_qkv.T, x.T, out)
+    out += b_qkv
+    return out
+
+
+def _summarize(q, k, v, out=None):
+    """Both softmaxes in place on key-major (heads, d, n) q and k, then each
+    head's softmax(k) @ vᵀ."""
+    _softmax(q, 1, out=q)
+    _softmax(k, 2, out=k)
+    return np.matmul(k, v.transpose(0, 2, 1), out)
+
+
+def _attend(q, mixed, bias, out=None):
+    """softmax(q)ᵀ @ M + bo for key-major q of some positions."""
+    out = np.matmul(q.T, mixed, out)
+    out += bias
+    return out
+
+
 def _separable_attention(x, params, heads):
     """The separable attention sublayer as one op -> Tensor[n, model_dim].
 
@@ -148,25 +170,40 @@ def _separable_attention(x, params, heads):
     run in place on it. Per head, summary_h = softmax(k_h over n) @ v_hᵀ is
     (d_key, d_value); folding the output projection into it gives
     M_h = summary_h @ wo_h, so out = softmax(q over d_key)ᵀ @ M + bo is one
-    product the size of the output projection.
+    product the size of the output projection. The projection and the
+    output product run on the pool in blocks of positions, both softmaxes
+    and the summaries in blocks of heads.
     """
     wq, bq, wk, bk, wv, bv, wo, bo = (params[name] for name in (
         "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
     pk, pv, m = wq.shape[1], wv.shape[1], wo.shape[1]
     spans = ((0, pk), (pk, 2 * pk), (2 * pk, 2 * pk + pv))
-    x_data, wo_data = x._data, wo._data
+    x_data, wo_data, bo_data = x._data, wo._data, bo._data
     n = x_data.shape[0]
     w_qkv = np.concatenate((wq._data, wk._data, wv._data), axis=1)
-    qkv = w_qkv.T @ x_data.T                                   # (2pk + pv, n)
-    qkv += np.concatenate((bq._data, bk._data, bv._data))[:, None]
-    phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
-    _softmax(phi_q, 1, out=phi_q)                              # (h, dk, n)
-    _softmax(phi_k, 2, out=phi_k)                              # (h, dk, n)
+    b_qkv = np.concatenate((bq._data, bk._data, bv._data))[:, None]
     wo_h = wo_data.reshape(heads, -1, m)                       # (h, dv, m)
-    summary = phi_k @ vk.transpose(0, 2, 1)                    # (h, dk, dv)
-    mixed = (summary @ wo_h).reshape(pk, m)                    # (h * dk, m)
-    out = qkv[:pk].T @ mixed
-    out += bo._data
+    column_bytes = w_qkv.shape[1] * x_data.itemsize
+    positions = T.row_blocks(n, column_bytes)
+    if positions is None:
+        qkv = _project(x_data, w_qkv, b_qkv)                   # (2pk + pv, n)
+        phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
+        summary = _summarize(phi_q, phi_k, vk)                 # (h, dk, dv)
+        mixed = (summary @ wo_h).reshape(pk, m)                # (h * dk, m)
+        out = _attend(qkv[:pk], mixed, bo_data)
+    else:
+        # Blocks of positions for the projection and the output product;
+        # blocks of heads, each with its rows of qkv, for the softmaxes and
+        # the summaries.
+        qkv = np.empty((w_qkv.shape[1], n), np.result_type(w_qkv, x_data))
+        T.run_blocks(lambda b: _project(x_data[b], w_qkv, b_qkv, qkv[:, b]), positions)
+        phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
+        summary = np.empty((heads, pk // heads, pv // heads), qkv.dtype)
+        T.run_blocks(lambda b: _summarize(phi_q[b], phi_k[b], vk[b], summary[b]),
+                     T.row_blocks(heads, n * column_bytes // heads))
+        mixed = (summary @ wo_h).reshape(pk, m)
+        out = np.empty((n, m), np.result_type(qkv, mixed))
+        T.run_blocks(lambda b: _attend(qkv[:pk, b], mixed, bo_data, out[b]), positions)
 
     def backward(g):
         bo._accumulate(g.sum(axis=0))
@@ -233,15 +270,31 @@ def multi_head(x, params, cfg, variant="separable"):
     return T.linear(heads, params["wo"], params["bo"])
 
 
+def _ffn_rows(x, w1, b1, w2, b2, hidden=None, out=None):
+    """relu(x @ w1 + b1) -> hidden, then hidden @ w2 + b2 -> out."""
+    hidden = np.matmul(x, w1, hidden)
+    hidden += b1
+    np.maximum(hidden, 0, out=hidden)
+    out = np.matmul(hidden, w2, out)
+    out += b2
+    return hidden, out
+
+
 def feed_forward(x, w1, b1, w2, b2):
     """Position-wise FFN as one op: relu(x @ w1 + b1) @ w2 + b2, the relu in
-    place; the post-relu hidden array is kept for the backward pass."""
+    place, in blocks of rows on the pool; the post-relu hidden array is kept
+    for the backward pass."""
     x_data, w1_data, w2_data = x._data, w1._data, w2._data
-    hidden = x_data @ w1_data
-    hidden += b1._data
-    np.maximum(hidden, 0, out=hidden)
-    out = hidden @ w2_data
-    out += b2._data
+    b1_data, b2_data = b1._data, b2._data
+    n, hidden_dim = len(x_data), w1_data.shape[1]
+    blocks = T.row_blocks(n, hidden_dim * x_data.itemsize)
+    if blocks is None:
+        hidden, out = _ffn_rows(x_data, w1_data, b1_data, w2_data, b2_data)
+    else:
+        hidden = np.empty((n, hidden_dim), np.result_type(x_data, w1_data))
+        out = np.empty((n, w2_data.shape[1]), np.result_type(hidden, w2_data))
+        T.run_blocks(lambda b: _ffn_rows(x_data[b], w1_data, b1_data, w2_data, b2_data,
+                                         hidden[b], out[b]), blocks)
 
     def backward(g):
         w2._accumulate(hidden.T @ g)
@@ -259,17 +312,23 @@ def feed_forward(x, w1, b1, w2, b2):
 
 def conformer_block(x, params, cfg, training=False, rng=None, variant="separable"):
     """Grouped conv, separable multi-head attention, and FFN sublayers, each
-    followed by dropout and a layer norm of the sum with its input."""
+    followed by dropout and a layer norm of the sum with its input.
+
+    Each sublayer's output and input are dropped once its layer norm has
+    read them, so without a graph to keep them alive at most four (n, d)
+    tensors are live: the caller's x, y2, ffn and the result."""
     p = cfg.dropout_rate
 
     conv = T.grouped_conv1d(x, params["conv_kernel"], cfg.conv_groups,
                             cfg.conv_window, params["conv_bias"])
     conv = T.dropout(conv, p, training, rng)
     y1 = T.layer_norm(x, params["ln1_gamma"], params["ln1_beta"], residual=conv)
+    del conv
 
     attn = multi_head(y1, params, cfg, variant=variant)
     attn = T.dropout(attn, p, training, rng)
     y2 = T.layer_norm(y1, params["ln2_gamma"], params["ln2_beta"], residual=attn)
+    del y1, attn
 
     ffn = feed_forward(y2, params["ffn_w1"], params["ffn_b1"], params["ffn_w2"],
                        params["ffn_b2"])

@@ -184,7 +184,12 @@ class Vocabulary:
         number of vocabulary terms and of all terms, then every term's length
         and df as int64 and the utf-8 text of all terms; the vocabulary terms
         come in id order, then the other terms with a df in sorted order.
+        Hashed once per vocabulary, like the idf table.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self):
         tid, df = self.term_to_id, self.df
         words = sorted(tid, key=tid.get) + sorted(df.keys() - tid.keys())
         digest = hashlib.sha256(np.array([self.num_docs, len(tid), len(words)],

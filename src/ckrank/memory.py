@@ -29,8 +29,10 @@ class ScopeStats:
 class MemoryTracker:
     """Counts live bytes of tracked buffers and remembers peaks.
 
-    Single lock keeps the counter coherent if scoring workers ever share
-    the process; the benchmark itself runs single-threaded.
+    Single lock keeps the counter coherent when threads that make tensors
+    share the process. The block pool's workers in ``ckrank.tensor`` make
+    none: they compute into arrays, and only the calling thread makes an
+    op's tensor and charges it here.
     """
 
     def __init__(self):

@@ -10,7 +10,9 @@ Every op here is fused and batched (one graph node for all query terms).
 Windowed pooling evaluates the Gaussian kernels once per (term, position)
 into a kernel-major (k, t, positions) array, so overlapping windows share
 the exponentials, and takes every window's sum in one matmul with a 0/1
-(positions, windows) cover matrix.
+(positions, windows) cover matrix. The interaction rows run in blocks of
+positions and the pooling in blocks of kernels on the tensor module's
+worker pool.
 """
 
 import math
@@ -85,8 +87,21 @@ def empty_features(bank, dtype=None):
 # -- cosine interaction --------------------------------------------------------
 
 
+def _unit_rows(a, out=None):
+    """Rows of a scaled to unit length, zero rows left zero -> (unit rows,
+    norms with zeros replaced by 1, nonzero mask); into out when given."""
+    norm = np.linalg.norm(a, axis=1)
+    mask = norm > 0
+    safe = np.where(mask, norm, 1.0)
+    unit = np.divide(a, safe[:, None], out)
+    unit *= mask[:, None]
+    return unit, safe, mask
+
+
 def interaction_rows(q_embs, doc_enc):
-    """Cosine of every (query term, document position) pair -> Tensor[t, n].
+    """Cosine of every (query term, document position) pair -> Tensor[t, n],
+    in blocks of positions on the pool for a long document (normalizing it
+    is half the work, and it is per position).
 
     Zero-norm vectors on either side produce cosine 0 with zero gradient.
     """
@@ -94,15 +109,21 @@ def interaction_rows(q_embs, doc_enc):
         raise ShapeError(f"interaction_rows: incompatible shapes {tuple(q_embs.shape)} "
                          f"vs {tuple(doc_enc.shape)}")
     u, v = q_embs.data, doc_enc.data
-    un = np.linalg.norm(u, axis=1)
-    vn = np.linalg.norm(v, axis=1)
-    u_mask = un > 0
-    v_mask = vn > 0
-    un_safe = np.where(u_mask, un, 1.0)
-    vn_safe = np.where(v_mask, vn, 1.0)
-    uh = (u / un_safe[:, None]) * u_mask[:, None]
-    vh = (v / vn_safe[:, None]) * v_mask[:, None]
-    cos = uh @ vh.T
+    uh, un_safe, u_mask = _unit_rows(u)
+    blocks = T.row_blocks(len(v), (v.shape[1] + len(u)) * v.itemsize)
+    if blocks is None:
+        vh, vn_safe, v_mask = _unit_rows(v)
+        cos = uh @ vh.T
+    else:
+        vh = np.empty(v.shape, v.dtype)
+        vn_safe, v_mask = np.empty(len(v), v.dtype), np.empty(len(v), bool)
+        cos = np.empty((len(u), len(v)), np.result_type(uh, vh))
+
+        def positions(b):
+            _, vn_safe[b], v_mask[b] = _unit_rows(v[b], vh[b])
+            np.matmul(uh, vh[b].T, out=cos[:, b])
+
+        T.run_blocks(positions, blocks)
 
     def backward(g):
         if q_embs.requires_grad:
@@ -120,8 +141,27 @@ def interaction_rows(q_embs, doc_enc):
 # -- windowed pooling ----------------------------------------------------------
 
 
+def _kernel_features(r, mus, inv2s, cover, eps_log, ex=None, e=None):
+    """Kernel values of every (kernel, term, position), kernel-major and in
+    place, then each window's log-sum and the best window -> (values, window
+    sums, winning window, its feature), into ex and e when given."""
+    ex = np.subtract(r, mus[:, None, None], ex)      # (kb, t, n)
+    ex *= ex
+    ex *= -inv2s[:, None, None]
+    np.exp(ex, out=ex)
+    w = cover.shape[1]
+    rows = ex.reshape(-1, r.shape[1])
+    sums = np.matmul(rows, cover, None if e is None else e.reshape(len(rows), w))
+    e = sums.reshape(len(ex), len(r), w)
+    f = np.log(eps_log + e)
+    arg = f.argmax(axis=2)
+    return ex, e, arg, np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
+
+
 def windowed_pool_terms(rows, wcfg, bank):
-    """Fused windowed pooling over all query terms at once -> Tensor[t, k].
+    """Fused windowed pooling over all query terms at once -> Tensor[t, k],
+    in blocks of kernels on the pool (each kernel's values over all terms
+    and positions are one contiguous slab, and its window sums one matmul).
 
     Gradients flow only into the winning window of each (term, kernel) pair;
     overlapping winners accumulate additively.
@@ -137,20 +177,26 @@ def windowed_pool_terms(rows, wcfg, bank):
     k = bank.k
     mus = bank.mus.astype(r.dtype)
     inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
-    # Kernel values once per position, kernel-major, computed in place.
-    ex = np.subtract(r, mus[:, None, None])              # (k, t, n)
-    ex *= ex
-    ex *= -inv2s[:, None, None]
-    np.exp(ex, out=ex)
     # cover[p, i] = 1 when window i covers position p, so one matmul sums
     # every window; a short last window covers fewer positions.
     starts = np.arange(w) * stride
     pos = np.arange(n)[:, None]
     cover = ((pos >= starts) & (pos < starts + wlen)).astype(r.dtype)
-    e = (ex.reshape(k * t, n) @ cover).reshape(k, t, w)
-    f = np.log(bank.eps_log + e)
-    arg = f.argmax(axis=2)                               # (k, t)
-    data = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0].T
+    blocks = T.row_blocks(k, r.nbytes)
+    if blocks is None:
+        ex, e, arg, best = _kernel_features(r, mus, inv2s, cover, bank.eps_log)
+    else:
+        ex = np.empty((k, t, n), dtype=r.dtype)
+        e = np.empty((k, t, w), dtype=r.dtype)
+        arg = np.empty((k, t), dtype=np.intp)
+        best = np.empty((k, t), dtype=r.dtype)
+
+        def kernels(b):
+            _, _, arg[b], best[b] = _kernel_features(r, mus[b], inv2s[b], cover,
+                                                     bank.eps_log, ex[b], e[b])
+
+        T.run_blocks(kernels, blocks)
+    data = best.T
 
     def backward(g):
         e_win = np.take_along_axis(e, arg[:, :, None], axis=2)[:, :, 0]

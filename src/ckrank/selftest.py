@@ -4,15 +4,17 @@ A compact subset of the test suite for installed environments: dense
 attention oracles, brute-force matmul/convolution references, the batched
 grouped conv and multi-head attention against per-tap and per-head loops,
 finite difference gradient checks, pooling path equivalence, loss values,
-metric fixtures, the pair-expansion rule, and the ranking rule of retrieve and
-rerank against a plain sort. Prints one line per check.
+metric fixtures, the pair-expansion rule, the ranking rule of retrieve and
+rerank against a plain sort, and a paper-width encoder block that must give
+the same bytes with one worker as with the block pool. Prints one line per
+check.
 """
 
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import AttentionConfig, init_block_params, multi_head, \
-    separable_self_attention, self_attention
+from .attention import AttentionConfig, conformer_block, init_block_params, \
+    multi_head, separable_self_attention, self_attention
 from .evalmetrics import ndcg_at_k
 from .gradcheck import finite_difference_check
 from .index import ImpactIndex, _rank, retrieve
@@ -96,6 +98,24 @@ def _batched_op_errors(rng):
                 want = _multi_head_oracle(x, params, cfg, variant)
                 worst = max(worst, float(np.abs(got - want).max()))
     return worst
+
+
+def _same_bytes_on_any_worker_count(rng):
+    """A paper-width conformer block long enough that every op spans
+    several blocks, run with one worker and with the process's pool."""
+    cfg = AttentionConfig(dropout_rate=0.0)
+    params = init_block_params(cfg, rng)
+    x = T.constant(rng.normal(size=(1100, cfg.model_dim)))
+    full = T._POOL
+    outs = []
+    for pool in (T.BlockPool(1), full):
+        T._POOL = pool
+        try:
+            with T.no_grad():
+                outs.append(conformer_block(x, params, cfg).data)
+        finally:
+            T._POOL = full
+    return outs[0].tobytes() == outs[1].tobytes(), full.workers
 
 
 def _ranking_matches_sort(rng):
@@ -205,6 +225,10 @@ def run_selftest(seed=0, verbose=True):
         ok = (abs(flat[0] - np.log(2)) < 1e-12 and
               abs(flat[1] - 0.3132616875182228) < 1e-12 and flat[2] < 1e-8)
         check("ranknet loss fixed values", bool(ok))
+
+    same, workers = _same_bytes_on_any_worker_count(rng)
+    check("conformer block: same bytes with 1 worker and the pool", same,
+          f"{workers} workers")
 
     ndcg = ndcg_at_k(["d2", "d1"], {"d1": 3, "d2": 1}, 10)
     expected = (1.0 + 7.0 / np.log2(3)) / (7.0 + 1.0 / np.log2(3))

@@ -16,13 +16,22 @@ no registry of live tensors (``tracker.audit()`` walks the collector).
 
 ``grouped_conv1d`` pads its input group-major, so every receptive field is
 one contiguous run of window * cg values and all fields are a strided view.
-BLAS cannot read overlapping rows, so the fields are copied into one reused
-buffer a cache-sized chunk of positions at a time (``_CONV_CHUNK_BYTES``),
-each chunk one batched matmul. The input gradient runs through the same
-helper; the kernel gradient multiplies the view directly.
+BLAS cannot read overlapping rows, so the fields are copied into a buffer a
+cache-sized chunk of positions at a time (``_CONV_CHUNK_BYTES``), each chunk
+one batched matmul into its rows of the output. The input gradient runs
+through the same helper; the kernel gradient multiplies the view directly.
+
+Large forward ops run in row blocks (``run_blocks``) shared among the
+calling thread and a ``BlockPool`` of helper threads, one per CPU the
+process may use. Block boundaries depend only on shapes and a byte budget,
+so results do not depend on the worker count; an op that fits in one block
+runs on the calling thread alone. Backward passes stay serial.
 """
 
 import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,7 +41,9 @@ from .memory import tracker
 
 # Numeric mode flags are per thread (and per asyncio task): a thread that
 # indexes under no_grad must not switch off graph recording for a thread
-# that trains alongside it. New threads start from the defaults.
+# that trains alongside it. New threads start from the defaults, so the
+# block pool's workers read no flag: they run numpy on the arrays they are
+# given, and the calling thread makes the op's tensor.
 _DEFAULT_DTYPE = contextvars.ContextVar("ckrank_default_dtype", default=np.float32)
 _GRAD_ENABLED = contextvars.ContextVar("ckrank_grad_enabled", default=True)
 _CHECK_FINITE = contextvars.ContextVar("ckrank_check_finite", default=True)
@@ -285,6 +296,114 @@ def wrap_op(out_data, parents, backward_fn, name, saved=()):
             out._nbytes += out._kept
             tracker.alloc(out._kept)
     return out
+
+
+# -- row blocks on a worker pool ------------------------------------------------
+
+# Bytes of its largest array that one block of a large forward op covers.
+# A paper-config document splits each large op into several blocks; every
+# op of a tiny-config document fits in one and runs whole on the calling
+# thread. Smaller blocks made the attention projection's matmuls slower.
+_BLOCK_BYTES = 1 << 20
+
+
+class BlockPool:
+    """Shares the blocks of one op among the calling thread and
+    ``workers - 1`` helper threads, each taking the next block in turn.
+
+    numpy releases the interpreter lock inside its loops and BLAS calls, so
+    the blocks run in parallel. Threads start on the first call that has
+    more than one block to share.
+    """
+
+    def __init__(self, workers):
+        self.workers = workers
+        self._executor = None
+        self._lock = threading.Lock()
+
+    def run(self, fn, blocks):
+        """Call ``fn(block)`` once per block; returns when all are done.
+
+        A block's result must not depend on which thread runs it, so results
+        are the same for any worker count. The first error raised by the
+        calling thread, or else by a helper, is raised here.
+        """
+        helpers = min(self.workers, len(blocks)) - 1
+        if helpers <= 0:
+            for block in blocks:
+                fn(block)
+            return
+        todo = iter(blocks)
+        take = threading.Lock()
+
+        def drain():
+            while True:
+                with take:
+                    block = next(todo, None)
+                if block is None:
+                    return
+                fn(block)
+
+        futures = [self._pool().submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            # A helper that has not started by now has nothing left to do.
+            running = [f for f in futures if not f.cancel()]
+            errors = [f.exception() for f in running]
+        for err in errors:
+            if err is not None:
+                raise err
+
+    def _pool(self):
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(self.workers - 1,
+                                                    thread_name_prefix="ckrank-block")
+            return self._executor
+
+    def close(self):
+        """Stop the helper threads; the next shared call starts new ones."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
+
+
+def _available_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_POOL = BlockPool(_available_cpus())
+# Runs every block on the calling thread: backward passes stay serial.
+_SERIAL = BlockPool(1)
+
+
+def row_blocks(rows, row_bytes, budget=None):
+    """Consecutive slices covering range(rows), each of at most
+    ``budget // row_bytes`` rows (``_BLOCK_BYTES`` when budget is None), or
+    None when all rows fit in one block: the op then runs whole on the
+    calling thread.
+
+    Boundaries depend only on these numbers, never on the worker count.
+    """
+    budget = budget or _BLOCK_BYTES
+    if rows * row_bytes <= budget:
+        return None
+    step = max(1, budget // row_bytes)
+    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
+def run_blocks(fn, blocks):
+    """Call ``fn(block)`` for every block, shared among the pool's workers.
+
+    fn may use only numpy on arrays it is given (no tensor, no mode flag)
+    and must write each block's result to that block's own rows.
+    """
+    _POOL.run(fn, blocks)
 
 
 def _reduce_to(g, shape):
@@ -661,23 +780,47 @@ def embedding(table, ids, offset=None):
     return wrap_op(data, (table,), backward, "embedding")
 
 
+def _normalize(s, gamma, beta, eps, xhat=None, denom=None, out=None):
+    """Layer norm of the rows of s -> (xhat, denom, out): centre once, take
+    the variance as a row-wise dot, scale in place. Writes into the arrays
+    given (fresh ones when None); like every block kernel here it passes
+    them positionally, since a keyword ``out`` costs more per call than a
+    tiny op's arithmetic."""
+    d = s.shape[-1]
+    xhat = np.subtract(s, np.add.reduce(s, axis=-1, keepdims=True) / d, xhat)
+    denom = np.sqrt(np.vecdot(xhat, xhat)[..., None] / d + eps, denom)
+    xhat /= denom
+    out = np.multiply(xhat, gamma, out)
+    out += beta
+    return xhat, denom, out
+
+
 def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
     """Normalize each row of x (plus residual, when given) over the last
-    dimension, then affine-transform: centre once, take the variance as a
-    row-wise dot, scale in place. x and residual get the same gradient."""
+    dimension, then affine-transform; a matrix too large for one block runs
+    in blocks of rows on the pool. x and residual get the same gradient."""
     if residual is not None and residual.shape != x.shape:
         raise ShapeError(f"layer_norm: residual shape {tuple(residual.shape)} "
                          f"!= input shape {tuple(x.shape)}")
-    d = x.shape[-1]
-    s = x._data if residual is None else x._data + residual._data
-    xhat = s - np.add.reduce(s, axis=-1, keepdims=True) / d
-    denom = np.sqrt(np.vecdot(xhat, xhat)[..., None] / d + eps)
-    xhat /= denom
-    data = xhat * gamma._data
-    data += beta._data
+    x_data, g_data, b_data = x._data, gamma._data, beta._data
+    r_data = None if residual is None else residual._data
+    if x_data.ndim != 2 or x_data.nbytes <= _BLOCK_BYTES:
+        s = x_data if r_data is None else x_data + r_data
+        xhat, denom, data = _normalize(s, g_data, b_data, eps)
+    else:
+        dtype = x_data.dtype if r_data is None else np.result_type(x_data, r_data)
+        xhat = np.empty(x_data.shape, dtype)
+        denom = np.empty((len(x_data), 1), dtype)
+        data = np.empty(x_data.shape, np.result_type(dtype, g_data))
+
+        def rows(b):
+            s = x_data[b] if r_data is None else x_data[b] + r_data[b]
+            _normalize(s, g_data, b_data, eps, xhat[b], denom[b], data[b])
+
+        run_blocks(rows, row_blocks(len(x_data), x_data[0].nbytes))
 
     def backward(g):
-        gg = g * gamma._data
+        gg = g * g_data
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
         # The rounded mean leaves the centred rows a tiny mean of their own;
@@ -687,8 +830,8 @@ def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
         x._accumulate(dx)
         if residual is not None:
             residual._accumulate(dx)
-        gamma._accumulate(_reduce_to(g * xhat, gamma._data.shape))
-        beta._accumulate(_reduce_to(g, beta._data.shape))
+        gamma._accumulate(_reduce_to(g * xhat, g_data.shape))
+        beta._accumulate(_reduce_to(g, b_data.shape))
 
     parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return wrap_op(data, parents, backward, "layer_norm")
@@ -716,20 +859,29 @@ def _receptive_fields(a, groups, window):
                                            xp.strides, writeable=False)
 
 
-def _fields_matmul(fields, kmat):
-    """(groups, n, w) fields @ (groups, w, cg) kmat -> (groups, n, cg).
+def _fields_matmul(fields, kmat, pool, bias=None):
+    """(groups, n, w) fields @ (groups, w, cg) kmat (+ bias) -> (n, groups * cg).
 
-    Fields overlap in memory, which BLAS cannot read in place, so they are
-    copied into one reused buffer a cache-sized chunk of positions at a time.
+    Fields overlap in memory, which BLAS cannot read in place, so each
+    cache-sized chunk of positions is copied into a buffer of its own and
+    multiplied straight into its rows of the output; the chunks are the
+    blocks ``pool`` shares among its workers.
     """
     groups, n, wcg = fields.shape
-    out = np.empty((groups, n, kmat.shape[2]), dtype=fields.dtype)
-    rows = min(n, max(1, _CONV_CHUNK_BYTES // (groups * wcg * fields.itemsize)))
-    buf = np.empty((groups, rows, wcg), dtype=fields.dtype)
-    for s in range(0, n, rows):
-        m = min(rows, n - s)
-        np.copyto(buf[:, :m], fields[:, s:s + m])
-        np.matmul(buf[:, :m], kmat, out=out[:, s:s + m])
+    cg = kmat.shape[2]
+    out = np.empty((n, groups * cg), dtype=fields.dtype)
+    by_group = out.reshape(n, groups, cg).transpose(1, 0, 2)
+
+    def chunk(b):
+        np.matmul(np.ascontiguousarray(fields[:, b]), kmat, out=by_group[:, b])
+        if bias is not None:
+            out[b] += bias
+
+    blocks = row_blocks(n, groups * wcg * fields.itemsize, _CONV_CHUNK_BYTES)
+    if blocks is None:
+        chunk(slice(0, n))
+    else:
+        pool.run(chunk, blocks)
     return out
 
 
@@ -739,7 +891,8 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
     x: (n, c) token-major activations; kernel: (groups, window, cg, cg)
     with cg = c // groups; zero padding of (window-1)//2 on both sides.
     Each group is one matmul of its receptive fields against its taps,
-    run over cache-sized chunks of positions.
+    run over cache-sized chunks of positions, on the pool in the forward
+    pass and on the calling thread in the backward pass.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_conv1d expects (n, c) input, got {tuple(x.shape)}")
@@ -757,10 +910,8 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
     if bias is not None and bias.shape != (c,):
         raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
     fields = _receptive_fields(x._data, groups, window)
-    out = _fields_matmul(fields, kernel._data.reshape(groups, window * cg, cg))
-    data = out.transpose(1, 0, 2).reshape(n, c)
-    if bias is not None:
-        data += bias._data
+    data = _fields_matmul(fields, kernel._data.reshape(groups, window * cg, cg), _POOL,
+                          None if bias is None else bias._data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
@@ -775,8 +926,8 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
             # reversed and each tap transposed.
             kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2).reshape(
                 groups, window * cg, cg)
-            dx = _fields_matmul(_receptive_fields(g, groups, window), kt)
-            x._accumulate(dx.transpose(1, 0, 2).reshape(n, c))
+            x._accumulate(_fields_matmul(_receptive_fields(g, groups, window), kt,
+                                         _SERIAL))
         if bias is not None:
             bias._accumulate(g.sum(axis=0))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import micro_corpus, tiny_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,11 @@ import ckrank.tensor as T
 from ckrank.attention import (AttentionConfig, conformer_block, init_block_params,
                               multi_head, positional_encoding, self_attention,
                               separable_self_attention)
+from ckrank.corpus import Corpus, DocumentRecord
 from ckrank.errors import ConfigError, ShapeError
+from ckrank.index import build_index
 from ckrank.memory import tracker
+from ckrank.model import CKModel
 
 
 def micro_cfg(**overrides):
@@ -259,3 +263,23 @@ def test_standard_does_allocate_n_by_n():
     with tracker.record_shapes() as shapes:
         self_attention(q, k, v)
     assert (n, n) in shapes
+
+
+def test_tiny_fold_peak_is_four_activations():
+    """Without a graph, a conformer block drops each sublayer's input and
+    output once its layer norm has read them, so at most four (n, d)
+    tensors are live: the caller's input, y2, the FFN output and the
+    result. Folding one 80-token document (fold-short's longest) with a
+    tiny-config ndrm3 peaks at 4 * 80 * 32 * 4 bytes; before, conv, y1 and
+    the attention output were live too, seven tensors in all."""
+    corpus, vocab = micro_corpus()
+    rng = np.random.default_rng(6)
+    terms = sorted(vocab.term_to_id)
+    one = Corpus()
+    one.add(DocumentRecord("long", [terms[i] for i in
+                                    rng.integers(0, len(terms), size=80)]))
+    model = CKModel(tiny_config("ndrm3"), vocab)
+    model.eval()
+    with tracker.scope() as scope:
+        build_index(one, model)
+    assert scope.peak_bytes == 4 * 80 * 32 * 4 == 40960

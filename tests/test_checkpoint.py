@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and corruption detection."""
 
+import hashlib
 import json
 import os
 import struct
@@ -408,6 +409,38 @@ def test_load_model_accepts_a_saved_and_reloaded_vocabulary(tmp_path, micro):
     model.eval()
     assert loaded.score_query_document(["w01", "w03"], doc) == \
         model.score_query_document(["w01", "w03"], doc)
+
+
+def test_load_model_refuses_a_permuted_vocabulary_after_hashing_the_first(
+        tmp_path, micro):
+    """The fingerprint is kept per vocabulary object, so a permutation of a
+    vocabulary that was already hashed is still refused."""
+    _, vocab = micro
+    path = tmp_path / "model.ckpt"
+    save_model(CKModel(micro_config("ndrm3"), vocab), path)
+    assert load_model(path, vocab).vocab is vocab
+    terms = sorted(vocab.term_to_id, key=vocab.term_to_id.get)
+    order = np.random.default_rng(4).permutation(len(terms))
+    permuted = _vocab_like(vocab, term_to_id={terms[j]: i for i, j in enumerate(order)})
+    with pytest.raises(IndexFormatError, match="different vocabulary"):
+        load_model(path, permuted)
+
+
+def test_fingerprint_is_hashed_once_per_vocabulary(monkeypatch, micro):
+    corpus, _ = micro
+    vocab = Vocabulary.build(corpus)
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(*args):
+        calls.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    first = vocab.fingerprint()
+    assert len(calls) == 1
+    assert vocab.fingerprint() == first
+    assert len(calls) == 1
 
 
 def test_raw_checkpoint_without_fingerprint_is_not_a_model(tmp_path, micro):
