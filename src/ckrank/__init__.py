@@ -10,7 +10,7 @@ and evaluation plumbing (corpus, bm25, evalmetrics, synth), and harnesses
 from . import (attention, bench, bm25, checkpoint, corpus, evalmetrics,
                gradcheck, index, model, pooling, synth, tensor, train)
 from .attention import AttentionConfig, conformer_block, multi_head, \
-    positional_encoding, self_attention, separable_self_attention
+    positional_encoding
 from .corpus import Corpus, DocumentRecord, QueryRecord, Vocabulary, \
     ingest_corpus, load_qrels, load_queries, load_run, tokenize, write_run
 from .errors import CkrankError, ConfigError, ContractError, IndexFormatError, \

@@ -81,37 +81,6 @@ def positional_encoding(n, dim, dtype=None):
     return table[:n]
 
 
-def self_attention(q, k, v):
-    """Baseline attention: softmax(q kᵀ / sqrt(d_key)) v, with the full
-    n-by-n weight matrix held in memory."""
-    _check_rows(q, k, v)
-    d_key = q.shape[1]
-    scores = T.matmul(T.scale(q, 1.0 / np.sqrt(d_key)), T.transpose(k))
-    attn = T.softmax(scores, axis=-1)
-    return T.matmul(attn, v)
-
-
-def separable_self_attention(q, k, v):
-    """Linear-memory attention: softmax(q, over d_key) @ (softmax(kᵀ, over n) @ v).
-
-    The inner product collapses the sequence axis before anything touches q,
-    so peak extra memory is O(n * d_key) + O(d_key * d_value).
-    """
-    _check_rows(q, k, v)
-    phi_q = T.softmax(q, axis=-1)
-    phi_kt = T.softmax(T.transpose(k), axis=-1)
-    summary = T.matmul(phi_kt, v)
-    return T.matmul(phi_q, summary)
-
-
-def _check_rows(q, k, v):
-    if not (q.shape[0] == k.shape[0] == v.shape[0]):
-        raise ShapeError(f"attention row counts differ: q {tuple(q.shape)}, "
-                         f"k {tuple(k.shape)}, v {tuple(v.shape)}")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"q and k key dims differ: {q.shape[1]} vs {k.shape[1]}")
-
-
 def _split_heads(a, heads):
     """(n, heads * d) -> (heads, n, d) view."""
     n = a.shape[0]

@@ -40,8 +40,6 @@ class MemoryTracker:
         self.live_bytes = 0
         self.peak_bytes = 0
         self._scopes = []
-        # Optional shape log for tests that assert on allocation shapes.
-        self._shape_log = None
 
     def alloc(self, nbytes):
         with self._lock:
@@ -56,11 +54,9 @@ class MemoryTracker:
             self.live_bytes -= nbytes
 
     def register(self, tensor):
-        """Charge a new tensor's bytes and log its shape if shapes are being
-        recorded: the one tracker call every tensor makes."""
+        """Charge a new tensor's bytes: the one tracker call every tensor
+        makes."""
         self.alloc(tensor.tracked_nbytes())
-        if self._shape_log is not None:
-            self._shape_log.append(tuple(tensor.shape))
 
     @contextmanager
     def scope(self):
@@ -72,16 +68,6 @@ class MemoryTracker:
         finally:
             self._scopes.remove(stats)
 
-    @contextmanager
-    def record_shapes(self):
-        """Collect the shape of every tensor allocated inside the block."""
-        previous = self._shape_log
-        self._shape_log = log = []
-        try:
-            yield log
-        finally:
-            self._shape_log = previous
-
     def audit(self):
         """Sum byte sizes of all live tensors, found among the garbage
         collector's objects; must equal live_bytes.
@@ -92,10 +78,6 @@ class MemoryTracker:
         from .tensor import Tensor
         return sum(obj.tracked_nbytes() for obj in gc.get_objects()
                    if isinstance(obj, Tensor))
-
-    def reset_peak(self):
-        with self._lock:
-            self.peak_bytes = self.live_bytes
 
 
 tracker = MemoryTracker()

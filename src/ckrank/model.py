@@ -342,7 +342,7 @@ class CKModel:
 
     # -- encoding -------------------------------------------------------------
 
-    def encode_document(self, doc, encoder_variant="separable"):
+    def encode_document(self, doc):
         """Token embeddings + positional features through the encoder stack."""
         if not self.needs_latent:
             raise ContractError(f"variant {self.variant} has no document encoder")
@@ -356,15 +356,8 @@ class CKModel:
                         positional_encoding(len(ids), self.config.model_dim))
         for block in self.blocks:
             x = conformer_block(x, block, self.acfg, training=self.training,
-                                rng=self.dropout_rng, variant=encoder_variant)
+                                rng=self.dropout_rng)
         return x
-
-    def encode_query_term(self, term):
-        """The term's embedding row, untouched; unknown terms are zero."""
-        if term in self.vocab:
-            row = T.embedding(self.embedding, [self.vocab.id_of(term)])
-            return T.reshape(row, (self.config.model_dim,))
-        return T.constant(np.zeros(self.config.model_dim))
 
     # -- per-term scores -------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Built-in oracle and gradient checks runnable from the command line.
 
-A compact subset of the test suite for installed environments: dense
-attention oracles, brute-force matmul/convolution references, the batched
-grouped conv and multi-head attention against per-tap and per-head loops,
-finite difference gradient checks, pooling path equivalence, loss values,
+A compact subset of the test suite for installed environments, on code that
+the train, fold and serve paths run: the grouped conv and both multi-head
+variants against per-tap and per-head loops with dense attention oracles,
+finite-difference gradient checks of the fused sublayers (multi-head
+attention, feed-forward, layer norm with a residual, grouped conv, windowed
+pooling) and of the RankNet loss, pooling path equivalence, loss values,
 metric fixtures, the pair-expansion rule, the ranking rule of retrieve and
 rerank against a plain sort, and a paper-width encoder block that must give
 the same bytes with one worker as with the block pool. Prints one line per
@@ -13,8 +15,8 @@ check.
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import AttentionConfig, conformer_block, init_block_params, \
-    multi_head, separable_self_attention, self_attention
+from .attention import AttentionConfig, conformer_block, feed_forward, \
+    init_block_params, multi_head
 from .evalmetrics import ndcg_at_k
 from .gradcheck import finite_difference_check
 from .index import ImpactIndex, _rank, retrieve
@@ -69,6 +71,48 @@ def _pool_loop(rows, wcfg, bank):
         ex = np.exp(-(win[:, :, None] - bank.mus) ** 2 / (2 * bank.sigmas ** 2))
         out = np.maximum(out, np.log(bank.eps_log + ex.sum(axis=1)))
     return out
+
+
+def _projected_sum(out, w):
+    """sum(out @ w): a scalar loss that weighs every column of out apart."""
+    return T.tsum(T.linear(out, w))
+
+
+def _fused_op_losses(rng):
+    """(name, loss_fn, params) for every fused op of an encoder block and
+    for the RankNet loss, at a micro config with d_key != d_value."""
+    cfg = AttentionConfig(model_dim=8, num_heads=2, d_key=3, d_value=2,
+                          conv_window=3, conv_groups=2, dropout_rate=0.0,
+                          num_layers=1)
+    p = init_block_params(cfg, rng)
+    x = T.parameter(rng.normal(size=(5, cfg.model_dim)))
+    residual = T.parameter(rng.normal(size=(5, cfg.model_dim)))
+    w = T.constant(rng.normal(size=(cfg.model_dim, 1)))
+    attn = {name: p[name] for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+    ffn = {name: p[name] for name in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")}
+    norm = {name: p[name] for name in ("ln1_gamma", "ln1_beta")}
+    conv = {name: p[name] for name in ("conv_kernel", "conv_bias")}
+    pref = T.parameter(rng.normal(size=6) * 3.0)
+    other = T.parameter(rng.normal(size=6) * 3.0)
+
+    def attention(variant):
+        return lambda: _projected_sum(multi_head(x, attn, cfg, variant), w)
+
+    return [
+        ("separable multi_head", attention("separable"), {"x": x, **attn}),
+        ("standard multi_head", attention("standard"), {"x": x, **attn}),
+        ("feed_forward", lambda: _projected_sum(feed_forward(x, *ffn.values()), w),
+         {"x": x, **ffn}),
+        ("layer_norm with a residual",
+         lambda: _projected_sum(T.layer_norm(x, *norm.values(), residual=residual), w),
+         {"x": x, "residual": residual, **norm}),
+        ("grouped_conv1d",
+         lambda: _projected_sum(T.grouped_conv1d(x, conv["conv_kernel"], cfg.conv_groups,
+                                                 cfg.conv_window, conv["conv_bias"]), w),
+         {"x": x, **conv}),
+        ("ranknet_loss", lambda: T.tmean(ranknet_loss(pref, other)),
+         {"pref": pref, "other": other}),
+    ]
 
 
 def _batched_op_errors(rng):
@@ -152,63 +196,26 @@ def run_selftest(seed=0, verbose=True):
             print(f"[{mark}] {name}" + (f" ({detail})" if detail else ""))
 
     with T.precision("float64"):
-        worst = 0.0
-        for _ in range(20):
-            n, dk, dv = rng.integers(1, 33), rng.integers(1, 9), rng.integers(1, 9)
-            q = rng.normal(size=(n, dk))
-            k = rng.normal(size=(n, dk))
-            v = rng.normal(size=(n, dv))
-            with T.no_grad():
-                got = separable_self_attention(T.constant(q), T.constant(k),
-                                               T.constant(v)).data
-            worst = max(worst, float(np.abs(got - _dense_separable_oracle(q, k, v)).max()))
-        check("separable attention vs dense oracle", worst < 1e-10,
-              f"max abs err {worst:.2e}")
-
-        q = rng.normal(size=(6, 4))
-        k = rng.normal(size=(6, 4))
-        v = rng.normal(size=(6, 3))
-        with T.no_grad():
-            got = self_attention(T.constant(q), T.constant(k), T.constant(v)).data
-        err = float(np.abs(got - _standard_oracle(q, k, v)).max())
-        check("standard attention vs dense oracle", err < 1e-10, f"{err:.2e}")
-
         err = _batched_op_errors(rng)
         check("batched grouped conv and multi-head vs loops", err < 1e-10,
               f"max abs err {err:.2e}")
 
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        ref = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for kk in range(4):
-                    ref[i, j] += a[i, kk] * b[kk, j]
-        with T.no_grad():
-            got = T.matmul(T.constant(a), T.constant(b)).data
-        err = float(np.abs(got - ref).max())
-        check("matmul vs triple loop", err < 1e-14, f"{err:.2e}")
-
-        x = T.parameter(rng.normal(size=(5, 6)))
-        w = T.parameter(rng.normal(size=(6, 3)) * 0.5)
-        mix = T.constant(rng.normal(size=(5, 3)))
-        def loss_fn():
-            return T.tsum(T.mul(T.softmax(T.relu(T.matmul(x, w)), axis=-1), mix))
-        res = finite_difference_check(loss_fn, {"x": x, "w": w})
-        check("gradients: matmul+relu+softmax", res.max_rel_err < 1e-3,
-              f"rel err {res.max_rel_err:.2e}")
+        for name, loss_fn, params in _fused_op_losses(rng):
+            res = finite_difference_check(loss_fn, params)
+            check(f"gradients: {name}", res.max_rel_err < 1e-3,
+                  f"rel err {res.max_rel_err:.2e}")
 
         bank = pooling.KernelBank(np.linspace(-0.8, 0.8, 5), np.full(5, 0.3))
         rows = T.parameter(np.clip(rng.normal(size=(3, 11)) * 0.4, -1, 1))
-        weights = T.constant(rng.normal(size=(3, 5)))
+        weights = T.constant(rng.normal(size=(5, 1)))
         # The fused op sums windows in one matmul, the loop one window at a
         # time, so the two may round differently.
         for wcfg in (pooling.WindowConfig(5, 2), pooling.WindowConfig(6, 4)):
             label = f"window {wcfg.window_len}, stride {wcfg.stride}"
 
             def pool_fn():
-                return T.tsum(T.mul(pooling.windowed_pool_terms(rows, wcfg, bank),
-                                    weights))
+                return _projected_sum(pooling.windowed_pool_terms(rows, wcfg, bank),
+                                      weights)
             res = finite_difference_check(pool_fn, {"rows": rows})
             check(f"gradients: windowed pooling, {label}", res.max_rel_err < 1e-3,
                   f"rel err {res.max_rel_err:.2e}")

@@ -6,13 +6,14 @@ participates in training records a backward closure on the output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
 order, accumulates gradients into leaf tensors, and releases the graph.
 
-Broadcasting is deliberately narrow: elementwise binary ops accept equal
-shapes, a scalar operand, or a trailing-dimension bias vector. Everything
-else must be shaped explicitly, which keeps the allocation accounting in
-:mod:`ckrank.memory` an exact model of what the math needs. Each tensor
-makes one ``tracker.register`` call when it is made, which charges its
-bytes, and gives them back in ``__del__`` when it is deallocated; there is
-no registry of live tensors (``tracker.audit()`` walks the collector).
+The ops here are the ones a train, fold or serve path runs (``softmax``
+aside, see its note); generic reference ops live in the tests. The fused
+sublayers of :mod:`ckrank.attention`, :mod:`ckrank.pooling` and
+:mod:`ckrank.model` build on ``wrap_op`` and on these. Each tensor makes one
+``tracker.register`` call when it is made, which charges its bytes, and
+gives them back in ``__del__`` when it is deallocated, so the accounting in
+:mod:`ckrank.memory` is an exact model of what the math needs; there is no
+registry of live tensors (``tracker.audit()`` walks the collector).
 
 ``grouped_conv1d`` pads its input group-major, so every receptive field is
 one contiguous run of window * cg values and all fields are a strided view.
@@ -195,36 +196,6 @@ class Tensor:
             self._nbytes -= self._kept
             tracker.free(self._kept)
             self._kept = 0
-
-    def backward(self):
-        backward(self)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add_const(self, other) if _is_number(other) else add(self, other)
-
-    def __sub__(self, other):
-        return add_const(self, -other) if _is_number(other) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if _is_number(other) else mul(self, other)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if _is_number(other) else div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-
-def _is_number(x):
-    return isinstance(x, (int, float, np.floating, np.integer))
 
 
 def parameter(data, dtype=None):
@@ -423,60 +394,7 @@ def _reduce_to(g, shape):
     return g.reshape(shape)
 
 
-def _binary_shapes_ok(a, b):
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return True
-    sm, lg = (a, b) if a.ndim < b.ndim else (b, a)
-    return sm.ndim == 1 and lg.ndim >= 1 and lg.shape[-1] == sm.shape[0]
-
-
-def _binary(a, b, fwd, da, db, name):
-    if not _binary_shapes_ok(a, b):
-        raise ShapeError(f"{name}: shapes {tuple(a.shape)} and {tuple(b.shape)} "
-                         "are neither equal, scalar, nor a trailing bias")
-    with np.errstate(all="ignore"):
-        out_data = fwd(a._data, b._data)
-    a_data, b_data = a._data, b._data
-
-    def backward(g):
-        a._accumulate(_reduce_to(da(g, a_data, b_data), a_data.shape))
-        b._accumulate(_reduce_to(db(g, a_data, b_data), b_data.shape))
-
-    return wrap_op(out_data, (a, b), backward, name)
-
-
 # -- elementwise -------------------------------------------------------------
-
-
-def add(a, b):
-    return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g, "add")
-
-
-def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g, "sub")
-
-
-def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
-
-
-def div(a, b):
-    return _binary(a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), "div")
-
-
-def maximum(a, b):
-    """Elementwise max; on ties the gradient routes to the first operand."""
-    def d_a(g, x, y):
-        return g * (x >= y)
-
-    def d_b(g, x, y):
-        return g * (x < y)
-
-    return _binary(a, b, np.maximum, d_a, d_b, "maximum")
 
 
 def scale(a, s):
@@ -487,69 +405,6 @@ def scale(a, s):
         a._accumulate(g * s)
 
     return wrap_op(data, (a,), backward, "scale")
-
-
-def add_const(a, c):
-    c = float(c)
-    data = a._data + c
-
-    def backward(g):
-        a._accumulate(g)
-
-    return wrap_op(data, (a,), backward, "add_const")
-
-
-def relu(a):
-    data = np.maximum(a._data, 0)
-
-    def backward(g):
-        a._accumulate(g * (data > 0))
-
-    return wrap_op(data, (a,), backward, "relu")
-
-
-def exp(a):
-    with np.errstate(over="ignore"):
-        data = np.exp(a._data)
-
-    def backward(g):
-        a._accumulate(g * data)
-
-    return wrap_op(data, (a,), backward, "exp")
-
-
-def log(a):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a._data)
-    a_data = a._data
-
-    def backward(g):
-        a._accumulate(g / a_data)
-
-    return wrap_op(data, (a,), backward, "log")
-
-
-def sqrt(a):
-    with np.errstate(invalid="ignore"):
-        data = np.sqrt(a._data)
-
-    def backward(g):
-        a._accumulate(g / (2.0 * data))
-
-    return wrap_op(data, (a,), backward, "sqrt")
-
-
-def softplus(a):
-    """log(1 + exp(x)), stable for large |x|."""
-    x = a._data
-    data = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0)
-
-    def backward(g):
-        with np.errstate(over="ignore"):
-            sig = 1.0 / (1.0 + np.exp(-x))
-        a._accumulate(g * sig)
-
-    return wrap_op(data, (a,), backward, "softplus")
 
 
 def dropout(a, p, training, rng):
@@ -574,40 +429,6 @@ def dropout(a, p, training, rng):
 # -- shape ops ---------------------------------------------------------------
 
 
-def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    data = a._data @ b._data
-    a_data, b_data = a._data, b._data
-
-    def backward(g):
-        a._accumulate(g @ b_data.T)
-        b._accumulate(a_data.T @ g)
-
-    return wrap_op(data, (a, b), backward, "matmul")
-
-
-def transpose(a):
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {tuple(a.shape)}")
-    data = a._data.T.copy()
-
-    def backward(g):
-        a._accumulate(g.T)
-
-    return wrap_op(data, (a,), backward, "transpose")
-
-
-def reshape(a, shape):
-    data = a._data.reshape(shape).copy()
-    orig = a._data.shape
-
-    def backward(g):
-        a._accumulate(g.reshape(orig))
-
-    return wrap_op(data, (a,), backward, "reshape")
-
-
 def concat(tensors, axis=0):
     if not tensors:
         raise ContractError("concat of zero tensors")
@@ -622,25 +443,6 @@ def concat(tensors, axis=0):
             t._accumulate(g[tuple(idx)])
 
     return wrap_op(data, tuple(tensors), backward, "concat")
-
-
-def narrow(a, axis, start, length):
-    """Contiguous slice [start, start+length) along axis, as a copy."""
-    if not (0 <= start and start + length <= a.shape[axis]):
-        raise ShapeError(f"narrow: [{start}, {start + length}) outside axis of size "
-                         f"{a.shape[axis]}")
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    data = a._data[idx].copy()
-    full_shape = a._data.shape
-
-    def backward(g):
-        buf = np.zeros(full_shape, dtype=g.dtype)
-        buf[idx] = g
-        a._accumulate(buf)
-
-    return wrap_op(data, (a,), backward, "narrow")
 
 
 def gather(a, indices):
@@ -693,28 +495,8 @@ def tmean(a, axis=None):
     return scale(out, 1.0 / count)
 
 
-def tmax(a, axis=None):
-    """Max reduction; gradient flows to the first argmax position(s)."""
-    if axis is None:
-        data = a._data.max()
-        flat_idx = int(a._data.argmax())
-
-        def backward(g):
-            buf = np.zeros_like(a._data)
-            buf.reshape(-1)[flat_idx] = g
-            a._accumulate(buf)
-    else:
-        data = a._data.max(axis=axis)
-        arg = np.expand_dims(a._data.argmax(axis=axis), axis)
-
-        def backward(g):
-            buf = np.zeros_like(a._data)
-            np.put_along_axis(buf, arg, np.expand_dims(g, axis), axis)
-            a._accumulate(buf)
-
-    return wrap_op(np.asarray(data), (a,), backward, "max")
-
-
+# No shipped path calls softmax; the benchmark traces tensor.softmax, so it
+# stays until a benchmark change retires that target.
 def softmax(a, axis=-1):
     """Stable softmax along ``axis``; slices sum to one."""
     x = a._data

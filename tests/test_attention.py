@@ -5,11 +5,11 @@ import pytest
 from helpers import micro_corpus, tiny_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refops import self_attention, separable_self_attention
 
 import ckrank.tensor as T
 from ckrank.attention import (AttentionConfig, conformer_block, init_block_params,
-                              multi_head, positional_encoding, self_attention,
-                              separable_self_attention)
+                              multi_head, positional_encoding)
 from ckrank.corpus import Corpus, DocumentRecord
 from ckrank.errors import ConfigError, ShapeError
 from ckrank.index import build_index
@@ -114,6 +114,46 @@ def test_separable_attention_matches_dense_oracle_f64():
             got = separable_self_attention(q, k, v).numpy()
             want = dense_oracle_separable(q.numpy(), k.numpy(), v.numpy())
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_separable_multi_head_matches_dense_oracle():
+    """The sublayer the encoder runs (one fused op with a hand-written
+    backward) against projections applied in numpy and each head's dense
+    separable attention, at acceptance test 01's sizes and bounds."""
+    rng = np.random.default_rng(11)
+    worst64 = worst32 = 0.0
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        heads = int(rng.integers(1, 5))
+        dk = int(rng.integers(1, 17))
+        dv = int(rng.integers(1, 17))
+        m = heads * int(rng.integers(1, 5))
+        cfg = AttentionConfig(model_dim=m, num_heads=heads, d_key=dk, d_value=dv,
+                              conv_groups=1)
+        shapes = {"wq": (m, heads * dk), "wk": (m, heads * dk),
+                  "wv": (m, heads * dv), "wo": (heads * dv, m)}
+        arrays = {}
+        for w, shape in shapes.items():
+            arrays[w] = rng.normal(size=shape) / np.sqrt(shape[0])
+            arrays["b" + w[1]] = rng.normal(size=shape[1])
+        x = rng.normal(size=(n, m))
+        q, k, v = (x @ arrays["w" + c] + arrays["b" + c] for c in "qkv")
+        heads_out = [dense_oracle_separable(q[:, h * dk:(h + 1) * dk],
+                                            k[:, h * dk:(h + 1) * dk],
+                                            v[:, h * dv:(h + 1) * dv])
+                     for h in range(heads)]
+        want = np.concatenate(heads_out, axis=1) @ arrays["wo"] + arrays["bo"]
+        for mode in ("float64", "float32"):
+            with T.precision(mode):
+                params = {name: T.constant(a) for name, a in arrays.items()}
+                got = multi_head(T.constant(x), params, cfg).numpy()
+            err = float(np.max(np.abs(got - want)))
+            if mode == "float64":
+                worst64 = max(worst64, err)
+            else:
+                worst32 = max(worst32, err)
+    assert worst64 <= 1e-10, worst64
+    assert worst32 <= 1e-5, worst32
 
 
 def test_attention_row_count_mismatch_rejected():
@@ -249,20 +289,34 @@ def test_conformer_block_dropout_only_in_training():
 # -- memory shape -----------------------------------------------------------------
 
 
+def multi_head_peaks(variant, lengths):
+    """Exact tracked peak of one multi_head forward that records a graph, at
+    each length: its output plus every intermediate it keeps."""
+    cfg = micro_cfg()
+    params = init_block_params(cfg, np.random.default_rng(7))
+    peaks = []
+    for n in lengths:
+        x = T.constant(np.random.default_rng(n).normal(size=(n, cfg.model_dim)))
+        with tracker.scope() as scope:
+            out = multi_head(x, params, cfg, variant=variant)
+        assert out.requires_grad
+        peaks.append(scope.peak_bytes)
+    return peaks
+
+
 def test_separable_never_allocates_n_by_n():
-    n = 96
-    q, k, v = rand_qkv(n, dk=8, dv=8, seed=7)
-    with tracker.record_shapes() as shapes:
-        separable_self_attention(q, k, v)
-    assert (n, n) not in shapes
+    """Doubling n at most doubles the separable sublayer's peak."""
+    small, large = multi_head_peaks("separable", (96, 192))
+    assert small < 96 * 96 * 4
+    assert large <= 2 * small
 
 
 def test_standard_does_allocate_n_by_n():
-    n = 96
-    q, k, v = rand_qkv(n, dk=8, dv=8, seed=7)
-    with tracker.record_shapes() as shapes:
-        self_attention(q, k, v)
-    assert (n, n) in shapes
+    """The standard sublayer keeps (heads, n, n) weights, so doubling n
+    nearly quadruples its peak."""
+    small, large = multi_head_peaks("standard", (96, 192))
+    assert small >= 2 * 96 * 96 * 4
+    assert large >= 3.5 * small
 
 
 def test_tiny_fold_peak_is_four_activations():

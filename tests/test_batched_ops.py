@@ -5,10 +5,10 @@ import gc
 
 import numpy as np
 import pytest
+import refops as R
 
 import ckrank.tensor as T
-from ckrank.attention import (AttentionConfig, init_block_params, multi_head,
-                              self_attention, separable_self_attention)
+from ckrank.attention import AttentionConfig, init_block_params, multi_head
 from ckrank.errors import ShapeError
 from ckrank.memory import tracker
 
@@ -53,13 +53,13 @@ def conv_oracle(x, kernel, groups, window, bias=None):
 
 def multi_head_oracle(x, params, cfg, variant):
     """One narrow per head and projection, single-head attention, concat."""
-    attend = self_attention if variant == "standard" else separable_self_attention
+    attend = R.self_attention if variant == "standard" else R.separable_self_attention
     q = T.linear(x, params["wq"], params["bq"])
     k = T.linear(x, params["wk"], params["bk"])
     v = T.linear(x, params["wv"], params["bv"])
     dk, dv = cfg.d_key, cfg.d_value
-    heads = [attend(T.narrow(q, 1, h * dk, dk), T.narrow(k, 1, h * dk, dk),
-                    T.narrow(v, 1, h * dv, dv))
+    heads = [attend(R.narrow(q, 1, h * dk, dk), R.narrow(k, 1, h * dk, dk),
+                    R.narrow(v, 1, h * dv, dv))
              for h in range(cfg.num_heads)]
     cat = heads[0] if len(heads) == 1 else T.concat(heads, axis=1)
     return T.linear(cat, params["wo"], params["bo"])
@@ -69,7 +69,7 @@ def forward_and_grads(fn, arrays, mix):
     """Output and every parameter gradient of sum(fn(params) * mix)."""
     params = {name: T.parameter(a) for name, a in arrays.items()}
     out = fn(params)
-    T.backward(T.tsum(T.mul(out, T.constant(mix))))
+    T.backward(T.tsum(R.mul(out, T.constant(mix))))
     return out.numpy(), {name: p.grad for name, p in params.items()}
 
 

@@ -1,13 +1,14 @@
 """Fused ops against the chains of small ops they replace (``oracles.py``).
 
 Each fused op must give the forward value and every gradient of its chain,
-within 1e-12 in float64; ``ndrm2_term_scores`` repeats the chain's numpy
-operations in order, so its forward and gradients are ``==`` in float32 and
-float64.
+within 1e-12 in float64; ``ndrm2_term_scores`` and ``ranknet_loss`` repeat
+their chains' numpy operations in order, so their forwards and gradients are
+``==`` in float32 and float64.
 """
 
 import numpy as np
 import pytest
+import refops as R
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (duet_infer_composed, duet_mix_composed, embedding_then_add,
@@ -22,6 +23,7 @@ from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
     ndrm2_term_scores
 from ckrank.pooling import KernelBank, WindowConfig, latent_term_scores, \
     windowed_pool_terms
+from ckrank.train import ranknet_loss
 
 TOL = 1e-12
 SEEDS = st.integers(0, 2**32 - 1)
@@ -33,7 +35,7 @@ def value_and_grads(build, arrays, mix_seed=0):
     params = {name: T.parameter(a) for name, a in arrays.items()}
     out = build(params)
     mix = np.random.default_rng(mix_seed).normal(size=out.shape)
-    T.backward(T.tsum(T.mul(out, T.constant(mix))))
+    T.backward(T.tsum(R.mul(out, T.constant(mix))))
     grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
              for name, p in params.items()}
     return out.numpy(), grads
@@ -146,6 +148,29 @@ def test_ndrm2_term_scores_edge_cases(mode, w, b, m):
     assert_same(fused, composed, tol=None)
     if w == 0.0 and b == 0.0:     # lin is exactly 0: relu passes no gradient
         assert fused[1]["w"] == 0.0 and fused[1]["b"] == 0.0
+
+
+# -- the RankNet loss ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64"])
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 12), spread=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+       seed=SEEDS)
+def test_ranknet_loss_equals_softplus_of_sub(mode, m, spread, seed):
+    # A spread of 100 saturates the sigmoid in float32: exp(-d) overflows.
+    rng = np.random.default_rng(seed)
+    arrays = {"pref": rng.normal(size=m) * spread, "other": rng.normal(size=m) * spread}
+    with T.precision(mode):
+        fused = value_and_grads(lambda p: ranknet_loss(p["pref"], p["other"]), arrays)
+        composed = value_and_grads(
+            lambda p: R.softplus(R.sub(p["other"], p["pref"])), arrays)
+    assert_same(fused, composed, tol=None)
+
+
+def test_ranknet_loss_refuses_scores_of_another_shape():
+    with pytest.raises(ShapeError):
+        ranknet_loss(T.constant(np.zeros(3)), T.constant(np.zeros(1)))
 
 
 # -- the duet mix ----------------------------------------------------------------------

@@ -222,10 +222,10 @@ class _GradModeSpy(CKModel):
         self.seen = []
         self.fail = False
 
-    def encode_document(self, doc, encoder_variant="separable"):
+    def encode_document(self, doc):
         if self.fail:
             raise ContractError("spy failure")
-        enc = super().encode_document(doc, encoder_variant)
+        enc = super().encode_document(doc)
         self.seen.append((T.grad_enabled(), enc.requires_grad))
         return enc
 

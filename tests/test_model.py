@@ -241,17 +241,6 @@ def test_encode_document_guards(micro):
             DocumentRecord("d", []))
 
 
-def test_encode_query_term_row_and_oov(micro):
-    _, vocab = micro
-    model = CKModel(micro_config("ndrm1"), vocab)
-    row = model.encode_query_term("w00")
-    np.testing.assert_array_equal(
-        row.numpy(), model.embedding.numpy()[vocab.id_of("w00")])
-    oov = model.encode_query_term("notaterm")
-    np.testing.assert_array_equal(oov.numpy(), np.zeros(8))
-    assert not oov.requires_grad
-
-
 def test_repeated_terms_score_alike(micro):
     corpus, vocab = micro
     model = CKModel(micro_config("ndrm1"), vocab)

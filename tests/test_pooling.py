@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import refops as R
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (interaction_row, kernel_features, latent_term_score,
@@ -160,7 +161,7 @@ def _pool_value_and_grad(pool, rows, mix):
     """Pooled features of rows and the gradient of sum(features * mix)."""
     p = T.parameter(rows)
     out = pool(p)
-    T.backward(T.tsum(T.mul(out, T.constant(mix))))
+    T.backward(T.tsum(R.mul(out, T.constant(mix))))
     return out.numpy(), p.grad
 
 
@@ -179,9 +180,9 @@ def test_fused_matches_composed(n, window_len, stride):
     mix = rng.normal(size=(3, bank.k))
 
     def composed(p):
-        per_term = [windowed_pool_term(T.reshape(T.narrow(p, 0, i, 1), (n,)), wcfg, bank)
+        per_term = [windowed_pool_term(R.reshape(R.narrow(p, 0, i, 1), (n,)), wcfg, bank)
                     for i in range(rows.shape[0])]
-        return T.concat([T.reshape(f, (1, bank.k)) for f in per_term], axis=0)
+        return T.concat([R.reshape(f, (1, bank.k)) for f in per_term], axis=0)
 
     with T.precision("float64"):
         fused, fused_grad = _pool_value_and_grad(
@@ -223,7 +224,7 @@ def test_fused_gradient_only_hits_winning_windows():
     wcfg = WindowConfig(window_len=2, stride=2)
     rows = T.parameter(np.array([[0.0, 0.1, 1.0, 0.99]]))
     out = windowed_pool_terms(rows, wcfg, bank)
-    T.backward(T.tsum(T.mul(out, T.constant(np.eye(10)[9][None, :]))))
+    T.backward(T.tsum(R.mul(out, T.constant(np.eye(10)[9][None, :]))))
     assert np.all(rows.grad[0, :2] == 0.0)
     assert np.any(rows.grad[0, 2:] != 0.0)
 
