@@ -96,9 +96,9 @@ def _merge_heads(a):
 def _softmax(x, axis, out=None):
     """Softmax along axis, into out (a fresh array when None; x itself may
     be out)."""
-    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    out = np.subtract(x, np.maximum.reduce(x, axis, None, None, True), out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= np.add.reduce(out, axis, None, None, True)
     return out
 
 

@@ -172,7 +172,7 @@ class Vocabulary:
         """float64 array of ``idf`` over a term sequence, from logs taken
         once per vocabulary."""
         table, unseen = self._idf_table
-        return np.fromiter((table.get(t, unseen) for t in terms), np.float64,
+        return np.fromiter(map(table.get, terms, repeat(unseen)), np.float64,
                            len(terms))
 
     def fingerprint(self):

@@ -47,6 +47,18 @@ class RetrievalResult:
             if s2 > s1:
                 raise ContractError("ranking must be non-increasing by score")
 
+    @classmethod
+    def _of_arrays(cls, query_id, doc_ids, scores):
+        """The result ranking doc_ids with their scores, both arrays: the
+        order rule is checked with one array comparison instead of the
+        per-pair walk of ``__post_init__``."""
+        if (scores[1:] > scores[:-1]).any():
+            raise ContractError("ranking must be non-increasing by score")
+        result = object.__new__(cls)
+        result.query_id, result.skipped = query_id, 0
+        result.ranking = list(zip(doc_ids.tolist(), scores.tolist()))
+        return result
+
 
 def _id_ranks(ids):
     """Each id of an object array's place in ascending id order (equal ids by
@@ -166,7 +178,8 @@ def build_index(corpus, model):
         raise ContractError("refusing to build an index from a model in train "
                             "mode: statistics are not frozen")
     doc_ids, lengths, terms, counts, doc_idx, tf = posting_table(corpus)
-    keep = np.array([t in model.vocab for t in terms], dtype=bool)
+    keep = np.fromiter(map(model.vocab.term_to_id.__contains__, terms), bool,
+                       len(terms))
     posted = np.repeat(keep, counts)
     terms = [t for t, k in zip(terms, keep.tolist()) if k]
     counts, doc_idx, tf = counts[keep], doc_idx[posted], tf[posted]
@@ -192,13 +205,18 @@ def build_index(corpus, model):
                        model.config_hash, model.running_stats())
 
 
+def _runs(col):
+    """(starts, stops) lists of the runs of equal values in a non-empty
+    array."""
+    bounds = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
+    return [0] + bounds, bounds + [col.size]
+
+
 def _latent_column(corpus, model, doc_ids, terms, col_term, col_doc):
     """Latent scores of a doc-major column of (term, document) pairs: one
     encoding and one ``latent_term_scores`` call per document."""
-    starts = np.flatnonzero(np.diff(col_doc, prepend=-1))
-    stops = np.append(starts[1:], col_doc.size)
     chunks = []
-    for a, b in zip(starts.tolist(), stops.tolist()):
+    for a, b in zip(*_runs(col_doc)):
         doc = corpus.get(doc_ids[col_doc[a]])
         chunks.append(model.latent_term_scores(
             [terms[i] for i in col_term[a:b].tolist()], model.encode_document(doc)))
@@ -223,9 +241,8 @@ def retrieve(query, index, k=100):
     live = np.flatnonzero(touched)
     scores = acc[live]
     top = _best_first(scores, index.doc_rank, k, live)
-    ranking = list(zip(index.doc_id_array[live[top]].tolist(),
-                       scores[top].tolist()))
-    return RetrievalResult(qid, ranking)
+    return RetrievalResult._of_arrays(qid, index.doc_id_array[live[top]],
+                                      scores[top])
 
 
 def rerank(query, candidates, model, corpus, k=None):

@@ -367,28 +367,29 @@ class CKModel:
         Unknown query terms carry an empty interaction: their kernel features
         are the constant no-match vector, so only the head touches them.
         """
-        lookup = self.vocab.term_to_id.get
-        iv = [(i, tid) for i, t in enumerate(terms) if (tid := lookup(t)) is not None]
-        pieces = []
-        slot = {}
-        if iv:
-            q_embs = T.embedding(self.embedding, [tid for _, tid in iv])
-            rows = pooling.interaction_rows(q_embs, doc_enc)
-            feats = pooling.windowed_pool_terms(rows, self.wcfg, self.bank)
-            pieces.append(pooling.latent_term_scores(feats, self.head))
-            for j, (i, _) in enumerate(iv):
-                slot[i] = j
-        if len(iv) < len(terms):
-            pieces.append(pooling.latent_term_scores(
-                T.constant(empty_features(self.bank)[None, :]), self.head))
-            oov_slot = pieces[0].shape[0] if len(pieces) == 2 else 0
-            for i in range(len(terms)):
-                slot.setdefault(i, oov_slot)
+        ids = list(map(self.vocab.term_to_id.get, terms))
+        if None not in ids:
+            return self._vocab_term_scores(ids, doc_enc)
+        known = [i for i, tid in enumerate(ids) if tid is not None]
+        pieces = [self._vocab_term_scores([ids[i] for i in known], doc_enc)] \
+            if known else []
+        pieces.append(pooling.latent_term_scores(
+            T.constant(empty_features(self.bank)[None, :]), self.head))
         combined = pieces[0] if len(pieces) == 1 else T.concat(pieces, axis=0)
-        perm = [slot[i] for i in range(len(terms))]
+        # each term's row of combined: its place among the known terms, or
+        # the no-match row after them
+        perm = [len(known)] * len(terms)
+        for j, i in enumerate(known):
+            perm[i] = j
         if perm == list(range(combined.shape[0])):
             return combined
         return T.gather(combined, perm)
+
+    def _vocab_term_scores(self, ids, doc_enc):
+        """Tensor[t] of latent scores of vocabulary term ids."""
+        rows = pooling.interaction_rows(T.embedding(self.embedding, ids), doc_enc)
+        feats = pooling.windowed_pool_terms(rows, self.wcfg, self.bank)
+        return pooling.latent_term_scores(feats, self.head)
 
     def explicit_stats(self, terms, doc):
         """(idf, tf, dlen) arrays over the query terms against one document."""

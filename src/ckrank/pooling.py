@@ -10,9 +10,12 @@ Every op here is fused and batched (one graph node for all query terms).
 Windowed pooling evaluates the Gaussian kernels once per (term, position)
 into a kernel-major (k, t, positions) array, so overlapping windows share
 the exponentials, and takes every window's sum in one matmul with a 0/1
-(positions, windows) cover matrix. The interaction rows run in blocks of
-positions and the pooling in blocks of kernels on the tensor module's
-worker pool.
+(positions, windows) cover matrix. No constant is built per call: the
+kernel bank casts its means and 1/(2σ²) once per dtype, and the cover matrix
+is a read-only slice of one table per (window_len, stride, dtype), grown to
+the longest document seen (so at most ``max_doc_tokens`` rows). The
+interaction rows run in blocks of positions and the pooling in blocks of
+kernels on the tensor module's worker pool.
 """
 
 import math
@@ -40,10 +43,13 @@ class KernelBank:
     mus: np.ndarray = field(default_factory=_default_mus)
     sigmas: np.ndarray = field(default_factory=_default_sigmas)
     eps_log: float = 1e-10
+    # dtype -> (mus, 1 / (2 sigma^2)) in that dtype, read-only
+    _constants: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
-        self.mus = np.asarray(self.mus, dtype=np.float64)
-        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
+        self.mus = np.array(self.mus, dtype=np.float64)
+        self.sigmas = np.array(self.sigmas, dtype=np.float64)
         if self.mus.shape != self.sigmas.shape or self.mus.ndim != 1:
             raise ConfigError("kernel mus and sigmas must be 1-d and equal length")
         if not np.all(np.diff(self.mus) > 0):
@@ -52,10 +58,25 @@ class KernelBank:
             raise ConfigError("kernel sigmas must be positive")
         if self.eps_log <= 0:
             raise ConfigError("eps_log must be positive")
+        # the cached constants below are derived from these
+        self.mus.flags.writeable = self.sigmas.flags.writeable = False
 
     @property
     def k(self):
         return self.mus.size
+
+    def constants(self, dtype):
+        """(mus, 1 / (2 sigma^2)) cast to dtype: read-only arrays, built on
+        the first call for each dtype."""
+        dtype = np.dtype(dtype)
+        pair = self._constants.get(dtype)
+        if pair is None:
+            pair = (self.mus.astype(dtype),
+                    (1.0 / (2.0 * self.sigmas ** 2)).astype(dtype))
+            for a in pair:
+                a.flags.writeable = False
+            self._constants[dtype] = pair
+        return pair
 
 
 @dataclass
@@ -78,6 +99,29 @@ def num_windows(n, wcfg):
     return math.ceil((n - wcfg.window_len) / wcfg.stride) + 1
 
 
+# (window_len, stride, dtype) -> read-only cover matrix of the longest length
+# asked for so far. Entry [p, i] depends only on p, i and the window config,
+# so [:n, :num_windows(n)] of a longer table is the matrix built for n, and
+# threads that race to grow a table can only build it twice.
+_COVER_TABLES = {}
+
+
+def window_cover(n, wcfg, dtype):
+    """Read-only 0/1 (n, num_windows(n)) matrix of dtype: [p, i] = 1 when
+    window i covers position p, so one matmul sums every window (a short
+    last window covers fewer positions). A view of a cached table."""
+    w = num_windows(n, wcfg)
+    key = (wcfg.window_len, wcfg.stride, np.dtype(dtype))
+    table = _COVER_TABLES.get(key)
+    if table is None or table.shape[0] < n:
+        starts = np.arange(w) * wcfg.stride
+        pos = np.arange(n)[:, None]
+        table = ((pos >= starts) & (pos < starts + wcfg.window_len)).astype(dtype)
+        table.flags.writeable = False
+        _COVER_TABLES[key] = table
+    return table[:n, :w]
+
+
 def empty_features(bank, dtype=None):
     """Feature vector of a window with no real positions: all log(eps_log)."""
     dtype = dtype or T.default_dtype()
@@ -90,7 +134,7 @@ def empty_features(bank, dtype=None):
 def _unit_rows(a, out=None):
     """Rows of a scaled to unit length, zero rows left zero -> (unit rows,
     norms with zeros replaced by 1, nonzero mask); into out when given."""
-    norm = np.linalg.norm(a, axis=1)
+    norm = np.sqrt(np.add.reduce(a * a, axis=1))        # np.linalg.norm's sum
     mask = norm > 0
     safe = np.where(mask, norm, 1.0)
     unit = np.divide(a, safe[:, None], out)
@@ -155,7 +199,10 @@ def _kernel_features(r, mus, inv2s, cover, eps_log, ex=None, e=None):
     e = sums.reshape(len(ex), len(r), w)
     f = np.log(eps_log + e)
     arg = f.argmax(axis=2)
-    return ex, e, arg, np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
+    # the winners by flat row index: on a few windows this costs less than
+    # take_along_axis or f.max(axis=2), and picks the same values
+    best = f.reshape(-1, w)[np.arange(arg.size), arg.ravel()]
+    return ex, e, arg, best.reshape(arg.shape)
 
 
 def windowed_pool_terms(rows, wcfg, bank):
@@ -171,23 +218,17 @@ def windowed_pool_terms(rows, wcfg, bank):
     t, n = rows.shape
     if n < 1:
         raise ShapeError("windowed_pool_terms needs at least one position")
-    w = num_windows(n, wcfg)
     wlen, stride = wcfg.window_len, wcfg.stride
     r = rows.data
     k = bank.k
-    mus = bank.mus.astype(r.dtype)
-    inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
-    # cover[p, i] = 1 when window i covers position p, so one matmul sums
-    # every window; a short last window covers fewer positions.
-    starts = np.arange(w) * stride
-    pos = np.arange(n)[:, None]
-    cover = ((pos >= starts) & (pos < starts + wlen)).astype(r.dtype)
+    mus, inv2s = bank.constants(r.dtype)
+    cover = window_cover(n, wcfg, r.dtype)
     blocks = T.row_blocks(k, r.nbytes)
     if blocks is None:
         ex, e, arg, best = _kernel_features(r, mus, inv2s, cover, bank.eps_log)
     else:
         ex = np.empty((k, t, n), dtype=r.dtype)
-        e = np.empty((k, t, w), dtype=r.dtype)
+        e = np.empty((k, t, cover.shape[1]), dtype=r.dtype)
         arg = np.empty((k, t), dtype=np.intp)
         best = np.empty((k, t), dtype=r.dtype)
 

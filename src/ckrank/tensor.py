@@ -242,11 +242,6 @@ def init_parameters(specs, rng=None, arrays=None):
 # -- op plumbing -------------------------------------------------------------
 
 
-def _check(arr, name):
-    if _CHECK_FINITE.get() and not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values produced by op '{name}'")
-
-
 def wrap_op(out_data, parents, backward_fn, name, saved=()):
     """Build an op output tensor; ``backward_fn(g)`` must push grads to parents.
 
@@ -256,7 +251,9 @@ def wrap_op(out_data, parents, backward_fn, name, saved=()):
     keeps; while the graph holds the closure their bytes are charged to
     the output, so fused ops stay visible to the live-bytes tracker.
     """
-    _check(out_data, name)
+    if _CHECK_FINITE.get() and not np.logical_and.reduce(np.isfinite(out_data),
+                                                         None):
+        raise NonFiniteError(f"non-finite values produced by op '{name}'")
     needs = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     out = Tensor._wrap(out_data, needs)
     if needs:
@@ -545,7 +542,8 @@ def embedding(table, ids, offset=None):
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("embedding ids must be a 1-d sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and (np.minimum.reduce(idx) < 0
+                     or np.maximum.reduce(idx) >= table.shape[0]):
         raise ShapeError(f"embedding id out of range for table of {table.shape[0]} rows")
     data = table._data[idx]
     if offset is not None:

@@ -18,7 +18,9 @@ from ckrank.errors import ContractError, ShapeError
 from ckrank.attention import _softmax, _softmax_backward
 from ckrank.index import ImpactIndex, _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
-from ckrank.pooling import interaction_rows, num_windows
+from ckrank.pooling import (empty_features, interaction_rows,
+                            latent_term_scores, num_windows,
+                            windowed_pool_terms)
 from ckrank.checkpoint import MAGIC, VERSION, _wire_dtype
 from ckrank.train import (DOCS_PER_INSTANCE, _PAIR_SLOTS, TrainInstance,
                           ranknet_loss)
@@ -490,3 +492,84 @@ def windowed_pool_terms_blocks(rows, wcfg, bank):
         rows._accumulate(dr)
 
     return T.wrap_op(data, (rows,), backward, "windowed_pool_terms_blocks")
+
+
+# -- the fold's helpers before their lean forms -------------------------------
+
+
+def unit_rows_linalg(a):
+    """``pooling._unit_rows`` with the norms from ``np.linalg.norm``."""
+    norm = np.linalg.norm(a, axis=1)
+    mask = norm > 0
+    safe = np.where(mask, norm, 1.0)
+    return a / safe[:, None] * mask[:, None], safe, mask
+
+
+def best_window_take_along(f):
+    """Each (kernel, term)'s best window feature of (k, t, w) log-sums,
+    taken at the argmax with ``take_along_axis`` -> (argmax, feature)."""
+    arg = f.argmax(axis=2)
+    return arg, np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
+
+
+def window_cover_fresh(n, wcfg, dtype):
+    """The 0/1 (positions, windows) cover matrix built for n alone."""
+    starts = np.arange(num_windows(n, wcfg)) * wcfg.stride
+    pos = np.arange(n)[:, None]
+    return ((pos >= starts) & (pos < starts + wcfg.window_len)).astype(dtype)
+
+
+def windowed_pool_terms_fresh(r, wcfg, bank):
+    """Forward value of ``windowed_pool_terms`` on a (t, n) array, with the
+    kernel constants and the cover matrix built on the call and the best
+    window taken with ``take_along_axis``."""
+    mus = bank.mus.astype(r.dtype)
+    inv2s = (1.0 / (2.0 * bank.sigmas ** 2)).astype(r.dtype)
+    ex = np.subtract(r, mus[:, None, None])
+    ex *= ex
+    ex *= -inv2s[:, None, None]
+    np.exp(ex, out=ex)
+    cover = window_cover_fresh(r.shape[1], wcfg, r.dtype)
+    e = (ex.reshape(-1, r.shape[1]) @ cover).reshape(len(ex), len(r), -1)
+    return best_window_take_along(np.log(bank.eps_log + e))[1].T
+
+
+def idfs_generator(vocab, terms):
+    """``Vocabulary.idfs`` with a generator over the terms."""
+    table, unseen = vocab._idf_table
+    return np.fromiter((table.get(t, unseen) for t in terms), np.float64,
+                       len(terms))
+
+
+def runs_diff_append(col):
+    """``index._runs`` by ``np.diff(prepend=)`` and ``np.append``."""
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    stops = np.append(starts[1:], col.size)
+    return starts.tolist(), stops.tolist()
+
+
+def latent_term_scores_slots(model, terms, doc_enc):
+    """``CKModel.latent_term_scores`` with slot and permutation bookkeeping
+    on every call, out-of-vocabulary terms or not."""
+    lookup = model.vocab.term_to_id.get
+    iv = [(i, tid) for i, t in enumerate(terms) if (tid := lookup(t)) is not None]
+    pieces = []
+    slot = {}
+    if iv:
+        q_embs = T.embedding(model.embedding, [tid for _, tid in iv])
+        rows = interaction_rows(q_embs, doc_enc)
+        feats = windowed_pool_terms(rows, model.wcfg, model.bank)
+        pieces.append(latent_term_scores(feats, model.head))
+        for j, (i, _) in enumerate(iv):
+            slot[i] = j
+    if len(iv) < len(terms):
+        pieces.append(latent_term_scores(
+            T.constant(empty_features(model.bank)[None, :]), model.head))
+        oov_slot = pieces[0].shape[0] if len(pieces) == 2 else 0
+        for i in range(len(terms)):
+            slot.setdefault(i, oov_slot)
+    combined = pieces[0] if len(pieces) == 1 else T.concat(pieces, axis=0)
+    perm = [slot[i] for i in range(len(terms))]
+    if perm == list(range(combined.shape[0])):
+        return combined
+    return T.gather(combined, perm)

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from helpers import micro_config, micro_corpus
+from helpers import micro_config, micro_corpus, tiny_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (build_index_per_document, posting_table_by_stable_sort,
@@ -15,13 +15,14 @@ from oracles import (build_index_per_document, posting_table_by_stable_sort,
                      write_varint)
 
 import ckrank.tensor as T
+from ckrank import pooling
 from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
                            ingest_corpus, load_qrels, load_queries)
 from ckrank.errors import ConfigError, ContractError, IndexFormatError
 from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varints,
                           _write_varints, build_index, load_index,
                           posting_table, rerank, retrieve, save_index)
-from ckrank.model import CKModel
+from ckrank.model import CKModel, ModelConfig
 from ckrank.synth import (make_synthetic, write_candidates, write_qrels,
                           write_queries_tsv, write_triples, write_tsv_corpus)
 from ckrank.train import load_candidates, load_triples
@@ -42,6 +43,27 @@ def test_retrieval_result_requires_sorted_scores():
     RetrievalResult("Q", [("A", 2.0), ("B", 2.0), ("C", 1.0)])
     with pytest.raises(ContractError):
         RetrievalResult("Q", [("A", 1.0), ("B", 2.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -1.0, np.inf, -np.inf, np.nan]),
+                max_size=8))
+def test_retrieve_order_check_is_the_pairwise_rule(scores):
+    # retrieve checks its ranking with one array comparison; it must refuse
+    # exactly what the per-pair walk of RetrievalResult refuses
+    ids = [f"D{i}" for i in range(len(scores))]
+    try:
+        walked = RetrievalResult("Q", list(zip(ids, scores)))
+    except ContractError:
+        walked = None
+    try:
+        checked = RetrievalResult._of_arrays(
+            "Q", np.array(ids, dtype=object), np.array(scores))
+    except ContractError:
+        checked = None
+    assert (walked is None) == (checked is None)
+    if walked is not None and not np.isnan(scores).any():
+        assert checked == walked
 
 
 def test_rank_tie_breaks_by_doc_id():
@@ -325,6 +347,26 @@ def test_build_index_matches_per_document_oracle(fold_models, drawn, data):
             assert got.postings[term][1].tobytes() == scores.tobytes(), \
                 (variant, term)
         assert (got.config_hash, got.stats) == (want.config_hash, want.stats)
+
+
+def _postings_bytes(index):
+    return {t: (d.tobytes(), s.tobytes()) for t, (d, s) in index.postings.items()}
+
+
+def test_short_fold_unchanged_by_a_paper_config_fold(monkeypatch):
+    # Pooling caches its cover matrix per (window_len, stride, dtype); a fold
+    # with the paper's windows (several windows over 450 positions) must not
+    # change a later fold with the tiny config's.
+    monkeypatch.setattr(pooling, "_COVER_TABLES", {})
+    corpus, vocab = micro_corpus(seed=6, num_docs=12, doc_len=(20, 70))
+    tiny = CKModel(tiny_config("ndrm3"), vocab)
+    before = _postings_bytes(build_index(corpus, tiny))
+    long_doc = Corpus()
+    long_doc.add(DocumentRecord("L", [f"w{i % 40:02d}" for i in range(450)]))
+    paper = build_index(long_doc, CKModel(ModelConfig(variant="ndrm1"), vocab))
+    assert paper.num_postings == 40
+    assert len(pooling._COVER_TABLES) == 2
+    assert _postings_bytes(build_index(corpus, tiny)) == before
 
 
 def test_index_matches_model_config(indexed):

@@ -6,13 +6,15 @@ import refops as R
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (interaction_row, kernel_features, latent_term_score,
-                     windowed_pool_term)
+                     window_cover_fresh, windowed_pool_term)
 
 import ckrank.tensor as T
+from ckrank import pooling
 from ckrank.errors import ConfigError, ShapeError
 from ckrank.pooling import (KernelBank, WindowConfig, empty_features,
                             init_head_params, interaction_rows,
-                            latent_term_scores, num_windows, windowed_pool_terms)
+                            latent_term_scores, num_windows, window_cover,
+                            windowed_pool_terms)
 
 LOG_EPS = np.log(1e-10)
 
@@ -227,6 +229,68 @@ def test_fused_gradient_only_hits_winning_windows():
     T.backward(T.tsum(R.mul(out, T.constant(np.eye(10)[9][None, :]))))
     assert np.all(rows.grad[0, :2] == 0.0)
     assert np.any(rows.grad[0, 2:] != 0.0)
+
+
+# -- cached constants ----------------------------------------------------------------
+
+
+def test_cover_slices_equal_fresh_covers(monkeypatch):
+    monkeypatch.setattr(pooling, "_COVER_TABLES", {})
+    wcfg = WindowConfig(window_len=5, stride=2)
+    # the table grows, then serves shorter lengths
+    for n in (3, 12, 40, 1, 5, 6, 39, 12):
+        got = window_cover(n, wcfg, np.float32)
+        want = window_cover_fresh(n, wcfg, np.float32)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+    assert pooling._COVER_TABLES[5, 2, np.dtype(np.float32)].shape == (40, 19)
+
+
+def test_cover_tables_and_constants_per_dtype(monkeypatch):
+    monkeypatch.setattr(pooling, "_COVER_TABLES", {})
+    wcfg, bank = WindowConfig(window_len=5, stride=2), KernelBank()
+    rows = np.random.default_rng(4).uniform(-1, 1, size=(2, 9))
+    for mode in ("float32", "float64"):
+        with T.precision(mode), T.no_grad():
+            windowed_pool_terms(T.constant(rows), wcfg, bank)
+    tables = pooling._COVER_TABLES
+    assert set(tables) == {(5, 2, np.dtype(np.float32)), (5, 2, np.dtype(np.float64))}
+    for dtype in (np.float32, np.float64):
+        assert tables[5, 2, np.dtype(dtype)].dtype == dtype
+        mus, inv2s = bank.constants(dtype)
+        assert mus.dtype == inv2s.dtype == dtype
+        assert np.array_equal(mus, bank.mus.astype(dtype))
+        assert np.array_equal(inv2s, (1.0 / (2.0 * bank.sigmas ** 2)).astype(dtype))
+    assert bank.constants(np.float32)[0] is not bank.constants(np.float64)[0]
+
+
+def test_cached_arrays_are_read_only():
+    wcfg, bank = WindowConfig(window_len=5, stride=2), KernelBank()
+    cover = window_cover(7, wcfg, np.float64)
+    arrays = (cover, pooling._COVER_TABLES[5, 2, np.dtype(np.float64)],
+              *bank.constants(np.float32), bank.mus, bank.sigmas)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 2.0
+
+
+def test_bank_does_not_freeze_the_callers_arrays():
+    mus, sigmas = np.array([0.1, 0.5]), np.array([0.1, 0.2])
+    KernelBank(mus, sigmas)
+    assert mus.flags.writeable and sigmas.flags.writeable
+
+
+def test_same_length_makes_no_new_table(monkeypatch):
+    monkeypatch.setattr(pooling, "_COVER_TABLES", {})
+    wcfg, bank = WindowConfig(window_len=5, stride=2), KernelBank()
+    key = (5, 2, np.dtype(np.float32))
+    window_cover(11, wcfg, np.float32)
+    table = pooling._COVER_TABLES[key]
+    constants = bank.constants(np.float32)
+    for n in (11, 4):
+        assert np.shares_memory(window_cover(n, wcfg, np.float32), table)
+        assert pooling._COVER_TABLES[key] is table
+    assert all(a is b for a, b in zip(bank.constants(np.float32), constants))
 
 
 # -- scoring head -----------------------------------------------------------------
