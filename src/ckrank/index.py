@@ -47,18 +47,6 @@ class RetrievalResult:
             if s2 > s1:
                 raise ContractError("ranking must be non-increasing by score")
 
-    @classmethod
-    def _of_arrays(cls, query_id, doc_ids, scores):
-        """The result ranking doc_ids with their scores, both arrays: the
-        order rule is checked with one array comparison instead of the
-        per-pair walk of ``__post_init__``."""
-        if (scores[1:] > scores[:-1]).any():
-            raise ContractError("ranking must be non-increasing by score")
-        result = object.__new__(cls)
-        result.query_id, result.skipped = query_id, 0
-        result.ranking = list(zip(doc_ids.tolist(), scores.tolist()))
-        return result
-
 
 def _id_ranks(ids):
     """Each id of an object array's place in ascending id order (equal ids by
@@ -241,8 +229,9 @@ def retrieve(query, index, k=100):
     live = np.flatnonzero(touched)
     scores = acc[live]
     top = _best_first(scores, index.doc_rank, k, live)
-    return RetrievalResult._of_arrays(qid, index.doc_id_array[live[top]],
-                                      scores[top])
+    ranking = list(zip(index.doc_id_array[live[top]].tolist(),
+                       scores[top].tolist()))
+    return RetrievalResult(qid, ranking)
 
 
 def rerank(query, candidates, model, corpus, k=None):

@@ -10,12 +10,13 @@ Every op here is fused and batched (one graph node for all query terms).
 Windowed pooling evaluates the Gaussian kernels once per (term, position)
 into a kernel-major (k, t, positions) array, so overlapping windows share
 the exponentials, and takes every window's sum in one matmul with a 0/1
-(positions, windows) cover matrix. No constant is built per call: the
-kernel bank casts its means and 1/(2σ²) once per dtype, and the cover matrix
-is a read-only slice of one table per (window_len, stride, dtype), grown to
-the longest document seen (so at most ``max_doc_tokens`` rows). The
-interaction rows run in blocks of positions and the pooling in blocks of
-kernels on the tensor module's worker pool.
+(positions, windows) cover matrix. A short document builds no constant per
+call: the kernel bank casts its means and 1/(2σ²) once per dtype, and the
+cover matrix is a read-only slice of one table per (window_len, stride,
+dtype), grown to the longest document seen up to 512 positions (about
+512^2 / stride entries); a longer document builds its own cover per call.
+The interaction rows run in blocks of positions and the pooling in blocks
+of kernels on the tensor module's worker pool.
 """
 
 import math
@@ -100,16 +101,20 @@ def num_windows(n, wcfg):
 
 
 # (window_len, stride, dtype) -> read-only cover matrix of the longest length
-# asked for so far. Entry [p, i] depends only on p, i and the window config,
-# so [:n, :num_windows(n)] of a longer table is the matrix built for n, and
-# threads that race to grow a table can only build it twice.
+# asked for so far, up to _COVER_CACHE_ROWS. Entry [p, i] depends only on p, i
+# and the window config, so [:n, :num_windows(n)] of a longer table is the
+# matrix built for n, and threads that race to grow a table can only build it
+# twice. A table holds n * num_windows(n) entries, about n^2 / stride, so a
+# longer document builds its cover per call instead of growing the table.
 _COVER_TABLES = {}
+_COVER_CACHE_ROWS = 512
 
 
 def window_cover(n, wcfg, dtype):
     """Read-only 0/1 (n, num_windows(n)) matrix of dtype: [p, i] = 1 when
     window i covers position p, so one matmul sums every window (a short
-    last window covers fewer positions). A view of a cached table."""
+    last window covers fewer positions). A view of a cached table when n
+    is at most _COVER_CACHE_ROWS."""
     w = num_windows(n, wcfg)
     key = (wcfg.window_len, wcfg.stride, np.dtype(dtype))
     table = _COVER_TABLES.get(key)
@@ -118,7 +123,8 @@ def window_cover(n, wcfg, dtype):
         pos = np.arange(n)[:, None]
         table = ((pos >= starts) & (pos < starts + wcfg.window_len)).astype(dtype)
         table.flags.writeable = False
-        _COVER_TABLES[key] = table
+        if n <= _COVER_CACHE_ROWS:
+            _COVER_TABLES[key] = table
     return table[:n, :w]
 
 

@@ -293,6 +293,23 @@ def test_same_length_makes_no_new_table(monkeypatch):
     assert all(a is b for a, b in zip(bank.constants(np.float32), constants))
 
 
+def test_cover_past_the_cap_is_built_per_call(monkeypatch):
+    # a table holds about n^2 / stride entries, so it stops growing at
+    # _COVER_CACHE_ROWS and a longer document gets a fresh cover
+    monkeypatch.setattr(pooling, "_COVER_TABLES", {})
+    monkeypatch.setattr(pooling, "_COVER_CACHE_ROWS", 20)
+    wcfg = WindowConfig(window_len=5, stride=2)
+    key = (5, 2, np.dtype(np.float64))
+    window_cover(20, wcfg, np.float64)
+    table = pooling._COVER_TABLES[key]
+    for n in (21, 60):
+        got = window_cover(n, wcfg, np.float64)
+        assert np.array_equal(got, window_cover_fresh(n, wcfg, np.float64))
+        assert not np.shares_memory(got, table) and not got.flags.writeable
+        assert pooling._COVER_TABLES[key] is table
+    assert np.shares_memory(window_cover(13, wcfg, np.float64), table)
+
+
 # -- scoring head -----------------------------------------------------------------
 
 
