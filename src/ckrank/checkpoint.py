@@ -152,14 +152,16 @@ def _read(path):
 
 def save_model(model, path):
     _write(path, {"config": model.config.to_dict(),
-                  "config_hash": model.config.config_hash(),
+                  "config_hash": model.config_hash,
                   "stats": model.running_stats(),
                   "vocab_fingerprint": model.vocab.fingerprint()},
            model.parameters())
 
 
 def load_model(path, vocab):
-    """Rebuild a CKModel from a checkpoint; returns it in eval mode.
+    """Rebuild a CKModel from a checkpoint; returns it in eval mode. A
+    stored config hash that differs from the rebuilt config's raises
+    IndexFormatError.
 
     The model adopts the loaded arrays; its dropout stream starts as a
     fresh model's does.
@@ -168,8 +170,6 @@ def load_model(path, vocab):
 
     fields, arrays = _read(path)
     config = ModelConfig.from_dict(fields["config"])
-    if config.config_hash() != fields["config_hash"]:
-        raise IndexFormatError(f"{path}: config hash mismatch")
     specs = parameter_specs(config, vocab.size)
     names = {name for name, _, _ in specs}
     if names != set(arrays):
@@ -185,6 +185,9 @@ def load_model(path, vocab):
                                f"vocabulary (term order, document frequencies "
                                f"or document count differ)")
     model = CKModel(config, vocab, arrays)
+    # the model hashes its config once, on construction
+    if model.config_hash != fields["config_hash"]:
+        raise IndexFormatError(f"{path}: config hash mismatch")
     model.load_running_stats(fields["stats"])
     model.eval()
     return model

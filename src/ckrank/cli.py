@@ -89,7 +89,7 @@ def build_parser():
     p.add_argument("--max-bytes", type=int, help="cap a row instead of running it")
     p.add_argument("--out", required=True, help="CSV output path")
 
-    commands.add_parser("selftest", help="run built-in oracle/gradient checks")
+    commands.add_parser("selftest", help="run built-in gradient and contract checks")
     return parser
 
 

@@ -34,8 +34,11 @@ from .pooling import KernelBank, WindowConfig, empty_features
 VARIANTS = ("ndrm1", "ndrm2", "ndrm3")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Model hyperparameters. Frozen: a model hashes its config once, when it
+    is built, and its checkpoints and indexes carry that hash."""
+
     variant: str = "ndrm3"
     model_dim: int = 256
     num_heads: int = 32
@@ -60,8 +63,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        self.kernel_mus = tuple(float(m) for m in self.kernel_mus)
-        self.kernel_sigmas = tuple(float(s) for s in self.kernel_sigmas)
+        object.__setattr__(self, "kernel_mus", tuple(map(float, self.kernel_mus)))
+        object.__setattr__(self, "kernel_sigmas", tuple(map(float, self.kernel_sigmas)))
         self.attention_config()  # validates dims
         self.window_config()
         self.kernel_bank()

@@ -286,7 +286,3 @@ def head_param_specs(k):
     """``(name, shape, init)`` of the scoring head over k kernel features,
     as ``tensor.init_parameters`` reads them (Glorot-uniform weights)."""
     return (("w", (k,), math.sqrt(6.0 / (k + 1))), ("b", (), "zeros"))
-
-
-def init_head_params(rng, k):
-    return T.init_parameters(head_param_specs(k), rng)

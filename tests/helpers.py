@@ -2,8 +2,10 @@
 
 import numpy as np
 
+import ckrank.tensor as T
 from ckrank.corpus import Corpus, DocumentRecord, Vocabulary
 from ckrank.model import ModelConfig
+from ckrank.pooling import head_param_specs
 
 # Scaled-down profile used for trained models in the slower tests.  Same
 # structure as the default (two conformer layers, grouped conv, multi-head
@@ -48,6 +50,11 @@ def micro_config(variant, **overrides):
     kwargs.update(overrides)
     kwargs.setdefault("seed", 0)
     return ModelConfig(variant=variant, **kwargs)
+
+
+def init_head_params(rng, k):
+    """A freshly drawn scoring head over k kernel features."""
+    return T.init_parameters(head_param_specs(k), rng)
 
 
 def micro_corpus(seed=0, num_docs=24, vocab_terms=40, doc_len=(6, 18)):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 import refops as R
-from helpers import micro_config, micro_corpus
+from helpers import init_head_params, micro_config, micro_corpus
 from oracles import (TermDocStats, batch_norm_infer, kernel_features,
                      ndrm2_term_score, windowed_pool_term)
 
@@ -24,9 +24,8 @@ from ckrank.gradcheck import finite_difference_check
 from ckrank.index import retrieve
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
                           duet_scores, ndrm2_term_scores)
-from ckrank.pooling import (KernelBank, WindowConfig, init_head_params,
-                            interaction_rows, latent_term_scores,
-                            windowed_pool_terms)
+from ckrank.pooling import (KernelBank, WindowConfig, interaction_rows,
+                            latent_term_scores, windowed_pool_terms)
 from ckrank.train import (Adam, TrainConfig, TrainInstance, batch_loss,
                           clip_gradients, expand_pairs, ranknet_loss, train)
 

@@ -16,13 +16,12 @@ from oracles import save_checkpoint_tobytes
 
 import ckrank.attention
 import ckrank.checkpoint
-import ckrank.pooling
 import ckrank.tensor as T
 from ckrank.checkpoint import (MAGIC, VERSION, load_checkpoint, load_model,
                                save_checkpoint, save_model)
 from ckrank.corpus import Vocabulary
 from ckrank.errors import IndexFormatError
-from ckrank.model import CKModel, parameter_specs
+from ckrank.model import CKModel, ModelConfig, parameter_specs
 from ckrank.train import TrainConfig, TrainInstance, train
 
 
@@ -315,7 +314,6 @@ def test_load_draws_nothing_and_adopts_the_file(tmp_path, micro, monkeypatch,
         files = []
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         monkeypatch.setattr(ckrank.attention, "init_block_params", _refuse)
-        monkeypatch.setattr(ckrank.pooling, "init_head_params", _refuse)
         monkeypatch.setattr(ckrank.checkpoint, "_read",
                             lambda p: files.append(read(p)) or files[-1])
         loaded = load_model(path, vocab)
@@ -441,6 +439,25 @@ def test_fingerprint_is_hashed_once_per_vocabulary(monkeypatch, micro):
     assert len(calls) == 1
     assert vocab.fingerprint() == first
     assert len(calls) == 1
+
+
+def test_config_is_hashed_once_per_save_load_cycle(tmp_path, monkeypatch, micro):
+    _, vocab = micro
+    model = CKModel(micro_config("ndrm3"), vocab)
+    want = model.config.config_hash()
+    calls = []
+    config_hash = ModelConfig.config_hash
+
+    def counted(self):
+        calls.append(self)
+        return config_hash(self)
+
+    monkeypatch.setattr(ModelConfig, "config_hash", counted)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    loaded = load_model(path, vocab)
+    assert len(calls) == 1
+    assert load_checkpoint(path)[1] == loaded.config_hash == want
 
 
 def test_raw_checkpoint_without_fingerprint_is_not_a_model(tmp_path, micro):

@@ -5,9 +5,11 @@ import json
 import pytest
 from helpers import micro_config
 
+import ckrank.index
 from ckrank.checkpoint import load_model
 from ckrank.cli import main
 from ckrank.corpus import Vocabulary, load_run
+from ckrank.selftest import run_selftest
 from ckrank.synth import (make_synthetic, write_qrels, write_queries_tsv,
                           write_tsv_corpus, write_candidates, write_triples)
 
@@ -193,6 +195,23 @@ def test_search_refuses_negative_k(workspace, index_path, capsys):
 def test_selftest_passes(capsys):
     assert run_cli("selftest") == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_selftest_fails_on_a_broken_fold(monkeypatch, capsys):
+    split_postings = ckrank.index.split_postings
+
+    def reversed_scores(*args):
+        """Each term's doc indices paired with its scores in reverse."""
+        return {t: (idx, scores[::-1]) for t, (idx, scores) in
+                split_postings(*args).items()}
+
+    monkeypatch.setattr(ckrank.index, "split_postings", reversed_scores)
+    assert run_selftest(verbose=False) is False
+    assert run_selftest() is False
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert [line.split(":")[0] for line in failed] == \
+        [f"[FAIL] additive contract, {v}" for v in ("ndrm1", "ndrm2", "ndrm3")]
 
 
 def test_missing_file_is_runtime_error(workspace, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import refops as R
+from helpers import init_head_params
 from oracles import batch_norm_infer, kernel_features, windowed_pool_term
 
 import ckrank.tensor as T
@@ -11,9 +12,8 @@ from ckrank.attention import (AttentionConfig, conformer_block, feed_forward,
 from ckrank.gradcheck import finite_difference_check
 from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
     ndrm2_term_scores
-from ckrank.pooling import (KernelBank, WindowConfig, init_head_params,
-                            interaction_rows, latent_term_scores,
-                            windowed_pool_terms)
+from ckrank.pooling import (KernelBank, WindowConfig, interaction_rows,
+                            latent_term_scores, windowed_pool_terms)
 from ckrank.train import ranknet_loss
 
 RNG = np.random.default_rng(12345)

@@ -1,5 +1,7 @@
 """Model config, explicit/duet scoring formulas, and the additive contract."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from helpers import micro_config, micro_corpus
@@ -59,6 +61,16 @@ def test_config_hash_tracks_content():
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 64
+
+
+def test_config_is_frozen(micro):
+    """A model's checkpoints and indexes carry the hash of the config it was
+    built with, so that config cannot change under it."""
+    _, vocab = micro
+    model = CKModel(micro_config("ndrm2"), vocab)
+    with pytest.raises(FrozenInstanceError):
+        model.config.max_query_tokens = 5
+    assert model.config_hash == model.config.config_hash()
 
 
 def test_config_file_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import refops as R
+from helpers import init_head_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (interaction_row, kernel_features, latent_term_score,
@@ -12,9 +13,8 @@ import ckrank.tensor as T
 from ckrank import pooling
 from ckrank.errors import ConfigError, ShapeError
 from ckrank.pooling import (KernelBank, WindowConfig, empty_features,
-                            init_head_params, interaction_rows,
-                            latent_term_scores, num_windows, window_cover,
-                            windowed_pool_terms)
+                            interaction_rows, latent_term_scores, num_windows,
+                            window_cover, windowed_pool_terms)
 
 LOG_EPS = np.log(1e-10)
 

@@ -1,5 +1,5 @@
-"""The public functions of ``ckrank.tensor`` and ``ckrank.attention`` are
-ones the package itself calls.
+"""The public functions of ``ckrank.tensor``, ``ckrank.attention`` and
+``ckrank.pooling`` are ones the package itself calls.
 
 Reference code (generic ops, textbook attention) belongs in the test tree
 (``refops``, ``oracles``), so a public function that no other module of the
@@ -12,7 +12,7 @@ from pathlib import Path
 import ckrank
 
 SRC = Path(ckrank.__file__).resolve().parent
-GUARDED = ("tensor", "attention")
+GUARDED = ("tensor", "attention", "pooling")
 
 # Public functions kept although no other module of the package calls them.
 KEPT = {
@@ -25,6 +25,11 @@ KEPT = {
         "scale",
     },
     "attention": set(),
+    "pooling": {
+        # Called inside pooling.py, by windowed_pool_terms and window_cover;
+        # num_windows is also exported by the package.
+        "num_windows", "window_cover",
+    },
 }
 
 
