@@ -14,18 +14,26 @@ matches against documents that do not contain the literal term are
 deliberately dropped; scoring every (term, document) pair would be
 quadratic in the collection.
 
-File layout: magic ``CKIX`` | u32 version | u64 meta length | meta JSON
-(doc table, term dictionary with offsets, config hash, frozen statistics) |
-posting blocks. Each block stores delta-encoded doc indices as unsigned
-varints followed by raw little-endian float32 scores; saving encodes and
-loading decodes the varints of all blocks at once with array ops.
-Round-trips are bit-exact.
+In memory each posting list is a pair of arrays: int32 doc indices, which
+cap a doc table at 2**31 - 1 documents, and scores, float32 for a model
+(8 bytes a posting) and float64 for BM25 (12 bytes). ``split_postings``
+casts a whole column to int32 once; ``retrieve`` widens a query's
+concatenated doc indices to ``intp`` once, for ``bincount`` and the
+touched-set scatter.
+
+File layout (version 2): magic ``CKIX`` | u32 version | u64 meta length |
+meta JSON (doc table, term dictionary with offsets, config hash, frozen
+statistics, the model's query cap or null) | posting blocks. Each block
+stores delta-encoded doc indices as unsigned varints followed by raw
+little-endian float32 scores; saving encodes and loading decodes the varints
+of all blocks at once with array ops. Round-trips are bit-exact. Version 1
+files record no query cap and are refused.
 """
 
 import json
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -33,7 +41,8 @@ from . import tensor as T
 from .errors import ContractError, IndexFormatError
 
 MAGIC = b"CKIX"
-VERSION = 1
+VERSION = 2
+MAX_DOCS = np.iinfo(np.int32).max      # the doc column's limit
 
 
 @dataclass
@@ -95,13 +104,22 @@ def _rank(scored, k):
 
 
 class ImpactIndex:
-    def __init__(self, doc_ids, postings, config_hash, stats):
+    """Posting lists over a doc table. ``max_query_tokens`` is the cap of
+    the model folded in: ``retrieve`` reads only that many query tokens, as
+    ``rerank`` does. None (BM25) reads them all."""
+
+    def __init__(self, doc_ids, postings, config_hash, stats,
+                 max_query_tokens=None):
         self.doc_ids = list(doc_ids)
+        if len(self.doc_ids) > MAX_DOCS:
+            raise ContractError(f"{len(self.doc_ids)} documents: an index holds "
+                                f"at most {MAX_DOCS}")
         self.doc_id_array = np.fromiter(self.doc_ids, object, len(self.doc_ids))
         self.doc_rank = _id_ranks(self.doc_id_array)  # tie-break key per doc index
-        self.postings = postings    # term -> (int64 doc indices, f32 scores; f64 for BM25)
+        self.postings = postings    # term -> (int32 doc indices, f32 scores; f64 for BM25)
         self.config_hash = config_hash
         self.stats = dict(stats)
+        self.max_query_tokens = max_query_tokens
 
     @property
     def num_docs(self):
@@ -141,7 +159,9 @@ def posting_table(corpus):
 
 
 def split_postings(terms, counts, doc_idx, scores):
-    """term -> (doc indices, scores) slices of a term-by-term column."""
+    """term -> (int32 doc indices, scores) slices of a term-by-term column,
+    its doc indices cast once for the whole column."""
+    doc_idx = doc_idx.astype(np.int32)
     stops = np.cumsum(counts)
     return {t: (doc_idx[a:b], scores[a:b]) for t, a, b in
             zip(terms, (stops - counts).tolist(), stops.tolist())}
@@ -171,8 +191,10 @@ def build_index(corpus, model):
     posted = np.repeat(keep, counts)
     terms = [t for t, k in zip(terms, keep.tolist()) if k]
     counts, doc_idx, tf = counts[keep], doc_idx[posted], tf[posted]
+    cap = model.config.max_query_tokens
     if not terms:
-        return ImpactIndex(doc_ids, {}, model.config_hash, model.running_stats())
+        return ImpactIndex(doc_ids, {}, model.config_hash, model.running_stats(),
+                           cap)
     owner = np.repeat(np.arange(len(terms)), counts)
     order = np.lexsort((owner, doc_idx)) if model.needs_latent \
         else np.arange(doc_idx.size)
@@ -190,7 +212,7 @@ def build_index(corpus, model):
     scores = np.empty(doc_idx.size, dtype=np.float32)
     scores[order] = column
     return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, scores),
-                       model.config_hash, model.running_stats())
+                       model.config_hash, model.running_stats(), cap)
 
 
 def _runs(col):
@@ -214,15 +236,23 @@ def _latent_column(corpus, model, doc_ids, terms, col_term, col_doc):
 def retrieve(query, index, k=100):
     """Sum the query's posting lists, one per token occurrence, per document.
 
-    One weighted ``bincount`` over the lists concatenated in token order adds
-    in input order in float64, so each sum is the term-at-a-time sum. Only
-    documents sharing at least one indexed term appear, whatever their
-    score. Ranked as ``_rank`` ranks: score descending, doc id ascending.
+    Only the first ``index.max_query_tokens`` tokens count, the cap
+    ``rerank`` applies too. One weighted ``bincount`` over the lists
+    concatenated in token order adds in input order in float64, so each sum
+    is the term-at-a-time sum. Only documents sharing at least one indexed
+    term appear, whatever their score. Ranked as ``_rank`` ranks: score
+    descending, doc id ascending.
     """
     qid, tokens = _query_parts(query)
-    hits = [hit for hit in map(index.postings.get, tokens) if hit is not None]
-    doc_idx, weights = map(np.concatenate, zip(*hits)) if hits else \
-        (np.zeros(0, dtype=np.int64), np.zeros(0))
+    hits = [hit for hit in map(index.postings.get,
+                               islice(tokens, index.max_query_tokens))
+            if hit is not None]
+    if hits:
+        idx_cols, score_cols = zip(*hits)
+        doc_idx = np.concatenate(idx_cols, dtype=np.intp)
+        weights = np.concatenate(score_cols)
+    else:
+        doc_idx, weights = np.zeros(0, dtype=np.intp), np.zeros(0)
     acc = np.bincount(doc_idx, weights=weights, minlength=index.num_docs)
     touched = np.zeros(index.num_docs, dtype=bool)
     touched[doc_idx] = True
@@ -321,8 +351,8 @@ def save_index(index, path):
         if index.postings[term][1].size != count:
             raise ContractError(f"posting list of term {term!r} has {count} doc "
                                 f"indices but {index.postings[term][1].size} scores")
-    doc_idx = np.concatenate([np.asarray(index.postings[t][0], dtype=np.int64)
-                              for t in terms] + [np.zeros(0, dtype=np.int64)])
+    doc_idx = np.concatenate([index.postings[t][0] for t in terms]
+                             + [np.zeros(0, dtype=np.int64)], dtype=np.int64)
     stops = np.cumsum(counts)
     firsts = (stops - counts)[counts > 0]
     prev = np.roll(doc_idx, 1)
@@ -350,6 +380,7 @@ def save_index(index, path):
         "doc_ids": index.doc_ids,
         "config_hash": index.config_hash,
         "stats": index.stats,
+        "max_query_tokens": index.max_query_tokens,
         "dictionary": dictionary,
     }).encode("utf-8")
     with open(path, "wb") as fh:
@@ -369,6 +400,10 @@ def _load_meta(blob, path):
     magic, version, mlen = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise IndexFormatError(f"{path}: not an impact index (bad magic)")
+    if version == 1:
+        raise IndexFormatError(f"{path}: index version 1 records no query cap, "
+                               "so retrieve would read whole queries; rebuild "
+                               f"it as version {VERSION}")
     if version != VERSION:
         raise IndexFormatError(f"{path}: unsupported index version {version}")
     if mlen > len(blob) - _HEADER.size:
@@ -379,11 +414,15 @@ def _load_meta(blob, path):
         dictionary = [(e["term"], int(e["offset"]), int(e["count"]))
                       for e in meta["dictionary"]]
         config_hash, stats = meta["config_hash"], dict(meta["stats"])
+        cap = meta["max_query_tokens"]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
         raise IndexFormatError(f"{path}: malformed metadata ({err})") from None
     if meta.get("num_docs") != len(doc_ids):
         raise IndexFormatError(f"{path}: doc table length does not match num_docs")
-    return doc_ids, dictionary, config_hash, stats, _HEADER.size + mlen
+    if cap is not None and (type(cap) is not int or cap < 0):
+        raise IndexFormatError(f"{path}: query cap {cap!r} is not a "
+                               "non-negative integer or null")
+    return doc_ids, dictionary, config_hash, stats, cap, _HEADER.size + mlen
 
 
 def load_index(path):
@@ -391,7 +430,7 @@ def load_index(path):
     IndexFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    doc_ids, dictionary, config_hash, stats, start = _load_meta(blob, path)
+    doc_ids, dictionary, config_hash, stats, cap, start = _load_meta(blob, path)
     payload = memoryview(blob)[start:]
     for term, pos, count in dictionary:
         if not (0 <= pos <= len(payload) and 0 <= count <= len(payload)):
@@ -417,10 +456,10 @@ def load_index(path):
     fail(owner[deltas == 0], "posting of {!r} repeats a document")
     fail(np.flatnonzero(stops + 4 * counts > len(payload)),
          "posting block of {!r} truncated")
-    postings = {}
-    for term, off, count, pos in zip(terms, offsets.tolist(), counts.tolist(),
-                                     stops.tolist()):
-        scores = np.frombuffer(payload, dtype="<f4", count=count,
-                               offset=pos).astype(np.float32)
-        postings[term] = (doc_idx[off:off + count], scores)
-    return ImpactIndex(doc_ids, postings, config_hash, stats)
+    # each block's score bytes follow its varints; joined, they are one column
+    scores = np.frombuffer(bytearray().join(
+        [payload[pos:pos + 4 * count]
+         for pos, count in zip(stops.tolist(), counts.tolist())]), dtype="<f4")
+    return ImpactIndex(doc_ids, split_postings(
+        terms, counts, doc_idx, scores.astype(np.float32, copy=False)),
+        config_hash, stats, cap)

@@ -20,6 +20,7 @@ explicit branch (mean TF, mean document length) follow the same rule.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -63,6 +64,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        if type(self.max_query_tokens) is not int or self.max_query_tokens < 0:
+            raise ConfigError("max_query_tokens must be a non-negative integer, "
+                              f"not {self.max_query_tokens!r}")
         object.__setattr__(self, "kernel_mus", tuple(map(float, self.kernel_mus)))
         object.__setattr__(self, "kernel_sigmas", tuple(map(float, self.kernel_sigmas)))
         self.attention_config()  # validates dims
@@ -153,11 +157,11 @@ def ndrm2_term_scores(idf, tf, dlen, params, bs_state):
     dt = T.default_dtype()
     eps = params.epsilon
     w, b = params.w_dlen, params.b_dlen
-    bs_tf = np.asarray(tf, dtype=dt) / (bs_state.mean_tf + eps)
-    bs_dl = np.asarray(dlen, dtype=dt) / (bs_state.mean_dlen + eps)
-    lin = bs_dl * w.data + b.data
+    bs_tf = np.divide(tf, bs_state.mean_tf + eps, dtype=dt)
+    bs_dl = np.divide(dlen, bs_state.mean_dlen + eps, dtype=dt)
+    lin = bs_dl * w._data + b._data
     denom = np.maximum(lin, 0) + (bs_tf + eps)
-    num = np.asarray(idf, dtype=dt) * bs_tf
+    num = np.multiply(idf, bs_tf, dtype=dt)
     data = num / denom
 
     def backward(g):
@@ -195,37 +199,35 @@ def duet_scores(s_latent, s_explicit, params, mode):
     folds them into the running averages), then mixes; infer mode is one
     elementwise op over the frozen running statistics.
     """
-    if mode not in ("train", "infer"):
+    if mode == "infer":
+        floor = params.var_floor
+        return _duet_mix(s_latent, s_explicit, params, params.bn_latent_mean,
+                         math.sqrt(max(params.bn_latent_var, floor)),
+                         params.bn_explicit_mean,
+                         math.sqrt(max(params.bn_explicit_var, floor)))
+    if mode != "train":
         raise ConfigError(f"unknown duet mode {mode!r}")
-    if mode == "train":
-        bn_lat, m_l, v_l = T.batch_norm_train(s_latent, params.var_floor)
-        bn_exp, m_e, v_e = T.batch_norm_train(s_explicit, params.var_floor)
-        mom = params.momentum
-        params.bn_latent_mean = mom * params.bn_latent_mean + (1 - mom) * m_l
-        params.bn_latent_var = mom * params.bn_latent_var + (1 - mom) * v_l
-        params.bn_explicit_mean = mom * params.bn_explicit_mean + (1 - mom) * m_e
-        params.bn_explicit_var = mom * params.bn_explicit_var + (1 - mom) * v_e
-        return _duet_mix(bn_lat, bn_exp, params, (0.0, 1.0), (0.0, 1.0))
-    floor = params.var_floor
-    return _duet_mix(s_latent, s_explicit, params,
-                     (params.bn_latent_mean,
-                      float(np.sqrt(max(params.bn_latent_var, floor)))),
-                     (params.bn_explicit_mean,
-                      float(np.sqrt(max(params.bn_explicit_var, floor)))))
+    bn_lat, m_l, v_l = T.batch_norm_train(s_latent, params.var_floor)
+    bn_exp, m_e, v_e = T.batch_norm_train(s_explicit, params.var_floor)
+    mom = params.momentum
+    params.bn_latent_mean = mom * params.bn_latent_mean + (1 - mom) * m_l
+    params.bn_latent_var = mom * params.bn_latent_var + (1 - mom) * v_l
+    params.bn_explicit_mean = mom * params.bn_explicit_mean + (1 - mom) * m_e
+    params.bn_explicit_var = mom * params.bn_explicit_var + (1 - mom) * v_e
+    return _duet_mix(bn_lat, bn_exp, params, 0.0, 1.0, 0.0, 1.0)
 
 
-def _duet_mix(lat, exp, params, lat_norm, exp_norm):
-    """w1 * (lat - mean_l) / sd_l + w2 * (exp - mean_e) / sd_e + b in one op,
-    with each (mean, sd) pair a constant."""
+def _duet_mix(lat, exp, params, m_l, d_l, m_e, d_e):
+    """w1 * (lat - m_l) / d_l + w2 * (exp - m_e) / d_e + b in one op, with
+    the means and deviations Python floats."""
     w1, w2, b = params.w1, params.w2, params.b
-    (m_l, d_l), (m_e, d_e) = lat_norm, exp_norm
-    bn_lat = (lat.data - m_l) / d_l
-    bn_exp = (exp.data - m_e) / d_e
-    data = bn_lat * w1.data + bn_exp * w2.data + b.data
+    bn_lat = (lat._data - m_l) / d_l
+    bn_exp = (exp._data - m_e) / d_e
+    data = bn_lat * w1._data + bn_exp * w2._data + b._data
 
     def backward(g):
-        lat._accumulate(g * w1.data / d_l)
-        exp._accumulate(g * w2.data / d_e)
+        lat._accumulate(g * w1._data / d_l)
+        exp._accumulate(g * w2._data / d_e)
         w1._accumulate((g * bn_lat).sum())
         w2._accumulate((g * bn_exp).sum())
         b._accumulate(g.sum())

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: small model profiles and mini corpora."""
 
 import numpy as np
+import refops as R
 
 import ckrank.tensor as T
 from ckrank.corpus import Corpus, DocumentRecord, Vocabulary
@@ -68,3 +69,15 @@ def micro_corpus(seed=0, num_docs=24, vocab_terms=40, doc_len=(6, 18)):
         corpus.add(DocumentRecord(doc_id=f"M{i:03d}", tokens=tokens))
     vocab = Vocabulary.build(corpus)
     return corpus, vocab
+
+
+def value_and_grads(build, arrays, mix_seed=0):
+    """build(params) -> Tensor; its value and the gradient of
+    sum(value * mix) for every array, as leaf tensors built fresh."""
+    params = {name: T.parameter(a) for name, a in arrays.items()}
+    out = build(params)
+    mix = np.random.default_rng(mix_seed).normal(size=out.shape)
+    T.backward(T.tsum(R.mul(out, T.constant(mix))))
+    grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
+             for name, p in params.items()}
+    return out.numpy(), grads

@@ -14,7 +14,7 @@ import numpy as np
 import refops as R
 
 import ckrank.tensor as T
-from ckrank.errors import ContractError, ShapeError
+from ckrank.errors import ConfigError, ContractError, ShapeError
 from ckrank.attention import _softmax, _softmax_backward
 from ckrank.index import ImpactIndex, _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
@@ -93,7 +93,7 @@ def build_index_per_document(corpus, model):
     packed = {t: (np.asarray(idx, dtype=np.int64), np.asarray(sc, dtype=np.float32))
               for t, (idx, sc) in postings.items()}
     return ImpactIndex(doc_ids, packed, model.config.config_hash(),
-                       model.running_stats())
+                       model.running_stats(), model.config.max_query_tokens)
 
 
 def posting_table_by_stable_sort(corpus):
@@ -183,12 +183,13 @@ def save_checkpoint_tobytes(path, config_dict, config_hash, params, stats):
 
 def retrieve_term_at_a_time(tokens, index, k=100):
     """``retrieve``'s ranking by term-at-a-time accumulation: each token
-    occurrence's posting list added into a float64 accumulator in turn
-    (``acc[doc_idx] += scores``), the documents it touches marked, then the
-    touched documents ranked best-first and cut at k."""
+    occurrence up to the index's query cap has its posting list added into a
+    float64 accumulator in turn (``acc[doc_idx] += scores``), the documents
+    it touches marked, then the touched documents ranked best-first and cut
+    at k."""
     acc = np.zeros(index.num_docs, dtype=np.float64)
     touched = np.zeros(index.num_docs, dtype=bool)
-    for term in tokens:
+    for term in list(tokens)[:index.max_query_tokens]:
         hit = index.postings.get(term)
         if hit is None:
             continue
@@ -238,11 +239,12 @@ def save_index_per_posting(index, path):
         "doc_ids": index.doc_ids,
         "config_hash": index.config_hash,
         "stats": index.stats,
+        "max_query_tokens": index.max_query_tokens,
         "dictionary": dictionary,
     }).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(b"CKIX")
-        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", 2))
         fh.write(struct.pack("<Q", len(meta)))
         fh.write(meta)
         for block in blocks:
@@ -573,3 +575,63 @@ def latent_term_scores_slots(model, terms, doc_enc):
     if perm == list(range(combined.shape[0])):
         return combined
     return T.gather(combined, perm)
+
+
+def ndrm2_term_scores_asarray(idf, tf, dlen, params, bs_state):
+    """``ndrm2_term_scores`` casting each column with ``np.asarray`` before
+    its arithmetic."""
+    dt = T.default_dtype()
+    eps = params.epsilon
+    w, b = params.w_dlen, params.b_dlen
+    bs_tf = np.asarray(tf, dtype=dt) / (bs_state.mean_tf + eps)
+    bs_dl = np.asarray(dlen, dtype=dt) / (bs_state.mean_dlen + eps)
+    lin = bs_dl * w.data + b.data
+    denom = np.maximum(lin, 0) + (bs_tf + eps)
+    num = np.asarray(idf, dtype=dt) * bs_tf
+    data = num / denom
+
+    def backward(g):
+        glin = -g * num / (denom * denom) * (lin > 0)
+        w._accumulate((glin * bs_dl).sum())
+        b._accumulate(glin.sum())
+
+    return T.wrap_op(data, (w, b), backward, "ndrm2_term_scores")
+
+
+def duet_scores_np_sqrt(s_latent, s_explicit, params, mode):
+    """``duet_scores`` with each frozen deviation from ``np.sqrt`` and the
+    (mean, deviation) pairs passed as tuples."""
+    if mode not in ("train", "infer"):
+        raise ConfigError(f"unknown duet mode {mode!r}")
+    if mode == "train":
+        bn_lat, m_l, v_l = T.batch_norm_train(s_latent, params.var_floor)
+        bn_exp, m_e, v_e = T.batch_norm_train(s_explicit, params.var_floor)
+        mom = params.momentum
+        params.bn_latent_mean = mom * params.bn_latent_mean + (1 - mom) * m_l
+        params.bn_latent_var = mom * params.bn_latent_var + (1 - mom) * v_l
+        params.bn_explicit_mean = mom * params.bn_explicit_mean + (1 - mom) * m_e
+        params.bn_explicit_var = mom * params.bn_explicit_var + (1 - mom) * v_e
+        return _duet_mix_tuples(bn_lat, bn_exp, params, (0.0, 1.0), (0.0, 1.0))
+    floor = params.var_floor
+    return _duet_mix_tuples(s_latent, s_explicit, params,
+                            (params.bn_latent_mean,
+                             float(np.sqrt(max(params.bn_latent_var, floor)))),
+                            (params.bn_explicit_mean,
+                             float(np.sqrt(max(params.bn_explicit_var, floor)))))
+
+
+def _duet_mix_tuples(lat, exp, params, lat_norm, exp_norm):
+    w1, w2, b = params.w1, params.w2, params.b
+    (m_l, d_l), (m_e, d_e) = lat_norm, exp_norm
+    bn_lat = (lat.data - m_l) / d_l
+    bn_exp = (exp.data - m_e) / d_e
+    data = bn_lat * w1.data + bn_exp * w2.data + b.data
+
+    def backward(g):
+        lat._accumulate(g * w1.data / d_l)
+        exp._accumulate(g * w2.data / d_e)
+        w1._accumulate((g * bn_lat).sum())
+        w2._accumulate((g * bn_exp).sum())
+        b._accumulate(g.sum())
+
+    return T.wrap_op(data, (lat, exp, w1, w2, b), backward, "duet_mix")

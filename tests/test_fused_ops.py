@@ -9,6 +9,7 @@ their chains' numpy operations in order, so their forwards and gradients are
 import numpy as np
 import pytest
 import refops as R
+from helpers import value_and_grads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (duet_infer_composed, duet_mix_composed, embedding_then_add,
@@ -27,18 +28,6 @@ from ckrank.train import ranknet_loss
 
 TOL = 1e-12
 SEEDS = st.integers(0, 2**32 - 1)
-
-
-def value_and_grads(build, arrays, mix_seed=0):
-    """build(params) -> Tensor; its value and the gradient of
-    sum(value * mix) for every array, as leaf tensors built fresh."""
-    params = {name: T.parameter(a) for name, a in arrays.items()}
-    out = build(params)
-    mix = np.random.default_rng(mix_seed).normal(size=out.shape)
-    T.backward(T.tsum(R.mul(out, T.constant(mix))))
-    grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
-             for name, p in params.items()}
-    return out.numpy(), grads
 
 
 def assert_same(fused, composed, tol=TOL):

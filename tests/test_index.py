@@ -1,6 +1,7 @@
 """Impact index: offline scoring, binary format, retrieval, and synthetic data."""
 
 import itertools
+import json
 import os
 import struct
 import tempfile
@@ -14,8 +15,10 @@ from oracles import (build_index_per_document, posting_table_by_stable_sort,
                      retrieve_term_at_a_time, save_index_per_posting,
                      write_varint)
 
+import ckrank.index as index_module
 import ckrank.tensor as T
 from ckrank import pooling
+from ckrank.bm25 import BM25Searcher
 from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
                            ingest_corpus, load_qrels, load_queries)
 from ckrank.errors import ConfigError, ContractError, IndexFormatError
@@ -84,7 +87,8 @@ def tied_indexes(draw):
     """Small indexes, possibly without documents, with few distinct scores
     (negative and zero included, some rounding when summed), doc ids out of
     sorted order (D10 sorts before D2) and float32, float64 or mixed posting
-    lists; queries repeat tokens and may hit nothing."""
+    lists, their doc indices int32 as built and loaded ones are; queries
+    repeat tokens and may hit nothing."""
     n = draw(st.integers(0, 30))
     doc_ids = [f"D{i}" for i in draw(st.permutations(range(n)))]
     postings = {}
@@ -93,7 +97,7 @@ def tied_indexes(draw):
         scores = draw(st.lists(TIED_SCORES | ROUNDING_SCORES, min_size=len(docs),
                                max_size=len(docs)))
         dtype = draw(st.sampled_from([np.float32, np.float64]))
-        postings[f"t{t}"] = (np.array(docs, dtype=np.int64),
+        postings[f"t{t}"] = (np.array(docs, dtype=np.int32),
                              np.array(scores, dtype=dtype))
     tokens = draw(st.lists(st.sampled_from(sorted(postings) + ["absent"]),
                            max_size=6))
@@ -109,12 +113,17 @@ def k_values(live, data):
 @given(tied_indexes(), st.data())
 def test_retrieve_matches_full_sort_oracle(case, data):
     index, tokens = case
+    wide = ImpactIndex(index.doc_ids, {t: (idx.astype(np.int64), scores) for
+                                       t, (idx, scores) in index.postings.items()},
+                       "hash", {})
     scored = accumulate_oracle(index, tokens)
     for k in k_values(len(scored), data):
         got = retrieve(tokens, index, k=k).ranking
         assert bits(got) == bits(sorted_oracle(scored, k))
         assert bits(got) == bits(retrieve_term_at_a_time(tokens, index, k))
         assert all(type(score) is float for _, score in got)
+        # the same postings with int64 doc columns rank the same, bit for bit
+        assert bits(retrieve(tokens, wide, k=k).ranking) == bits(got)
 
 
 @pytest.mark.parametrize("name", ["ndrm2", "bm25"])
@@ -256,7 +265,7 @@ def test_postings_only_for_contained_vocabulary_terms(indexed):
     assert set(index.postings) == set(expected)
     for term, (doc_idx, scores) in index.postings.items():
         assert set(doc_idx.tolist()) == expected[term]
-        assert doc_idx.dtype == np.int64 and scores.dtype == np.float32
+        assert doc_idx.dtype == np.int32 and scores.dtype == np.float32
         assert np.all(np.diff(doc_idx) > 0)
         assert index.num_postings == sum(
             len(v) for v in expected.values()) or True
@@ -320,12 +329,36 @@ def test_build_index_matches_per_document_oracle(fold_models, drawn, data):
         assert got.doc_ids == want.doc_ids
         assert got.postings.keys() == want.postings.keys(), variant
         for term, (doc_idx, scores) in want.postings.items():
-            assert got.postings[term][0].dtype == np.int64
+            assert got.postings[term][0].dtype == np.int32
             assert got.postings[term][0].tolist() == doc_idx.tolist()
             assert got.postings[term][1].dtype == np.float32
             assert got.postings[term][1].tobytes() == scores.tobytes(), \
                 (variant, term)
-        assert (got.config_hash, got.stats) == (want.config_hash, want.stats)
+        assert (got.config_hash, got.stats, got.max_query_tokens) == \
+            (want.config_hash, want.stats, want.max_query_tokens)
+
+
+def _bytes_per_posting(index):
+    return sum(idx.nbytes + scores.nbytes for idx, scores in
+               index.postings.values()) / index.num_postings
+
+
+def test_postings_take_8_bytes_each_and_bm25_12(tmp_path):
+    # int32 doc indices with float32 scores, or float64 BM25 scores
+    corpus, vocab = micro_corpus(seed=5, num_docs=12)
+    for variant in ("ndrm1", "ndrm2", "ndrm3"):
+        built = build_index(corpus, CKModel(micro_config(variant), vocab))
+        assert _bytes_per_posting(built) == 8, variant
+        save_index(built, tmp_path / f"{variant}.ckix")
+        assert _bytes_per_posting(load_index(tmp_path / f"{variant}.ckix")) == 8
+    assert _bytes_per_posting(BM25Searcher(corpus, vocab).index) == 12
+
+
+def test_index_refuses_more_documents_than_an_int32_column_holds(monkeypatch):
+    monkeypatch.setattr(index_module, "MAX_DOCS", 3)
+    ImpactIndex(["A", "B", "C"], {}, "h", {})
+    with pytest.raises(ContractError, match="at most 3"):
+        ImpactIndex(["A", "B", "C", "D"], {}, "h", {})
 
 
 def _postings_bytes(index):
@@ -419,6 +452,42 @@ def test_retrieve_accepts_query_record(indexed):
     result = retrieve(QueryRecord("Q7", [term]), index)
     assert result.query_id == "Q7"
     assert result.ranking == retrieve([term], index).ranking
+
+
+@pytest.fixture(scope="module")
+def capped():
+    """Untrained micro models of every variant that read 3 query tokens, and
+    their indexes over a micro collection."""
+    corpus, vocab = micro_corpus(seed=3, num_docs=30)
+    models = {v: CKModel(micro_config(v, max_query_tokens=3), vocab)
+              for v in ("ndrm1", "ndrm2", "ndrm3")}
+    return corpus, {v: (m, build_index(corpus, m)) for v, m in models.items()}
+
+
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_retrieve_applies_the_query_cap_as_rerank_does(capped, variant):
+    corpus, built = capped
+    model, index = built[variant]
+    assert index.max_query_tokens == 3
+    # three terms of one document first, then nine more vocabulary terms
+    head = sorted(corpus.get("M000").tf)[:3]
+    tokens = head + [t for t in sorted(index.postings) if t not in head][:9]
+    assert len(tokens) == 12
+    got = retrieve(tokens, index, k=None).ranking
+    assert got == retrieve(tokens[:3], index, k=None).ranking
+    holding = [d for d in sorted(corpus.docs)
+               if set(head) <= set(corpus.get(d).tf)]
+    assert "M000" in holding
+    scores = dict(got)
+    for doc_id, score in rerank(tokens, holding, model, corpus).ranking:
+        assert scores[doc_id] == pytest.approx(score, rel=1e-5, abs=1e-6)
+    # with no cap the nine later tokens count too
+    index.max_query_tokens = None
+    try:
+        uncapped = dict(retrieve(tokens, index, k=None).ranking)
+    finally:
+        index.max_query_tokens = 3
+    assert any(uncapped[d] != scores[d] for d in holding)
 
 
 # -- reranking -------------------------------------------------------------------
@@ -568,6 +637,49 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_bad_version(tmp_path):
     path = tmp_path / "vers.ckix"
     path.write_bytes(b"CKIX" + struct.pack("<I", 99) + struct.pack("<Q", 0))
+    with pytest.raises(IndexFormatError):
+        load_index(path)
+
+
+def _rewrite_meta(path, version=None, **fields):
+    """Rewrite a CKIX file's version or metadata fields (None deletes one)."""
+    blob = path.read_bytes()
+    magic, old_version, mlen = struct.unpack_from("<4sIQ", blob)
+    meta = json.loads(blob[16:16 + mlen])
+    for key, value in fields.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    raw = json.dumps(meta).encode("utf-8")
+    path.write_bytes(struct.pack("<4sIQ", magic, version or old_version,
+                                 len(raw)) + raw + blob[16 + mlen:])
+
+
+def test_query_cap_round_trips(capped, tmp_path):
+    corpus, built = capped
+    path = tmp_path / "capped.ckix"
+    save_index(built["ndrm2"][1], path)
+    assert load_index(path).max_query_tokens == 3
+    save_index(BM25Searcher(corpus, Vocabulary.build(corpus)).index, path)
+    assert load_index(path).max_query_tokens is None
+
+
+def test_load_refuses_version_1_with_the_reason(capped, tmp_path):
+    path = tmp_path / "v1.ckix"
+    save_index(capped[1]["ndrm2"][1], path)
+    _rewrite_meta(path, version=1)
+    with pytest.raises(IndexFormatError, match="version 1 records no query cap"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("cap", ["3", -1, True, 2.5, [3], None],
+                         ids=["string", "negative", "bool", "float", "list",
+                              "missing"])
+def test_load_rejects_a_malformed_query_cap(capped, tmp_path, cap):
+    path = tmp_path / "cap.ckix"
+    save_index(capped[1]["ndrm2"][1], path)
+    _rewrite_meta(path, max_query_tokens=cap)
     with pytest.raises(IndexFormatError):
         load_index(path)
 

@@ -44,6 +44,10 @@ def test_config_validation_cascades():
         ModelConfig(window_len=10, stride=20)
     with pytest.raises(ConfigError):
         ModelConfig(kernel_mus=(0.5, 0.1), kernel_sigmas=(0.1, 0.1))
+    # an index records the cap, and retrieve reads that many tokens
+    for cap in (-1, 2.5, "3"):
+        with pytest.raises(ConfigError, match="max_query_tokens"):
+            ModelConfig(max_query_tokens=cap)
 
 
 def test_config_dict_round_trip_and_unknown_keys():

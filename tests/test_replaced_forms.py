@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import micro_config, micro_corpus
-from oracles import (best_window_take_along, idfs_generator,
-                     latent_term_scores_slots, runs_diff_append,
+from helpers import micro_config, micro_corpus, value_and_grads
+from oracles import (best_window_take_along, duet_scores_np_sqrt,
+                     idfs_generator, latent_term_scores_slots,
+                     ndrm2_term_scores_asarray, runs_diff_append,
                      unit_rows_linalg, windowed_pool_terms_fresh)
 
 import ckrank.tensor as T
 from ckrank.corpus import Vocabulary
 from ckrank.index import _runs
-from ckrank.model import CKModel
+from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
+                          duet_scores, ndrm2_term_scores)
 from ckrank.pooling import (KernelBank, WindowConfig, _kernel_features,
                             _unit_rows, window_cover, windowed_pool_terms)
 
@@ -159,3 +161,63 @@ def test_latent_term_scores_gradients_match_slot_bookkeeping(latent_models, term
         want = grads[1][name]
         assert (got is None) == (want is None), name
         assert got is None or _same(got, want), name
+
+
+def _same_forms(got, want):
+    (got_out, got_grads), (want_out, want_grads) = got, want
+    assert _same(got_out, want_out)
+    assert got_grads.keys() == want_grads.keys()
+    for name, grad in got_grads.items():
+        assert _same(grad, want_grads[name]), name
+
+
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), int_tf=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_explicit_scores_match_asarray_casts(dtype, m, int_tf, seed):
+    # tf as posting_table's int64 column or explicit_stats' float64 one, zero
+    # included; a negative w_dlen or b_dlen clamps part of the relu term
+    rng = np.random.default_rng(seed)
+    idf, dlen = rng.uniform(0.0, 5.0, m), rng.integers(1, 90, m).astype(float)
+    tf = rng.integers(0, 6, m)
+    tf = tf if int_tf else tf.astype(float)
+    leaves = {"w": np.array(rng.normal()), "b": np.array(rng.normal())}
+    bs = BSState(mean_tf=float(rng.uniform(0.5, 3.0)),
+                 mean_dlen=float(rng.uniform(1.0, 60.0)))
+    forms = []
+    with T.precision(dtype):
+        for form in (ndrm2_term_scores, ndrm2_term_scores_asarray):
+            forms.append(value_and_grads(lambda p: form(
+                idf, tf, dlen, ExplicitParams(p["w"], p["b"]), bs), leaves, seed))
+    _same_forms(*forms)
+
+
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+@pytest.mark.parametrize("mode", ("train", "infer"))
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 10), floored=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_duet_scores_match_np_sqrt_and_tuples(dtype, mode, m, floored, seed):
+    rng = np.random.default_rng(seed)
+    leaves = {"lat": rng.normal(size=m), "exp": rng.normal(size=m),
+              "w1": np.array(rng.normal()), "w2": np.array(rng.normal()),
+              "b": np.array(rng.normal())}
+    # a running variance below the floor takes the floor's deviation
+    stats = dict(bn_latent_mean=float(rng.normal()),
+                 bn_latent_var=0.0 if floored else float(rng.uniform(0.1, 3.0)),
+                 bn_explicit_mean=float(rng.normal()),
+                 bn_explicit_var=float(rng.uniform(0.1, 3.0)))
+    forms, running = [], []
+    with T.precision(dtype):
+        for form in (duet_scores, duet_scores_np_sqrt):
+            params = []
+
+            def build(p):
+                params.append(DuetParams(p["w1"], p["w2"], p["b"], **stats))
+                return form(p["lat"], p["exp"], params[0], mode)
+
+            forms.append(value_and_grads(build, leaves, seed))
+            running.append([getattr(params[0], name) for name in stats])
+    _same_forms(*forms)
+    # train mode folds the batch statistics into the running ones alike
+    assert running[0] == running[1]
