@@ -21,27 +21,34 @@ casts a whole column to int32 once; ``retrieve`` widens a query's
 concatenated doc indices to ``intp`` once, for ``bincount`` and the
 touched-set scatter.
 
-File layout (version 2): magic ``CKIX`` | u32 version | u64 meta length |
-meta JSON (doc table, term dictionary with offsets, config hash, frozen
-statistics, the model's query cap or null) | posting blocks. Each block
-stores delta-encoded doc indices as unsigned varints followed by raw
-little-endian float32 scores; saving encodes and loading decodes the varints
-of all blocks at once with array ops. Round-trips are bit-exact. Version 1
-files record no query cap and are refused.
+File layout (version 3): a ``CKIX`` container (``container.py``) whose
+manifest holds the doc table, the config hash, the frozen statistics, the
+model's query cap or null, the terms in sorted order and each term's
+posting count, and whose two payloads are every doc index as a varint gap
+(each term's first from -1), term after term, and every score as
+little-endian float32, term-major. Saving encodes and loading decodes the
+one gap stream with array ops. Round-trips are bit-exact. Version 1 files
+record no query cap and version 2 files store posting blocks at offsets
+that may overlap; both are refused.
 """
 
-import json
-import struct
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
+from . import container
 from . import tensor as T
 from .errors import ContractError, IndexFormatError
 
 MAGIC = b"CKIX"
-VERSION = 2
+VERSION = 3
+_OLDER = {
+    1: "records no query cap, so retrieve would read whole queries; rebuild "
+       f"it as version {VERSION}",
+    2: "stores its postings in blocks at offsets, which may overlap; rebuild "
+       f"it as version {VERSION}",
+}
 MAX_DOCS = np.iinfo(np.int32).max      # the doc column's limit
 
 
@@ -285,47 +292,30 @@ def rerank(query, candidates, model, corpus, k=None):
 def _write_varints(values):
     """Encode unsigned values as consecutive varints, 7 bits a byte, low
     bits first, the continuation bit set on every byte but each value's last
-    -> (uint8 bytes, int64 offsets: where each varint starts, then the total
-    length). The inverse of ``_read_varints``."""
+    -> uint8 bytes. The inverse of ``_read_varints``."""
     values = np.asarray(values, dtype=np.uint64)
     lengths = np.ones(values.size, dtype=np.int64)
     for byte in range(1, 10):
         lengths += values >= np.uint64(1) << np.uint64(7 * byte)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    out = np.empty(offsets[-1], dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(lengths.sum(), dtype=np.uint8)
     for byte in range(int(lengths.max(initial=0))):
         more = lengths > byte
         low = (values[more] >> np.uint64(7 * byte)) & np.uint64(0x7F)
         cont = (lengths[more] > byte + 1).astype(np.uint8) << 7
-        out[offsets[:-1][more] + byte] = low.astype(np.uint8) | cont
-    return out, offsets
+        out[starts[more] + byte] = low.astype(np.uint8) | cont
+    return out
 
 
-def _read_varints(blob, starts, counts):
-    """Decode runs of consecutive unsigned varints, counts[i] of them from byte
-    starts[i] of blob -> (uint64 values of every run, concatenated; the
-    position one past each run's last byte).
-
-    A varint ends at its first byte without the continuation bit, so run i
-    is the first counts[i] such bytes at or after starts[i] together with the
-    continuation bytes before each. A varint cut off by the end of the
-    buffer, or holding more than 64 bits, is a format error.
-    """
-    data = np.frombuffer(blob, dtype=np.uint8)
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    ends = np.flatnonzero(data < 0x80)
-    first = np.searchsorted(ends, starts)
-    if (first + counts > ends.size).any():
-        tail = data.size - (ends[-1] + 1 if ends.size else 0)
-        raise IndexFormatError("malformed varint: longer than 64 bits" if tail >= 10
-                               else "posting block truncated inside a varint")
-    offsets = np.cumsum(counts) - counts            # each run's first value
-    last = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
-    stop = ends[last] + 1                           # one past each varint
-    begin = ends[last - 1] + 1
-    has = counts > 0
-    begin[offsets[has]] = starts[has]
+def _read_varints(data):
+    """Decode a stream of unsigned varints -> uint64 values. A varint ends at
+    its first byte without the continuation bit; a stream ending inside a
+    varint, or a varint holding more than 64 bits, is a format error."""
+    data = np.frombuffer(data, dtype=np.uint8)
+    if data.size and data[-1] >= 0x80:
+        raise IndexFormatError("gap stream ends inside a varint")
+    stop = np.flatnonzero(data < 0x80) + 1          # one past each varint
+    begin = np.concatenate(([0], stop[:-1]))
     lengths = stop - begin
     if ((lengths > 10) | ((lengths == 10) & (data[stop - 1] > 1))).any():
         raise IndexFormatError("malformed varint: longer than 64 bits")
@@ -334,17 +324,17 @@ def _read_varints(blob, starts, counts):
         more = lengths > byte
         values[more] |= (data[begin[more] + byte] & 0x7F).astype(np.uint64) \
             << np.uint64(7 * byte)
-    run_stop = starts.copy()
-    run_stop[has] = stop[offsets[has] + counts[has] - 1]
-    return values, run_stop
+    return values
 
 
 def save_index(index, path):
-    """Write ``index`` as a CKIX file: each term's doc indices as varint gaps
-    (the first from -1), then its scores as little-endian float32, terms in
-    sorted order. Before anything is written, refuses a posting list that
-    ``load_index`` would refuse or misread: scores and doc indices of unequal
-    length, or doc indices not strictly increasing inside the doc table."""
+    """Write ``index`` as a CKIX container: terms in sorted order with their
+    posting counts in the manifest, every doc index as a varint gap (each
+    term's first from -1) in one ``gaps`` payload and every score as
+    float32 in one ``scores`` payload. Before anything is written, refuses
+    a posting list that ``load_index`` would refuse or misread: scores and
+    doc indices of unequal length, or doc indices not strictly increasing
+    inside the doc table."""
     terms = sorted(index.postings)
     counts = np.array([index.postings[t][0].size for t in terms], dtype=np.int64)
     for term, count in zip(terms, counts.tolist()):
@@ -364,80 +354,51 @@ def save_index(index, path):
         raise ContractError(f"posting list of term {term!r} has doc indices that "
                             "are negative, not strictly increasing or past the "
                             "doc table")
-    varints, offsets = _write_varints(doc_idx - prev)
-    block_ends = offsets[stops].tolist()
-    dictionary = []
-    blocks = []
-    offset = begin = 0
-    for term, count, end in zip(terms, counts.tolist(), block_ends):
-        scores = index.postings[term][1].astype("<f4", copy=False).tobytes()
-        blocks += [varints[begin:end].tobytes(), scores]
-        dictionary.append({"term": term, "offset": offset, "count": count})
-        offset += end - begin + len(scores)
-        begin = end
-    meta = json.dumps({
-        "num_docs": index.num_docs,
+    scores = np.concatenate([index.postings[t][1] for t in terms]
+                            + [np.zeros(0, dtype=np.float32)], dtype=np.float32)
+    container.write(path, MAGIC, VERSION, {
         "doc_ids": index.doc_ids,
         "config_hash": index.config_hash,
         "stats": index.stats,
         "max_query_tokens": index.max_query_tokens,
-        "dictionary": dictionary,
-    }).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(meta)))
-        fh.write(meta)
-        fh.writelines(blocks)
-
-
-_HEADER = struct.Struct("<4sIQ")          # magic, version, meta length
-
-
-def _load_meta(blob, path):
-    if len(blob) < _HEADER.size:
-        raise IndexFormatError(f"{path}: truncated header")
-    magic, version, mlen = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise IndexFormatError(f"{path}: not an impact index (bad magic)")
-    if version == 1:
-        raise IndexFormatError(f"{path}: index version 1 records no query cap, "
-                               "so retrieve would read whole queries; rebuild "
-                               f"it as version {VERSION}")
-    if version != VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {version}")
-    if mlen > len(blob) - _HEADER.size:
-        raise IndexFormatError(f"{path}: truncated metadata")
-    try:
-        meta = json.loads(blob[_HEADER.size:_HEADER.size + mlen].decode("utf-8"))
-        doc_ids = list(meta["doc_ids"])
-        dictionary = [(e["term"], int(e["offset"]), int(e["count"]))
-                      for e in meta["dictionary"]]
-        config_hash, stats = meta["config_hash"], dict(meta["stats"])
-        cap = meta["max_query_tokens"]
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
-        raise IndexFormatError(f"{path}: malformed metadata ({err})") from None
-    if meta.get("num_docs") != len(doc_ids):
-        raise IndexFormatError(f"{path}: doc table length does not match num_docs")
-    if cap is not None and (type(cap) is not int or cap < 0):
-        raise IndexFormatError(f"{path}: query cap {cap!r} is not a "
-                               "non-negative integer or null")
-    return doc_ids, dictionary, config_hash, stats, cap, _HEADER.size + mlen
+        "terms": terms,
+        "counts": counts.tolist(),
+    }, {"gaps": _write_varints(doc_idx - prev), "scores": scores})
 
 
 def load_index(path):
     """Read a CKIX file; any truncated or inconsistent part raises
     IndexFormatError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    doc_ids, dictionary, config_hash, stats, cap, start = _load_meta(blob, path)
-    payload = memoryview(blob)[start:]
-    for term, pos, count in dictionary:
-        if not (0 <= pos <= len(payload) and 0 <= count <= len(payload)):
-            raise IndexFormatError(f"{path}: posting block of {term!r} out of range")
-    terms = [term for term, _, _ in dictionary]
-    starts = np.array([pos for _, pos, _ in dictionary], dtype=np.int64)
-    counts = np.array([count for _, _, count in dictionary], dtype=np.int64)
+    fields, arrays = container.read(path, MAGIC, VERSION, "index", _OLDER)
+    try:
+        doc_ids, terms = list(fields["doc_ids"]), list(fields["terms"])
+        counts = list(fields["counts"])
+        config_hash, stats = fields["config_hash"], dict(fields["stats"])
+        cap = fields["max_query_tokens"]
+    except (ValueError, KeyError, TypeError) as err:
+        raise IndexFormatError(f"{path}: malformed metadata ({err})") from None
+    if cap is not None and (type(cap) is not int or cap < 0):
+        raise IndexFormatError(f"{path}: query cap {cap!r} is not a "
+                               "non-negative integer or null")
+    if any(type(t) is not str for t in terms) or len(set(terms)) != len(terms):
+        raise IndexFormatError(f"{path}: terms are not distinct strings")
+    if len(counts) != len(terms) or \
+            any(type(c) is not int or c < 0 for c in counts):
+        raise IndexFormatError(f"{path}: counts are not one non-negative "
+                               "integer per term")
+    if {name: (a.dtype, a.ndim) for name, a in arrays.items()} != \
+            {"gaps": (np.dtype(np.uint8), 1), "scores": (np.dtype(np.float32), 1)}:
+        raise IndexFormatError(f"{path}: payloads are not a uint8 gap stream "
+                               "and a float32 score column")
+    scores = arrays["scores"]
+    if sum(counts) != scores.size:
+        raise IndexFormatError(f"{path}: counts add up to {sum(counts)} postings "
+                               f"but there are {scores.size} scores")
+    deltas = _read_varints(arrays["gaps"])
+    if deltas.size != scores.size:
+        raise IndexFormatError(f"{path}: {deltas.size} gaps for {scores.size} "
+                               "postings")
+    counts = np.array(counts, dtype=np.int64)
     offsets = np.cumsum(counts) - counts            # each term's first posting
     owner = np.repeat(np.arange(len(terms)), counts)
 
@@ -445,7 +406,6 @@ def load_index(path):
         if term_idx.size:
             raise IndexFormatError(f"{path}: {what.format(terms[term_idx[0]])}")
 
-    deltas, stops = _read_varints(payload, starts, counts)
     # a delta past the doc table names no document, and bounding the deltas
     # keeps their running sums inside int64
     fail(owner[deltas > len(doc_ids)], "posting of {!r} names no document")
@@ -454,12 +414,5 @@ def load_index(path):
     fail(owner[(doc_idx < 0) | (doc_idx >= len(doc_ids))],
          "posting of {!r} names no document")
     fail(owner[deltas == 0], "posting of {!r} repeats a document")
-    fail(np.flatnonzero(stops + 4 * counts > len(payload)),
-         "posting block of {!r} truncated")
-    # each block's score bytes follow its varints; joined, they are one column
-    scores = np.frombuffer(bytearray().join(
-        [payload[pos:pos + 4 * count]
-         for pos, count in zip(stops.tolist(), counts.tolist())]), dtype="<f4")
-    return ImpactIndex(doc_ids, split_postings(
-        terms, counts, doc_idx, scores.astype(np.float32, copy=False)),
-        config_hash, stats, cap)
+    return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, scores),
+                       config_hash, stats, cap)

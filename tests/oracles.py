@@ -21,7 +21,7 @@ from ckrank.model import duet_scores, ndrm2_term_scores
 from ckrank.pooling import (empty_features, interaction_rows,
                             latent_term_scores, num_windows,
                             windowed_pool_terms)
-from ckrank.checkpoint import MAGIC, VERSION, _wire_dtype
+from ckrank.checkpoint import MAGIC, VERSION
 from ckrank.train import (DOCS_PER_INSTANCE, _PAIR_SLOTS, TrainInstance,
                           ranknet_loss)
 
@@ -150,8 +150,9 @@ def make_instances_pool_per_triple(triples, candidates, corpus, rng):
 
 
 def save_checkpoint_tobytes(path, config_dict, config_hash, params, stats):
-    """``save_checkpoint`` with every payload copied out by ``tobytes()``
-    and the copies written in turn."""
+    """A checkpoint container written as ``container.write`` writes one, with
+    every payload copied out by ``tobytes()`` and the copies written in
+    turn."""
     entries = []
     payloads = []
     offset = 0
@@ -159,7 +160,7 @@ def save_checkpoint_tobytes(path, config_dict, config_hash, params, stats):
         arr = np.asarray(getattr(params[name], "data", params[name]))
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        wire = _wire_dtype(arr)
+        wire = {"float32": "<f4", "float64": "<f8"}[arr.dtype.name]
         buf = arr.astype(np.dtype(wire), copy=False).tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "dtype": wire,
                         "offset": offset, "nbytes": len(buf)})
@@ -216,39 +217,41 @@ def write_varint(buf, value):
 
 
 def save_index_per_posting(index, path):
-    """``save_index`` one posting at a time: the CKIX header, the metadata
-    JSON, then each term's doc-index gaps (the first from -1) as varints and
-    its scores as little-endian float32, terms sorted."""
-    dictionary = []
-    blocks = []
-    offset = 0
-    for term in sorted(index.postings):
-        doc_idx, scores = index.postings[term]
-        buf = bytearray()
+    """``save_index`` one posting at a time: the CKIX version 3 header, the
+    manifest JSON, then every doc-index gap (each term's first from -1) as
+    a varint and every score as little-endian float32, terms sorted."""
+    terms = sorted(index.postings)
+    gaps = bytearray()
+    scores = bytearray()
+    for term in terms:
+        doc_idx, term_scores = index.postings[term]
         prev = -1
-        for i in doc_idx.tolist():
-            write_varint(buf, i - prev)
+        for i, score in zip(doc_idx.tolist(), term_scores.astype("<f4")):
+            write_varint(gaps, i - prev)
+            scores.extend(score.tobytes())
             prev = i
-        buf.extend(scores.astype("<f4", copy=False).tobytes())
-        dictionary.append({"term": term, "offset": offset,
-                           "count": int(doc_idx.size)})
-        blocks.append(bytes(buf))
-        offset += len(buf)
     meta = json.dumps({
-        "num_docs": index.num_docs,
+        "format_version": 3,
         "doc_ids": index.doc_ids,
         "config_hash": index.config_hash,
         "stats": index.stats,
         "max_query_tokens": index.max_query_tokens,
-        "dictionary": dictionary,
+        "terms": terms,
+        "counts": [int(index.postings[t][0].size) for t in terms],
+        "params": [
+            {"name": "gaps", "shape": [len(gaps)], "dtype": "|u1",
+             "offset": 0, "nbytes": len(gaps)},
+            {"name": "scores", "shape": [len(scores) // 4], "dtype": "<f4",
+             "offset": len(gaps), "nbytes": len(scores)},
+        ],
     }).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(b"CKIX")
-        fh.write(struct.pack("<I", 2))
+        fh.write(struct.pack("<I", 3))
         fh.write(struct.pack("<Q", len(meta)))
         fh.write(meta)
-        for block in blocks:
-            fh.write(block)
+        fh.write(gaps)
+        fh.write(scores)
 
 
 def batch_loss_per_document(model, instances, corpus, query_tokens):

@@ -15,10 +15,9 @@ from hypothesis.extra import numpy as hnp
 from oracles import save_checkpoint_tobytes
 
 import ckrank.attention
-import ckrank.checkpoint
+import ckrank.container
 import ckrank.tensor as T
-from ckrank.checkpoint import (MAGIC, VERSION, load_checkpoint, load_model,
-                               save_checkpoint, save_model)
+from ckrank.checkpoint import MAGIC, VERSION, load_model, save_model
 from ckrank.corpus import Vocabulary
 from ckrank.errors import IndexFormatError
 from ckrank.model import CKModel, ModelConfig, parameter_specs
@@ -30,6 +29,18 @@ def micro():
     return micro_corpus()
 
 
+def write_raw(path, params, config=None, config_hash="x", stats=None, **fields):
+    """A checkpoint container of the given parameters, without a model."""
+    ckrank.container.write(path, MAGIC, VERSION,
+                           {"config": config or {}, "config_hash": config_hash,
+                            "stats": stats or {}, **fields}, params)
+
+
+def read_raw(path):
+    """(manifest, name -> array) of a checkpoint container."""
+    return ckrank.container.read(path, MAGIC, VERSION, "checkpoint", {})
+
+
 def test_raw_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     params = {
@@ -39,11 +50,11 @@ def test_raw_round_trip_is_bit_exact(tmp_path):
     }
     stats = {"mean": 1.5, "var": 0.25}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"variant": "ndrm1"}, "deadbeef", params, stats)
-    config, chash, arrays, loaded_stats = load_checkpoint(path)
-    assert config == {"variant": "ndrm1"}
-    assert chash == "deadbeef"
-    assert loaded_stats == stats
+    write_raw(path, params, {"variant": "ndrm1"}, "deadbeef", stats)
+    fields, arrays = read_raw(path)
+    assert fields["config"] == {"variant": "ndrm1"}
+    assert fields["config_hash"] == "deadbeef"
+    assert fields["stats"] == stats
     for name, arr in params.items():
         assert arrays[name].dtype == arr.dtype
         np.testing.assert_array_equal(arrays[name], arr)
@@ -53,7 +64,7 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(IndexFormatError, match="magic"):
-        load_checkpoint(path)
+        read_raw(path)
 
 
 def test_bad_version_rejected(tmp_path):
@@ -61,16 +72,16 @@ def test_bad_version_rejected(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<I", VERSION + 1) +
                      struct.pack("<Q", 2) + b"{}")
     with pytest.raises(IndexFormatError, match="version"):
-        load_checkpoint(path)
+        read_raw(path)
 
 
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {}, "x", {"w": np.ones(64, dtype=np.float32)}, {})
+    write_raw(path, {"w": np.ones(64, dtype=np.float32)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(IndexFormatError, match="truncated"):
-        load_checkpoint(path)
+        read_raw(path)
 
 
 def _small_checkpoint_bytes():
@@ -79,7 +90,7 @@ def _small_checkpoint_bytes():
               "scalar": np.array(0.125, dtype=np.float32)}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "small.ckpt")
-        save_checkpoint(path, {"variant": "ndrm2"}, "hash", params, {"m": 1.5})
+        write_raw(path, params, {"variant": "ndrm2"}, "hash", {"m": 1.5})
         with open(path, "rb") as fh:
             return params, fh.read()
 
@@ -97,11 +108,12 @@ def test_every_checkpoint_prefix_fails_cleanly_or_round_trips(cut):
         with open(path, "wb") as fh:
             fh.write(SMALL_BLOB[:cut])
         try:
-            config, chash, arrays, stats = load_checkpoint(path)
+            fields, arrays = read_raw(path)
         except IndexFormatError:
             assert cut < len(SMALL_BLOB)
             return
-    assert (config, chash, stats) == ({"variant": "ndrm2"}, "hash", {"m": 1.5})
+    assert (fields["config"], fields["config_hash"], fields["stats"]) == \
+        ({"variant": "ndrm2"}, "hash", {"m": 1.5})
     assert arrays.keys() == SMALL_PARAMS.keys()
     for name, arr in SMALL_PARAMS.items():
         assert arrays[name].dtype == arr.dtype
@@ -118,7 +130,7 @@ def test_every_checkpoint_prefix_fails_cleanly_or_round_trips(cut):
 ])
 def test_inconsistent_manifest_rejected(tmp_path, entry):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {}, "x", {"w": np.ones(3, dtype=np.float32)}, {})
+    write_raw(path, {"w": np.ones(3, dtype=np.float32)})
     blob = path.read_bytes()
     mlen = struct.unpack_from("<Q", blob, 8)[0]
     manifest = json.loads(blob[16:16 + mlen])
@@ -126,13 +138,51 @@ def test_inconsistent_manifest_rejected(tmp_path, entry):
     raw = json.dumps(manifest).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + mlen:])
     with pytest.raises(IndexFormatError):
-        load_checkpoint(path)
+        read_raw(path)
 
 
 def test_integer_params_rejected(tmp_path):
     with pytest.raises(IndexFormatError, match="dtype"):
-        save_checkpoint(tmp_path / "x.ckpt", {}, "h",
-                        {"ids": np.arange(4)}, {})
+        write_raw(tmp_path / "x.ckpt", {"ids": np.arange(4)})
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda c, s: c.update(wariant="ndrm2"), "unknown config keys"),
+    (lambda c, s: c.update(variant="ndrm9"), "unknown variant"),
+    (lambda c, s: c.update(epsilon=0.0), "epsilon must be positive"),
+    (lambda c, s: s.pop("bs_tf_mean"), "running statistics"),
+    (lambda c, s: s.update(extra=1.0), "running statistics"),
+], ids=["unknown-key", "variant", "epsilon", "missing-stat", "extra-stat"])
+def test_load_model_refuses_a_malformed_manifest(tmp_path, micro, edit, reason):
+    """A config ModelConfig or CKModel refuses, or running statistics that
+    are not the model's, is a malformed file, not a ConfigError or a
+    KeyError."""
+    _, vocab = micro
+    model = CKModel(micro_config("ndrm2"), vocab)
+    config, stats = model.config.to_dict(), model.running_stats()
+    edit(config, stats)
+    path = tmp_path / "bad.ckpt"
+    write_raw(path, model.parameters(), config, model.config_hash, stats,
+              vocab_fingerprint=vocab.fingerprint())
+    with pytest.raises(IndexFormatError, match=reason):
+        load_model(path, vocab)
+
+
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_load_model_refuses_a_uint8_parameter(tmp_path, micro, variant):
+    """The container holds uint8 payloads for indexes; a model parameter
+    stored as one is refused, even with the shape the config asks for."""
+    _, vocab = micro
+    model = CKModel(micro_config(variant), vocab)
+    params = {name: p.data for name, p in model.parameters().items()}
+    name = sorted(params)[0]
+    params[name] = np.zeros(params[name].shape, dtype=np.uint8)
+    path = tmp_path / "u1.ckpt"
+    write_raw(path, params, model.config.to_dict(), model.config_hash,
+              model.running_stats(), vocab_fingerprint=vocab.fingerprint())
+    assert read_raw(path)[1][name].dtype == np.uint8
+    with pytest.raises(IndexFormatError, match=f"{name} has dtype uint8"):
+        load_model(path, vocab)
 
 
 @pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
@@ -204,8 +254,8 @@ def _rewrite_manifest(path, edit, tail=b""):
 
 
 def _two_param_checkpoint(path):
-    save_checkpoint(path, {}, "x", {"a": np.ones(2, dtype=np.float32),
-                                    "b": np.zeros(2, dtype=np.float32)}, {})
+    write_raw(path, {"a": np.ones(2, dtype=np.float32),
+                     "b": np.zeros(2, dtype=np.float32)})
 
 
 def test_duplicate_parameter_names_rejected(tmp_path):
@@ -213,7 +263,7 @@ def test_duplicate_parameter_names_rejected(tmp_path):
     _two_param_checkpoint(path)
     _rewrite_manifest(path, lambda m: m["params"][1].update(name="a"))
     with pytest.raises(IndexFormatError, match="twice"):
-        load_checkpoint(path)
+        read_raw(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -221,7 +271,7 @@ def test_trailing_bytes_rejected(tmp_path):
     _two_param_checkpoint(path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(IndexFormatError, match="after the last payload"):
-        load_checkpoint(path)
+        read_raw(path)
 
 
 @pytest.mark.parametrize("edit", [
@@ -234,17 +284,29 @@ def test_payloads_must_tile_the_file(tmp_path, edit):
     _two_param_checkpoint(path)
     _rewrite_manifest(path, edit)
     with pytest.raises(IndexFormatError):
-        load_checkpoint(path)
+        read_raw(path)
 
 
-def test_version_1_refused_with_reason(tmp_path):
-    path = tmp_path / "v1.ckpt"
+def test_payload_after_a_gap_rejected(tmp_path):
+    """Four bytes between the payloads, the file still ending where the last
+    one does: reading in file order would load b from the gap."""
+    path = tmp_path / "gap.ckpt"
     _two_param_checkpoint(path)
+    _rewrite_manifest(path, lambda m: m["params"][1].update(offset=12),
+                      tail=b"\x00" * 4)
+    with pytest.raises(IndexFormatError, match="not where the previous one ended"):
+        read_raw(path)
+
+
+def test_version_1_refused_with_reason(tmp_path, micro):
+    _, vocab = micro
+    path = tmp_path / "v1.ckpt"
+    save_model(CKModel(micro_config("ndrm2"), vocab), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
     with pytest.raises(IndexFormatError, match="version 1 predates the "
                                                "vocabulary fingerprint"):
-        load_checkpoint(path)
+        load_model(path, vocab)
 
 
 # -- the writer against per-parameter copies ----------------------------------------
@@ -267,7 +329,7 @@ def _param_arrays():
 def test_writer_matches_per_parameter_tobytes(params):
     with tempfile.TemporaryDirectory() as tmp:
         ours, theirs = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
-        save_checkpoint(ours, {"v": 1}, "h", params, {"m": 0.5})
+        write_raw(ours, params, {"v": 1}, "h", {"m": 0.5})
         save_checkpoint_tobytes(theirs, {"v": 1}, "h", params, {"m": 0.5})
         blobs = []
         for path in (ours, theirs):
@@ -276,7 +338,7 @@ def test_writer_matches_per_parameter_tobytes(params):
             mlen = struct.unpack_from("<Q", blob, 8)[0]
             blobs.append((json.loads(blob[16:16 + mlen])["params"],
                           blob[16 + mlen:]))
-        _, _, arrays, _ = load_checkpoint(ours)
+        _, arrays = read_raw(ours)
     assert blobs[0] == blobs[1]
     for name, arr in params.items():
         assert arrays[name].shape == arr.shape
@@ -310,12 +372,12 @@ def test_load_draws_nothing_and_adopts_the_file(tmp_path, micro, monkeypatch,
             made.append((seed, _NoDraws(np.random.PCG64(seed))))
             return made[-1][1]
 
-        read = ckrank.checkpoint._read
+        read = ckrank.container.read
         files = []
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         monkeypatch.setattr(ckrank.attention, "init_block_params", _refuse)
-        monkeypatch.setattr(ckrank.checkpoint, "_read",
-                            lambda p: files.append(read(p)) or files[-1])
+        monkeypatch.setattr(ckrank.container, "read",
+                            lambda *a: files.append(read(*a)) or files[-1])
         loaded = load_model(path, vocab)
         monkeypatch.undo()
     # only the dropout stream was made, and it is untouched
@@ -457,14 +519,14 @@ def test_config_is_hashed_once_per_save_load_cycle(tmp_path, monkeypatch, micro)
     save_model(model, path)
     loaded = load_model(path, vocab)
     assert len(calls) == 1
-    assert load_checkpoint(path)[1] == loaded.config_hash == want
+    assert read_raw(path)[0]["config_hash"] == loaded.config_hash == want
 
 
 def test_raw_checkpoint_without_fingerprint_is_not_a_model(tmp_path, micro):
     _, vocab = micro
     model = CKModel(micro_config("ndrm2"), vocab)
     path = tmp_path / "raw.ckpt"
-    save_checkpoint(path, model.config.to_dict(), model.config.config_hash(),
-                    model.parameters(), model.running_stats())
+    write_raw(path, model.parameters(), model.config.to_dict(),
+              model.config.config_hash(), model.running_stats())
     with pytest.raises(IndexFormatError, match="different vocabulary"):
         load_model(path, vocab)

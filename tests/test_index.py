@@ -17,14 +17,15 @@ from oracles import (build_index_per_document, posting_table_by_stable_sort,
 
 import ckrank.index as index_module
 import ckrank.tensor as T
-from ckrank import pooling
+from ckrank import container, pooling
 from ckrank.bm25 import BM25Searcher
 from ckrank.corpus import (Corpus, DocumentRecord, QueryRecord, Vocabulary,
                            ingest_corpus, load_qrels, load_queries)
 from ckrank.errors import ConfigError, ContractError, IndexFormatError
-from ckrank.index import (ImpactIndex, RetrievalResult, _rank, _read_varints,
-                          _write_varints, build_index, load_index,
-                          posting_table, rerank, retrieve, save_index)
+from ckrank.index import (MAGIC, VERSION, ImpactIndex, RetrievalResult, _rank,
+                          _read_varints, _write_varints, build_index,
+                          load_index, posting_table, rerank, retrieve,
+                          save_index)
 from ckrank.model import CKModel, ModelConfig
 from ckrank.synth import (make_synthetic, write_candidates, write_qrels,
                           write_queries_tsv, write_triples, write_tsv_corpus)
@@ -513,26 +514,16 @@ def test_rerank_scores_and_skips(indexed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**63 - 1))
 def test_varint_round_trip(value):
-    buf, offsets = _write_varints([value])
-    assert offsets.tolist() == [0, len(buf)]
-    out, stops = _read_varints(buf.tobytes(), [0], [1])
-    assert out.tolist() == [value] and stops.tolist() == [len(buf)]
+    buf = _write_varints([value])
+    assert _read_varints(buf.tobytes()).tolist() == [value]
 
 
 def test_varint_streams_concatenate():
     values = [0, 1, 127, 128, 300, 2**40]
-    buf, _ = _write_varints(values)
-    buf = buf.tobytes()
-    pos = 0
-    out = []
-    while pos < len(buf):
-        v, stops = _read_varints(buf, [pos], [1])
-        out.extend(v.tolist())
-        pos = int(stops[0])
-    assert out == values
-    together, stops = _read_varints(buf, [0, 0, 3], [len(values), 0, 2])
-    assert together.tolist() == values + values[3:5]
-    assert stops.tolist() == [len(buf), 0, 7]
+    parts = [_write_varints([v]).tobytes() for v in values]
+    assert _write_varints(values).tobytes() == b"".join(parts)
+    for end in range(len(values) + 1):
+        assert _read_varints(b"".join(parts[:end])).tolist() == values[:end]
 
 
 VARINT_GAPS = st.one_of(
@@ -544,14 +535,10 @@ VARINT_GAPS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(VARINT_GAPS, max_size=8))
 def test_write_varints_matches_per_value_writer(gaps):
-    buf, offsets = _write_varints(gaps)
     want = bytearray()
-    ends = []
     for gap in gaps:
         write_varint(want, gap)
-        ends.append(len(want))
-    assert buf.tobytes() == bytes(want)
-    assert offsets.tolist() == [0] + ends
+    assert _write_varints(gaps).tobytes() == bytes(want)
 
 
 # Gaps of one, two and three varint bytes; a doc index must name a document,
@@ -666,11 +653,15 @@ def test_query_cap_round_trips(capped, tmp_path):
 
 
 def test_load_refuses_version_1_with_the_reason(capped, tmp_path):
-    path = tmp_path / "v1.ckix"
-    save_index(capped[1]["ndrm2"][1], path)
-    _rewrite_meta(path, version=1)
-    with pytest.raises(IndexFormatError, match="version 1 records no query cap"):
-        load_index(path)
+    for version, reason in [
+            (1, "version 1 records no query cap"),
+            (2, "version 2 stores its postings in blocks at offsets, which "
+                "may overlap")]:
+        path = tmp_path / f"v{version}.ckix"
+        save_index(capped[1]["ndrm2"][1], path)
+        _rewrite_meta(path, version=version)
+        with pytest.raises(IndexFormatError, match=reason):
+            load_index(path)
 
 
 @pytest.mark.parametrize("cap", ["3", -1, True, 2.5, [3], None],
@@ -759,11 +750,11 @@ def test_load_rejects_overlong_varints(tmp_path, varint):
 
 
 def test_varint_decode_limits():
-    out, _ = _read_varints(bytes([0xFF] * 9 + [0x01]), [0], [1])
-    assert out.tolist() == [2**64 - 1]
-    for bad in ([0x80] * 9 + [0x02], [0x80] * 10 + [0x01], [0x80] * 12, [0x80]):
+    assert _read_varints(bytes([0xFF] * 9 + [0x01])).tolist() == [2**64 - 1]
+    for bad in ([0x80] * 9 + [0x02], [0x80] * 10 + [0x01], [0x80] * 12, [0x80],
+                [0x01, 0x81]):
         with pytest.raises(IndexFormatError):
-            _read_varints(bytes(bad), [0], [1])
+            _read_varints(bytes(bad))
 
 
 def test_load_rejects_repeated_documents(tmp_path):
@@ -782,6 +773,74 @@ def test_empty_index_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded.doc_ids == ["D1"] and loaded.postings == {}
     assert loaded.stats == {"a": 1.0}
+
+
+def _v3_file(path, terms, counts, gaps, scores, payloads=None):
+    """A CKIX container over four documents holding the given terms, counts,
+    gap bytes and scores as they are, without save_index's checks; payloads
+    adds or replaces payloads."""
+    container.write(path, MAGIC, VERSION, {
+        "doc_ids": ["D0", "D1", "D2", "D3"], "config_hash": "h", "stats": {},
+        "max_query_tokens": None, "terms": terms, "counts": counts,
+    }, {"gaps": np.array(gaps, dtype=np.uint8),
+        "scores": np.array(scores, dtype=np.float32), **(payloads or {})})
+
+
+def test_v3_manifest_holds_no_offsets(tmp_path):
+    path = tmp_path / "v3.ckix"
+    save_index(ImpactIndex(["D0", "D1", "D2"], {
+        "b": (np.array([1, 2]), np.array([3.0, 4.0], np.float32)),
+        "a": (np.array([0, 1]), np.array([1.0, 2.0], np.float32))}, "h", {}),
+        path)
+    manifest, arrays = container.read(path, MAGIC, VERSION, "index", {})
+    assert list(manifest) == ["format_version", "doc_ids", "config_hash",
+                              "stats", "max_query_tokens", "terms", "counts",
+                              "params"]
+    assert (manifest["terms"], manifest["counts"]) == (["a", "b"], [2, 2])
+    # each term's first gap is taken from -1
+    assert arrays["gaps"].tolist() == [1, 1, 2, 1]
+    assert arrays["scores"].tolist() == [1.0, 2.0, 3.0, 4.0]
+    _v3_file(path, ["a", "b"], [2, 2], [1, 1, 2, 1], [1, 2, 3, 4])
+    loaded = load_index(path)
+    assert {t: i.tolist() for t, (i, _) in loaded.postings.items()} == \
+        {"a": [0, 1], "b": [1, 2]}
+
+
+@pytest.mark.parametrize("terms,counts,gaps,reason", [
+    (["a", "b"], [2, 2], [1, 1, 2], "add up to 4 postings but there are 3"),
+    (["a", "b"], [2, 1], [1, 1, 2, 1], "4 gaps for 3 postings"),
+    (["a", "b"], [2, 1], [1, 1], "2 gaps for 3 postings"),
+    (["a", "b"], [2, 1], [1, 1, 0x82], "ends inside a varint"),
+    (["a", "a"], [2, 1], [1, 1, 2], "distinct strings"),
+    (["a", 3], [2, 1], [1, 1, 2], "distinct strings"),
+    (["a", None], [2, 1], [1, 1, 2], "distinct strings"),
+    (["a", "b"], [2.0, 1], [1, 1, 2], "non-negative integer"),
+    (["a", "b"], [2, True], [1, 1, 2], "non-negative integer"),
+    (["a", "b"], ["2", 1], [1, 1, 2], "non-negative integer"),
+    (["a", "b"], [4, -1], [1, 1, 2], "non-negative integer"),
+    (["a"], [2, 1], [1, 1, 2], "non-negative integer per term"),
+], ids=["counts-sum", "extra-gap", "missing-gap", "inside-varint",
+        "repeated-term", "int-term", "null-term", "float-count", "bool-count",
+        "string-count", "negative-count", "counts-per-term"])
+def test_load_refuses_inconsistent_postings(tmp_path, terms, counts, gaps,
+                                            reason):
+    path = tmp_path / "bad.ckix"
+    _v3_file(path, terms, counts, gaps, [1.0, 2.0, 3.0])
+    with pytest.raises(IndexFormatError, match=reason):
+        load_index(path)
+
+
+@pytest.mark.parametrize("payloads", [
+    {"extra": np.zeros(2, np.float32)},
+    {"gaps": np.ones(3, np.float32)},
+    {"scores": np.ones(3, np.float64)},
+    {"scores": np.ones((3, 1), np.float32)},
+], ids=["extra", "float-gaps", "float64-scores", "2-d-scores"])
+def test_load_refuses_other_payloads(tmp_path, payloads):
+    path = tmp_path / "payloads.ckix"
+    _v3_file(path, ["a", "b"], [2, 1], [1, 1, 2], [1.0, 2.0, 3.0], payloads)
+    with pytest.raises(IndexFormatError, match="payloads are not"):
+        load_index(path)
 
 
 # -- synthetic collection ----------------------------------------------------------

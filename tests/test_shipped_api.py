@@ -1,5 +1,6 @@
-"""The public functions of ``ckrank.tensor``, ``ckrank.attention`` and
-``ckrank.pooling`` are ones the package itself calls.
+"""The public functions of ``ckrank.tensor``, ``ckrank.attention``,
+``ckrank.pooling``, ``ckrank.checkpoint``, ``ckrank.container`` and
+``ckrank.index`` are ones the package itself calls.
 
 Reference code (generic ops, textbook attention) belongs in the test tree
 (``refops``, ``oracles``), so a public function that no other module of the
@@ -12,7 +13,7 @@ from pathlib import Path
 import ckrank
 
 SRC = Path(ckrank.__file__).resolve().parent
-GUARDED = ("tensor", "attention", "pooling")
+GUARDED = ("tensor", "attention", "pooling", "checkpoint", "container", "index")
 
 # Public functions kept although no other module of the package calls them.
 KEPT = {
@@ -30,6 +31,9 @@ KEPT = {
         # num_windows is also exported by the package.
         "num_windows", "window_cover",
     },
+    "checkpoint": set(),
+    "container": set(),
+    "index": set(),
 }
 
 
