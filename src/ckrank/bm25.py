@@ -5,7 +5,7 @@ those of a term-at-a-time sum of Python floats."""
 import numpy as np
 
 from .evalmetrics import evaluate
-from .index import ImpactIndex, posting_table, retrieve, split_postings
+from .index import ImpactIndex, posting_table, retrieve
 
 
 def _bm25_index(table, vocab, k1, b):
@@ -14,8 +14,8 @@ def _bm25_index(table, vocab, k1, b):
     norm = k1 * (1.0 - b + b * lengths / max(vocab.mean_dlen, 1e-9))
     idf = np.repeat(vocab.idfs(terms), counts)
     impacts = idf * tf * (k1 + 1.0) / (tf + norm[doc_idx])
-    return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, impacts),
-                       "bm25", {"k1": k1, "b": b})
+    return ImpactIndex(doc_ids, terms, counts, doc_idx, impacts, "bm25",
+                       {"k1": k1, "b": b})
 
 
 class BM25Searcher:

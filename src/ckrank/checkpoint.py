@@ -14,7 +14,7 @@ or document count differ from it. Version 1 files are refused.
 """
 
 from . import container
-from .errors import ConfigError, IndexFormatError
+from .errors import ConfigError, ContractError, IndexFormatError
 
 MAGIC = b"CKPT"
 VERSION = 2
@@ -34,8 +34,9 @@ def save_model(model, path):
 def load_model(path, vocab):
     """Rebuild a CKModel from a checkpoint; returns it in eval mode. A
     malformed config, a parameter that is not float or does not match the
-    config, running statistics the config does not name, another vocabulary
-    or a stored config hash that differs from the rebuilt config's raises
+    config, running statistics the config does not name or that the
+    model's ``BSState`` or ``DuetParams`` refuses, another vocabulary or a
+    stored config hash that differs from the rebuilt config's raises
     IndexFormatError.
 
     The model adopts the loaded arrays; its dropout stream starts as a
@@ -69,13 +70,13 @@ def load_model(path, vocab):
     try:
         # the model hashes its config once, on construction
         model = CKModel(config, vocab, arrays)
-    except ConfigError as err:
+        if stats.keys() != model.running_stats().keys():
+            raise IndexFormatError(f"{path}: running statistics {sorted(stats)} "
+                                   f"are not the model's")
+        model.load_running_stats(stats)
+    except (ConfigError, ContractError) as err:
         raise IndexFormatError(f"{path}: {err}") from None
     if model.config_hash != fields.get("config_hash"):
         raise IndexFormatError(f"{path}: config hash mismatch")
-    if stats.keys() != model.running_stats().keys():
-        raise IndexFormatError(f"{path}: running statistics {sorted(stats)} are "
-                               f"not the model's")
-    model.load_running_stats(stats)
     model.eval()
     return model

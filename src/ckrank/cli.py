@@ -139,7 +139,7 @@ def _cmd_index(args):
     model = load_model(args.model, vocab)
     idx = build_index(corpus, model)
     save_index(idx, args.out)
-    print(f"indexed {idx.num_docs} documents, {len(idx.postings)} terms, "
+    print(f"indexed {idx.num_docs} documents, {len(idx.terms)} terms, "
           f"{idx.num_postings} postings -> {args.out}")
     return 0
 

@@ -14,12 +14,12 @@ matches against documents that do not contain the literal term are
 deliberately dropped; scoring every (term, document) pair would be
 quadratic in the collection.
 
-In memory each posting list is a pair of arrays: int32 doc indices, which
-cap a doc table at 2**31 - 1 documents, and scores, float32 for a model
-(8 bytes a posting) and float64 for BM25 (12 bytes). ``split_postings``
-casts a whole column to int32 once; ``retrieve`` widens a query's
-concatenated doc indices to ``intp`` once, for ``bincount`` and the
-touched-set scatter.
+In memory an index is what its file stores: the sorted terms, their
+posting counts and two term-major columns, int32 doc indices (at most
+2**31 - 1 documents) and scores, float32 for a model and float64 for BM25.
+The constructor checks them once; the per-term views ``retrieve`` reads are
+built on first use, and it widens a query's doc indices to ``intp`` once,
+for ``bincount`` and the touched-set scatter.
 
 File layout (version 3): a ``CKIX`` container (``container.py``) whose
 manifest holds the doc table, the config hash, the frozen statistics, the
@@ -32,7 +32,9 @@ record no query cap and version 2 files store posting blocks at offsets
 that may overlap; both are refused.
 """
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -111,22 +113,33 @@ def _rank(scored, k):
 
 
 class ImpactIndex:
-    """Posting lists over a doc table. ``max_query_tokens`` is the cap of
-    the model folded in: ``retrieve`` reads only that many query tokens, as
-    ``rerank`` does. None (BM25) reads them all."""
+    """Posting lists over a doc table, held as a CKIX file stores them.
+    ``max_query_tokens`` is the cap of the model folded in: ``retrieve``
+    reads only that many query tokens, as ``rerank`` does; None (BM25) reads
+    them all. Construction refuses what ``_checked`` refuses."""
 
-    def __init__(self, doc_ids, postings, config_hash, stats,
-                 max_query_tokens=None):
-        self.doc_ids = list(doc_ids)
-        if len(self.doc_ids) > MAX_DOCS:
-            raise ContractError(f"{len(self.doc_ids)} documents: an index holds "
-                                f"at most {MAX_DOCS}")
-        self.doc_id_array = np.fromiter(self.doc_ids, object, len(self.doc_ids))
-        self.doc_rank = _id_ranks(self.doc_id_array)  # tie-break key per doc index
-        self.postings = postings    # term -> (int32 doc indices, f32 scores; f64 for BM25)
-        self.config_hash = config_hash
-        self.stats = dict(stats)
+    def __init__(self, doc_ids, terms, counts, doc_idx, scores, config_hash,
+                 stats, max_query_tokens=None):
+        self.doc_ids, self.terms = list(doc_ids), list(terms)
+        self.counts, self.doc_idx, self.scores = _checked(
+            self.doc_ids, self.terms, counts, doc_idx, scores, max_query_tokens)
+        self.config_hash, self.stats = config_hash, dict(stats)
         self.max_query_tokens = max_query_tokens
+
+    @cached_property
+    def postings(self):
+        """term -> (int32 doc indices, scores), views of the two columns."""
+        stops = np.cumsum(self.counts)
+        return {t: (self.doc_idx[a:b], self.scores[a:b]) for t, a, b in
+                zip(self.terms, (stops - self.counts).tolist(), stops.tolist())}
+
+    @cached_property
+    def doc_id_array(self):
+        return np.fromiter(self.doc_ids, object, len(self.doc_ids))
+
+    @cached_property
+    def doc_rank(self):                  # the tie-break key of each doc index
+        return _id_ranks(self.doc_id_array)
 
     @property
     def num_docs(self):
@@ -134,10 +147,65 @@ class ImpactIndex:
 
     @property
     def num_postings(self):
-        return sum(idx.size for idx, _ in self.postings.values())
+        return self.scores.size
 
     def matches(self, model):
         return self.config_hash == model.config_hash
+
+
+def _check_counts(terms, counts, size):
+    """Each term's posting count as int64; a ContractError unless there is
+    one non-negative int (not a bool) per term, adding up to size."""
+    ints = counts.dtype.kind in "iu" if isinstance(counts, np.ndarray) else \
+        all(type(c) is int and 0 <= c <= size for c in counts)
+    counts = np.asarray(counts, dtype=np.int64) if ints else None
+    if counts is None or counts.shape != (len(terms),) or \
+            ((counts < 0) | (counts > size)).any():
+        raise ContractError("counts are not one non-negative integer per term")
+    if counts.sum() != size:
+        raise ContractError(f"counts add up to {counts.sum()} postings but there "
+                            f"are {size}")
+    return counts
+
+
+def _previous(doc_idx, counts):
+    """Each doc index's predecessor in its term's list, -1 for the first."""
+    prev = np.empty_like(doc_idx)
+    prev[1:] = doc_idx[:-1]
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = -1
+    return prev
+
+
+def _checked(doc_ids, terms, counts, doc_idx, scores, cap):
+    """(int64 counts, int32 doc indices, scores) if the doc ids are at most
+    MAX_DOCS distinct strings, the terms distinct sorted strings, the counts
+    one int >= 0 per term adding up to both columns' length, the doc indices
+    strictly rising within a term and inside the doc table, and the cap an
+    int >= 0 or None; else a ContractError naming the first bad term."""
+    if len(doc_ids) > MAX_DOCS:
+        raise ContractError(f"{len(doc_ids)} documents: an index holds at most "
+                            f"{MAX_DOCS}")
+    if not all(isinstance(d, str) for d in doc_ids) or \
+            len(set(doc_ids)) != len(doc_ids):
+        raise ContractError("doc ids are not distinct strings")
+    if not all(isinstance(t, str) for t in terms) or \
+            any(map(operator.ge, terms, terms[1:])):
+        raise ContractError("terms are not distinct strings in sorted order")
+    if cap is not None and (type(cap) is not int or cap < 0):
+        raise ContractError(f"query cap {cap!r} is not an int >= 0 or None")
+    doc_idx, scores = np.asarray(doc_idx), np.asarray(scores)
+    if doc_idx.ndim != 1 or (doc_idx.size and doc_idx.dtype.kind not in "iu") or \
+            scores.shape != doc_idx.shape:
+        raise ContractError(f"{doc_idx.shape} {doc_idx.dtype} doc indices but "
+                            f"{scores.shape} scores")
+    counts = _check_counts(terms, counts, scores.size)
+    wide = doc_idx.astype(np.int64)
+    bad = np.flatnonzero((wide <= _previous(wide, counts)) | (wide >= len(doc_ids)))
+    if bad.size:
+        term = terms[int(np.searchsorted(np.cumsum(counts), bad[0], "right"))]
+        raise ContractError(f"posting list of {term!r} repeats a document, goes "
+                            "back or names no document")
+    return counts, doc_idx.astype(np.int32, copy=False), scores
 
 
 def posting_table(corpus):
@@ -165,15 +233,6 @@ def posting_table(corpus):
         doc_idx[by_term], tf[by_term]
 
 
-def split_postings(terms, counts, doc_idx, scores):
-    """term -> (int32 doc indices, scores) slices of a term-by-term column,
-    its doc indices cast once for the whole column."""
-    doc_idx = doc_idx.astype(np.int32)
-    stops = np.cumsum(counts)
-    return {t: (doc_idx[a:b], scores[a:b]) for t, a, b in
-            zip(terms, (stops - counts).tolist(), stops.tolist())}
-
-
 def build_index(corpus, model):
     """Score every (vocabulary term, containing document) pair offline.
 
@@ -198,28 +257,24 @@ def build_index(corpus, model):
     posted = np.repeat(keep, counts)
     terms = [t for t, k in zip(terms, keep.tolist()) if k]
     counts, doc_idx, tf = counts[keep], doc_idx[posted], tf[posted]
-    cap = model.config.max_query_tokens
-    if not terms:
-        return ImpactIndex(doc_ids, {}, model.config_hash, model.running_stats(),
-                           cap)
-    owner = np.repeat(np.arange(len(terms)), counts)
-    order = np.lexsort((owner, doc_idx)) if model.needs_latent \
-        else np.arange(doc_idx.size)
-    col_doc = doc_idx[order]
-    lat = exp = None
-    with T.no_grad():
-        if model.needs_latent:
-            lat = _latent_column(corpus, model, doc_ids, terms, owner[order],
-                                 col_doc)
-        if model.needs_explicit:
-            idf = model.vocab.idfs(terms)[owner[order]]
-            exp = model.explicit_scores(idf, tf[order],
-                                        np.maximum(lengths[col_doc], 1.0))
-        column = model.mix_scores(lat, exp).data
     scores = np.empty(doc_idx.size, dtype=np.float32)
-    scores[order] = column
-    return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, scores),
-                       model.config_hash, model.running_stats(), cap)
+    if terms:
+        owner = np.repeat(np.arange(len(terms)), counts)
+        order = np.lexsort((owner, doc_idx)) if model.needs_latent \
+            else np.arange(doc_idx.size)
+        col_doc = doc_idx[order]
+        lat = exp = None
+        with T.no_grad():
+            if model.needs_latent:
+                lat = _latent_column(corpus, model, doc_ids, terms, owner[order],
+                                     col_doc)
+            if model.needs_explicit:
+                idf = model.vocab.idfs(terms)[owner[order]]
+                exp = model.explicit_scores(idf, tf[order],
+                                            np.maximum(lengths[col_doc], 1.0))
+            scores[order] = model.mix_scores(lat, exp).data
+    return ImpactIndex(doc_ids, terms, counts, doc_idx, scores, model.config_hash,
+                       model.running_stats(), model.config.max_query_tokens)
 
 
 def _runs(col):
@@ -328,47 +383,22 @@ def _read_varints(data):
 
 
 def save_index(index, path):
-    """Write ``index`` as a CKIX container: terms in sorted order with their
-    posting counts in the manifest, every doc index as a varint gap (each
-    term's first from -1) in one ``gaps`` payload and every score as
-    float32 in one ``scores`` payload. Before anything is written, refuses
-    a posting list that ``load_index`` would refuse or misread: scores and
-    doc indices of unequal length, or doc indices not strictly increasing
-    inside the doc table."""
-    terms = sorted(index.postings)
-    counts = np.array([index.postings[t][0].size for t in terms], dtype=np.int64)
-    for term, count in zip(terms, counts.tolist()):
-        if index.postings[term][1].size != count:
-            raise ContractError(f"posting list of term {term!r} has {count} doc "
-                                f"indices but {index.postings[term][1].size} scores")
-    doc_idx = np.concatenate([index.postings[t][0] for t in terms]
-                             + [np.zeros(0, dtype=np.int64)], dtype=np.int64)
-    stops = np.cumsum(counts)
-    firsts = (stops - counts)[counts > 0]
-    prev = np.roll(doc_idx, 1)
-    prev[firsts] = -1
-    # Gaps are unsigned varints: a negative one cannot be written.
-    bad = np.flatnonzero((doc_idx <= prev) | (doc_idx >= index.num_docs))
-    if bad.size:
-        term = terms[int(np.searchsorted(stops, bad[0], side="right"))]
-        raise ContractError(f"posting list of term {term!r} has doc indices that "
-                            "are negative, not strictly increasing or past the "
-                            "doc table")
-    scores = np.concatenate([index.postings[t][1] for t in terms]
-                            + [np.zeros(0, dtype=np.float32)], dtype=np.float32)
+    """Write ``index`` as a CKIX container, its columns as they are: every doc
+    index as a varint gap (each term's first from -1), every score as
+    float32."""
+    doc_idx = index.doc_idx.astype(np.int64)
     container.write(path, MAGIC, VERSION, {
-        "doc_ids": index.doc_ids,
-        "config_hash": index.config_hash,
-        "stats": index.stats,
-        "max_query_tokens": index.max_query_tokens,
-        "terms": terms,
-        "counts": counts.tolist(),
-    }, {"gaps": _write_varints(doc_idx - prev), "scores": scores})
+        "doc_ids": index.doc_ids, "config_hash": index.config_hash,
+        "stats": index.stats, "max_query_tokens": index.max_query_tokens,
+        "terms": index.terms, "counts": index.counts.tolist(),
+    }, {"gaps": _write_varints(doc_idx - _previous(doc_idx, index.counts)),
+        "scores": index.scores.astype(np.float32, copy=False)})
 
 
 def load_index(path):
-    """Read a CKIX file; any truncated or inconsistent part raises
-    IndexFormatError."""
+    """Read a CKIX file, checking what decoding needs (payload dtypes, the
+    counts, the gap stream); ``ImpactIndex`` checks the rest. Anything
+    truncated or inconsistent raises IndexFormatError."""
     fields, arrays = container.read(path, MAGIC, VERSION, "index", _OLDER)
     try:
         doc_ids, terms = list(fields["doc_ids"]), list(fields["terms"])
@@ -377,42 +407,24 @@ def load_index(path):
         cap = fields["max_query_tokens"]
     except (ValueError, KeyError, TypeError) as err:
         raise IndexFormatError(f"{path}: malformed metadata ({err})") from None
-    if cap is not None and (type(cap) is not int or cap < 0):
-        raise IndexFormatError(f"{path}: query cap {cap!r} is not a "
-                               "non-negative integer or null")
-    if any(type(t) is not str for t in terms) or len(set(terms)) != len(terms):
-        raise IndexFormatError(f"{path}: terms are not distinct strings")
-    if len(counts) != len(terms) or \
-            any(type(c) is not int or c < 0 for c in counts):
-        raise IndexFormatError(f"{path}: counts are not one non-negative "
-                               "integer per term")
     if {name: (a.dtype, a.ndim) for name, a in arrays.items()} != \
             {"gaps": (np.dtype(np.uint8), 1), "scores": (np.dtype(np.float32), 1)}:
         raise IndexFormatError(f"{path}: payloads are not a uint8 gap stream "
                                "and a float32 score column")
     scores = arrays["scores"]
-    if sum(counts) != scores.size:
-        raise IndexFormatError(f"{path}: counts add up to {sum(counts)} postings "
-                               f"but there are {scores.size} scores")
-    deltas = _read_varints(arrays["gaps"])
-    if deltas.size != scores.size:
-        raise IndexFormatError(f"{path}: {deltas.size} gaps for {scores.size} "
-                               "postings")
-    counts = np.array(counts, dtype=np.int64)
-    offsets = np.cumsum(counts) - counts            # each term's first posting
-    owner = np.repeat(np.arange(len(terms)), counts)
-
-    def fail(term_idx, what):
-        if term_idx.size:
-            raise IndexFormatError(f"{path}: {what.format(terms[term_idx[0]])}")
-
-    # a delta past the doc table names no document, and bounding the deltas
-    # keeps their running sums inside int64
-    fail(owner[deltas > len(doc_ids)], "posting of {!r} names no document")
-    sums = np.cumsum(deltas.astype(np.int64))
-    doc_idx = sums - np.concatenate(([0], sums))[offsets][owner] - 1
-    fail(owner[(doc_idx < 0) | (doc_idx >= len(doc_ids))],
-         "posting of {!r} names no document")
-    fail(owner[deltas == 0], "posting of {!r} repeats a document")
-    return ImpactIndex(doc_ids, split_postings(terms, counts, doc_idx, scores),
-                       config_hash, stats, cap)
+    try:
+        counts = _check_counts(terms, counts, scores.size)
+        deltas = _read_varints(arrays["gaps"])
+        if deltas.size != scores.size:
+            raise IndexFormatError(f"{path}: {deltas.size} gaps for {scores.size} "
+                                   "postings")
+        # bounding the gaps keeps their running sums inside int64
+        if (deltas > len(doc_ids)).any():
+            raise IndexFormatError(f"{path}: a gap passes the doc table")
+        sums = np.cumsum(deltas.astype(np.int64))
+        before = np.concatenate(([0], sums))[np.cumsum(counts) - counts]
+        return ImpactIndex(doc_ids, terms, counts,
+                           sums - np.repeat(before, counts) - 1, scores,
+                           config_hash, stats, cap)
+    except ContractError as err:
+        raise IndexFormatError(f"{path}: {err}") from None

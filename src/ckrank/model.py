@@ -18,6 +18,7 @@ averages (momentum 0.9) everywhere else; the scale statistics of the
 explicit branch (mean TF, mean document length) follow the same rule.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,9 +65,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if type(self.max_query_tokens) is not int or self.max_query_tokens < 0:
-            raise ConfigError("max_query_tokens must be a non-negative integer, "
-                              f"not {self.max_query_tokens!r}")
+        for name, least in (("max_query_tokens", 0), ("max_doc_tokens", 1)):
+            cap = getattr(self, name)
+            if type(cap) is not int or cap < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, not {cap!r}")
         object.__setattr__(self, "kernel_mus", tuple(map(float, self.kernel_mus)))
         object.__setattr__(self, "kernel_sigmas", tuple(map(float, self.kernel_sigmas)))
         self.attention_config()  # validates dims
@@ -125,6 +127,15 @@ class ModelConfig:
 # -- explicit branch -------------------------------------------------------------
 
 
+def _require_finite(owner, names):
+    """ContractError unless each named field is a finite int or float."""
+    for name in names:
+        value = getattr(owner, name)
+        if type(value) is bool or not isinstance(value, (int, float)) or \
+                not math.isfinite(value):
+            raise ContractError(f"{name} must be a finite real number, not {value!r}")
+
+
 @dataclass
 class BSState:
     """Running means used by the x / (E[x] + eps) scale normalization."""
@@ -132,6 +143,7 @@ class BSState:
     mean_dlen: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("mean_tf", "mean_dlen"))
         if self.mean_tf < 0 or self.mean_dlen < 0:
             raise ContractError("scale-normalization means must be non-negative")
 
@@ -169,10 +181,16 @@ def ndrm2_term_scores(idf, tf, dlen, params, bs_state):
         w._accumulate((glin * bs_dl).sum())
         b._accumulate(glin.sum())
 
-    return T.wrap_op(data, (w, b), backward, "ndrm2_term_scores")
+    return T.wrap_op(data, (w, b), backward, "ndrm2_term_scores",
+                     saved=(num, denom, lin, bs_dl))
 
 
 # -- duet branch -------------------------------------------------------------------
+
+
+# DuetParams' running statistics, named as checkpoints store them
+_DUET_STATS = ("bn_latent_mean", "bn_latent_var", "bn_explicit_mean",
+              "bn_explicit_var")
 
 
 @dataclass
@@ -188,6 +206,7 @@ class DuetParams:
     var_floor: float = 1e-5
 
     def __post_init__(self):
+        _require_finite(self, _DUET_STATS)
         if self.bn_latent_var < 0 or self.bn_explicit_var < 0:
             raise ContractError("running variances must be non-negative")
 
@@ -232,7 +251,8 @@ def _duet_mix(lat, exp, params, m_l, d_l, m_e, d_e):
         w2._accumulate((g * bn_exp).sum())
         b._accumulate(g.sum())
 
-    return T.wrap_op(data, (lat, exp, w1, w2, b), backward, "duet_mix")
+    return T.wrap_op(data, (lat, exp, w1, w2, b), backward, "duet_mix",
+                     saved=(bn_lat, bn_exp))
 
 
 # -- the model ----------------------------------------------------------------------
@@ -329,21 +349,16 @@ class CKModel:
             stats["bs_tf_mean"] = self.bs.mean_tf
             stats["bs_dlen_mean"] = self.bs.mean_dlen
         if self.duet is not None:
-            stats["bn_latent_mean"] = self.duet.bn_latent_mean
-            stats["bn_latent_var"] = self.duet.bn_latent_var
-            stats["bn_explicit_mean"] = self.duet.bn_explicit_mean
-            stats["bn_explicit_var"] = self.duet.bn_explicit_var
+            stats.update((name, getattr(self.duet, name)) for name in _DUET_STATS)
         return stats
 
     def load_running_stats(self, stats):
-        if self.bs is not None:
-            self.bs.mean_tf = stats["bs_tf_mean"]
-            self.bs.mean_dlen = stats["bs_dlen_mean"]
-        if self.duet is not None:
-            self.duet.bn_latent_mean = stats["bn_latent_mean"]
-            self.duet.bn_latent_var = stats["bn_latent_var"]
-            self.duet.bn_explicit_mean = stats["bn_explicit_mean"]
-            self.duet.bn_explicit_var = stats["bn_explicit_var"]
+        """Adopt the statistics ``running_stats`` names; the ``BSState`` and
+        ``DuetParams`` checks apply, and a refused set changes nothing."""
+        bs = self.bs and BSState(stats["bs_tf_mean"], stats["bs_dlen_mean"])
+        duet = self.duet and dataclasses.replace(
+            self.duet, **{name: stats[name] for name in _DUET_STATS})
+        self.bs, self.duet = bs, duet
 
     # -- encoding -------------------------------------------------------------
 

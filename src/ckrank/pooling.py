@@ -185,7 +185,8 @@ def interaction_rows(q_embs, doc_enc):
             dv = (gv - vh * (gv * vh).sum(axis=1, keepdims=True)) / vn_safe[:, None]
             doc_enc._accumulate(dv * v_mask[:, None])
 
-    return T.wrap_op(cos, (q_embs, doc_enc), backward, "interaction_rows")
+    return T.wrap_op(cos, (q_embs, doc_enc), backward, "interaction_rows",
+                     saved=(uh, un_safe, u_mask, vh, vn_safe, v_mask))
 
 
 # -- windowed pooling ----------------------------------------------------------
@@ -259,7 +260,8 @@ def windowed_pool_terms(rows, wcfg, bank):
         np.add.at(dr, (np.broadcast_to(idx_t, pos.shape), pos), dwin * valid)
         rows._accumulate(dr)
 
-    return T.wrap_op(data, (rows,), backward, "windowed_pool_terms", saved=(ex, e))
+    return T.wrap_op(data, (rows,), backward, "windowed_pool_terms",
+                     saved=(ex, e, arg))
 
 
 # -- scoring head ---------------------------------------------------------------

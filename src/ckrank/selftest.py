@@ -91,16 +91,15 @@ def _ranking_matches_sort(rng):
     doc ids out of sorted order, against sorted() by (-score, doc id)."""
     n = 40
     doc_ids = [f"D{i}" for i in rng.permutation(n)]
-    postings = {}
-    for term in ("a", "b", "c"):
-        docs = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-        scores = rng.choice([-1.0, 0.0, 0.5, 1.0], size=docs.size)
-        postings[term] = (docs, scores.astype(np.float32))
-    index = ImpactIndex(doc_ids, postings, "", {})
+    docs = [np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            for _ in range(3)]
+    scores = rng.choice([-1.0, 0.0, 0.5, 1.0], size=sum(d.size for d in docs))
+    index = ImpactIndex(doc_ids, ["a", "b", "c"], [d.size for d in docs],
+                        np.concatenate(docs), scores.astype(np.float32), "", {})
     tokens = ["a", "b", "b", "c", "absent"]
     acc = {}
     for term in tokens:
-        for i, score in zip(*postings.get(term, ((), ()))):
+        for i, score in zip(*index.postings.get(term, ((), ()))):
             acc[doc_ids[i]] = acc.get(doc_ids[i], 0.0) + float(score)
     scored = list(acc.items())
     want = sorted(scored, key=lambda pair: (-pair[1], pair[0]))

@@ -34,6 +34,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,9 +248,10 @@ def wrap_op(out_data, parents, backward_fn, name, saved=()):
 
     This is the extension point fused ops elsewhere in the package use.
     The closure must capture numpy arrays, never the output tensor itself.
-    ``saved`` lists the intermediates (not parent buffers) the closure
-    keeps; while the graph holds the closure their bytes are charged to
-    the output, so fused ops stay visible to the live-bytes tracker.
+    ``saved`` lists every buffer the closure keeps besides the parents' and
+    the output's and read-only shared constants, each once (the array a
+    view views, not the view); while the graph holds the closure their
+    bytes are charged to the output, so ops stay visible to the tracker.
     """
     if _CHECK_FINITE.get() and not np.logical_and.reduce(np.isfinite(out_data),
                                                          None):
@@ -420,7 +422,7 @@ def dropout(a, p, training, rng):
     def backward(g):
         a._accumulate(g * keep)
 
-    return wrap_op(data, (a,), backward, "dropout")
+    return wrap_op(data, (a,), backward, "dropout", saved=(keep,))
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -430,8 +432,7 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ContractError("concat of zero tensors")
     data = np.concatenate([t._data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -454,7 +455,7 @@ def gather(a, indices):
         np.add.at(buf, idx, g)
         a._accumulate(buf)
 
-    return wrap_op(data, (a,), backward, "gather")
+    return wrap_op(data, (a,), backward, "gather", saved=(idx,))
 
 
 def segment_sum(a, segment_ids, num_segments):
@@ -467,7 +468,7 @@ def segment_sum(a, segment_ids, num_segments):
     def backward(g):
         a._accumulate(g[seg])
 
-    return wrap_op(data, (a,), backward, "segment_sum")
+    return wrap_op(data, (a,), backward, "segment_sum", saved=(seg,))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -557,7 +558,7 @@ def embedding(table, ids, offset=None):
             table._ensure_grad()
             np.add.at(table.grad, idx, g)
 
-    return wrap_op(data, (table,), backward, "embedding")
+    return wrap_op(data, (table,), backward, "embedding", saved=(idx,))
 
 
 def _normalize(s, gamma, beta, eps, xhat=None, denom=None, out=None):
@@ -614,7 +615,7 @@ def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
         beta._accumulate(_reduce_to(g, b_data.shape))
 
     parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
-    return wrap_op(data, parents, backward, "layer_norm")
+    return wrap_op(data, parents, backward, "layer_norm", saved=(xhat, denom))
 
 
 # Bytes of receptive fields copied per matmul: a run of positions whose
@@ -623,8 +624,9 @@ _CONV_CHUNK_BYTES = 1 << 20
 
 
 def _receptive_fields(a, groups, window):
-    """(n, groups * cg) -> read-only (groups, n, window * cg) view of every
-    receptive field, tap-major to match a (groups, window * cg, cg) kernel.
+    """(n, groups * cg) -> (zero-padded copy, read-only (groups, n, window *
+    cg) view of it holding every receptive field, tap-major to match a
+    (groups, window * cg, cg) kernel).
 
     The zero-padded copy is group-major, (groups, n + window - 1, cg), so
     the field of (group, position j) is the contiguous run of window * cg
@@ -635,8 +637,8 @@ def _receptive_fields(a, groups, window):
     pad = (window - 1) // 2
     xp = np.zeros((groups, n + 2 * pad, cg), dtype=a.dtype)
     xp[:, pad:pad + n] = a.reshape(n, groups, cg).transpose(1, 0, 2)
-    return np.lib.stride_tricks.as_strided(xp, (groups, n, window * cg),
-                                           xp.strides, writeable=False)
+    return xp, np.lib.stride_tricks.as_strided(xp, (groups, n, window * cg),
+                                               xp.strides, writeable=False)
 
 
 def _fields_matmul(fields, kmat, pool, bias=None):
@@ -689,15 +691,13 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
                          f"{(groups, window, cg, cg)}")
     if bias is not None and bias.shape != (c,):
         raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
-    fields = _receptive_fields(x._data, groups, window)
+    padded, fields = _receptive_fields(x._data, groups, window)
     data = _fields_matmul(fields, kernel._data.reshape(groups, window * cg, cg), _POOL,
                           None if bias is None else bias._data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
         if kernel.requires_grad:
-            # fields is a view of the padded input, so keeping it costs no
-            # more than x does.
             go = g.reshape(n, groups, cg).transpose(1, 0, 2)
             dk = np.matmul(fields.transpose(0, 2, 1), go)
             kernel._accumulate(dk.reshape(groups, window, cg, cg))
@@ -706,12 +706,12 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
             # reversed and each tap transposed.
             kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2).reshape(
                 groups, window * cg, cg)
-            x._accumulate(_fields_matmul(_receptive_fields(g, groups, window), kt,
+            x._accumulate(_fields_matmul(_receptive_fields(g, groups, window)[1], kt,
                                          _SERIAL))
         if bias is not None:
             bias._accumulate(g.sum(axis=0))
 
-    return wrap_op(data, parents, backward, "grouped_conv1d")
+    return wrap_op(data, parents, backward, "grouped_conv1d", saved=(padded,))
 
 
 def batch_norm_train(x, var_floor=1e-5):

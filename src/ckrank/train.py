@@ -84,7 +84,8 @@ def ranknet_loss(s_pref, s_other):
         s_other._accumulate(g_d)
         s_pref._accumulate(-g_d)
 
-    return T.wrap_op(data, (s_other, s_pref), backward, "ranknet_loss")
+    return T.wrap_op(data, (s_other, s_pref), backward, "ranknet_loss",
+                     saved=(d,))
 
 
 # -- data plumbing ---------------------------------------------------------------

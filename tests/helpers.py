@@ -5,6 +5,7 @@ import refops as R
 
 import ckrank.tensor as T
 from ckrank.corpus import Corpus, DocumentRecord, Vocabulary
+from ckrank.index import ImpactIndex
 from ckrank.model import ModelConfig
 from ckrank.pooling import head_param_specs
 
@@ -81,3 +82,19 @@ def value_and_grads(build, arrays, mix_seed=0):
     grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
              for name, p in params.items()}
     return out.numpy(), grads
+
+
+def index_from_postings(doc_ids, postings, config_hash="hash", stats=(),
+                        max_query_tokens=None):
+    """An ImpactIndex over term -> (doc indices, scores) lists: the terms
+    sorted and their lists joined into the two columns as given, so the
+    index's own check sees them unchanged (int64 doc indices unless some
+    list holds another integer type; float32 scores unless some list holds
+    float64)."""
+    terms = sorted(postings)
+    doc_idx = [np.asarray(postings[t][0]) for t in terms]
+    scores = [np.asarray(postings[t][1]) for t in terms]
+    return ImpactIndex(doc_ids, terms, [d.size for d in doc_idx],
+                       np.concatenate(doc_idx + [np.zeros(0, np.int64)]),
+                       np.concatenate(scores + [np.zeros(0, np.float32)]),
+                       config_hash, stats, max_query_tokens)

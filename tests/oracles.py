@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import refops as R
+from helpers import index_from_postings
 
 import ckrank.tensor as T
 from ckrank.errors import ConfigError, ContractError, ShapeError
 from ckrank.attention import _softmax, _softmax_backward
-from ckrank.index import ImpactIndex, _best_first
+from ckrank.index import _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
 from ckrank.pooling import (empty_features, interaction_rows,
                             latent_term_scores, num_windows,
@@ -92,8 +93,9 @@ def build_index_per_document(corpus, model):
             postings[term][1].append(np.float32(score))
     packed = {t: (np.asarray(idx, dtype=np.int64), np.asarray(sc, dtype=np.float32))
               for t, (idx, sc) in postings.items()}
-    return ImpactIndex(doc_ids, packed, model.config.config_hash(),
-                       model.running_stats(), model.config.max_query_tokens)
+    return index_from_postings(doc_ids, packed, model.config.config_hash(),
+                               model.running_stats(),
+                               model.config.max_query_tokens)
 
 
 def posting_table_by_stable_sort(corpus):

@@ -19,7 +19,7 @@ import ckrank.container
 import ckrank.tensor as T
 from ckrank.checkpoint import MAGIC, VERSION, load_model, save_model
 from ckrank.corpus import Vocabulary
-from ckrank.errors import IndexFormatError
+from ckrank.errors import ContractError, IndexFormatError
 from ckrank.model import CKModel, ModelConfig, parameter_specs
 from ckrank.train import TrainConfig, TrainInstance, train
 
@@ -166,6 +166,53 @@ def test_load_model_refuses_a_malformed_manifest(tmp_path, micro, edit, reason):
               vocab_fingerprint=vocab.fingerprint())
     with pytest.raises(IndexFormatError, match=reason):
         load_model(path, vocab)
+
+
+BS_STATS = ["bs_tf_mean", "bs_dlen_mean"]
+DUET_STATS = ["bn_latent_mean", "bn_latent_var", "bn_explicit_mean",
+              "bn_explicit_var"]
+BAD_STATS = [("x", "finite real number"), (True, "finite real number"),
+             (None, "finite real number"), (float("nan"), "finite real number"),
+             (float("inf"), "finite real number"),
+             (float("-inf"), "finite real number")]
+
+
+@pytest.mark.parametrize("variant,name,value,reason", [
+    (variant, name, value, reason)
+    for variant in ("ndrm2", "ndrm3")
+    for name in BS_STATS + (DUET_STATS if variant == "ndrm3" else [])
+    for value, reason in BAD_STATS
+] + [(variant, name, -0.5, "must be non-negative")
+     for variant in ("ndrm2", "ndrm3") for name in BS_STATS] + [
+    ("ndrm3", name, -0.5, "must be non-negative")
+    for name in ("bn_latent_var", "bn_explicit_var")])
+def test_load_model_refuses_malformed_running_statistics(tmp_path, micro, variant,
+                                                         name, value, reason):
+    """A statistic that is not a finite real number, or a negative
+    scale-normalization mean or variance, is refused on load instead of
+    failing at the first score."""
+    _, vocab = micro
+    model = CKModel(micro_config(variant), vocab)
+    stats = model.running_stats()
+    stats[name] = value
+    path = tmp_path / "stats.ckpt"
+    write_raw(path, model.parameters(), model.config.to_dict(), model.config_hash,
+              stats, vocab_fingerprint=vocab.fingerprint())
+    with pytest.raises(IndexFormatError, match=reason):
+        load_model(path, vocab)
+
+
+def test_refused_running_statistics_change_nothing(micro):
+    _, vocab = micro
+    model = CKModel(micro_config("ndrm3"), vocab)
+    before = model.running_stats()
+    with pytest.raises(ContractError, match="bn_explicit_var"):
+        model.load_running_stats({**before, "bs_tf_mean": 2.0,
+                                  "bn_explicit_var": float("nan")})
+    assert model.running_stats() == before
+    # a mean of the duet's batch norm may be negative
+    model.load_running_stats({**before, "bn_latent_mean": -0.25})
+    assert model.running_stats()["bn_latent_mean"] == -0.25
 
 
 @pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])

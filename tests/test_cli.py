@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from helpers import micro_config
 
@@ -198,14 +199,15 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_fails_on_a_broken_fold(monkeypatch, capsys):
-    split_postings = ckrank.index.split_postings
+    checked = ckrank.index._checked
 
-    def reversed_scores(*args):
+    def reversed_scores(doc_ids, terms, counts, doc_idx, scores, cap):
         """Each term's doc indices paired with its scores in reverse."""
-        return {t: (idx, scores[::-1]) for t, (idx, scores) in
-                split_postings(*args).items()}
+        parts = np.split(np.asarray(scores), np.cumsum(counts)[:-1])
+        return checked(doc_ids, terms, counts, doc_idx,
+                       np.concatenate([p[::-1] for p in parts]), cap)
 
-    monkeypatch.setattr(ckrank.index, "split_postings", reversed_scores)
+    monkeypatch.setattr(ckrank.index, "_checked", reversed_scores)
     assert run_selftest(verbose=False) is False
     assert run_selftest() is False
     failed = [line for line in capsys.readouterr().out.splitlines()

@@ -6,13 +6,13 @@ import struct
 import tempfile
 
 import numpy as np
-from helpers import micro_config, micro_corpus
+from helpers import index_from_postings, micro_config, micro_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckrank.checkpoint import load_model, save_model
 from ckrank.errors import IndexFormatError
-from ckrank.index import ImpactIndex, load_index, save_index
+from ckrank.index import load_index, save_index
 from ckrank.model import CKModel
 
 CORPUS, VOCAB = micro_corpus()
@@ -27,7 +27,7 @@ def _saved(save, obj, name):
 
 
 FILES = {
-    "ckix": (_saved(save_index, ImpactIndex(
+    "ckix": (_saved(save_index, index_from_postings(
         [f"D{i}" for i in range(301)],
         {"alpha": (np.array([0, 2, 3]), np.array([0.5, -1.25, 2.0], np.float32)),
          "beta": (np.array([1]), np.array([3.5], np.float32)),

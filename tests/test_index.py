@@ -5,10 +5,12 @@ import json
 import os
 import struct
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import micro_config, micro_corpus, tiny_config
+from helpers import (index_from_postings, micro_config, micro_corpus,
+                     tiny_config)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (build_index_per_document, posting_table_by_stable_sort,
@@ -87,23 +89,22 @@ def accumulate_oracle(index, tokens):
 def tied_indexes(draw):
     """Small indexes, possibly without documents, with few distinct scores
     (negative and zero included, some rounding when summed), doc ids out of
-    sorted order (D10 sorts before D2) and float32, float64 or mixed posting
-    lists, their doc indices int32 as built and loaded ones are; queries
-    repeat tokens and may hit nothing."""
+    sorted order (D10 sorts before D2) and a float32 or float64 score
+    column; queries repeat tokens and may hit nothing."""
     n = draw(st.integers(0, 30))
     doc_ids = [f"D{i}" for i in draw(st.permutations(range(n)))]
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
     postings = {}
     for t in range(draw(st.integers(1, 4))):
         docs = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))) if n else []
         scores = draw(st.lists(TIED_SCORES | ROUNDING_SCORES, min_size=len(docs),
                                max_size=len(docs)))
-        dtype = draw(st.sampled_from([np.float32, np.float64]))
         postings[f"t{t}"] = (np.array(docs, dtype=np.int32),
                              np.array(scores, dtype=dtype))
     tokens = draw(st.lists(st.sampled_from(sorted(postings) + ["absent"]),
                            max_size=6))
     tokens += tokens[:draw(st.integers(0, len(tokens)))]
-    return ImpactIndex(doc_ids, postings, "hash", {}), tokens
+    return index_from_postings(doc_ids, postings), tokens
 
 
 def k_values(live, data):
@@ -114,17 +115,12 @@ def k_values(live, data):
 @given(tied_indexes(), st.data())
 def test_retrieve_matches_full_sort_oracle(case, data):
     index, tokens = case
-    wide = ImpactIndex(index.doc_ids, {t: (idx.astype(np.int64), scores) for
-                                       t, (idx, scores) in index.postings.items()},
-                       "hash", {})
     scored = accumulate_oracle(index, tokens)
     for k in k_values(len(scored), data):
         got = retrieve(tokens, index, k=k).ranking
         assert bits(got) == bits(sorted_oracle(scored, k))
         assert bits(got) == bits(retrieve_term_at_a_time(tokens, index, k))
         assert all(type(score) is float for _, score in got)
-        # the same postings with int64 doc columns rank the same, bit for bit
-        assert bits(retrieve(tokens, wide, k=k).ranking) == bits(got)
 
 
 @pytest.mark.parametrize("name", ["ndrm2", "bm25"])
@@ -173,7 +169,7 @@ def test_tie_order_survives_save_and_load(tmp_path):
     doc_ids = ["D2", "D10", "D1", "D3", "D20"]
     postings = {"t": (np.arange(5), np.array([1, 1, 1, 1, 2], dtype=np.float32)),
                 "u": (np.array([0, 3]), np.array([0, 0], dtype=np.float32))}
-    index = ImpactIndex(doc_ids, postings, "hash", {})
+    index = index_from_postings(doc_ids, postings)
     want = [("D20", 2.0), ("D1", 1.0), ("D10", 1.0), ("D2", 1.0), ("D3", 1.0)]
     path = tmp_path / "ties.ckix"
     save_index(index, path)
@@ -357,9 +353,9 @@ def test_postings_take_8_bytes_each_and_bm25_12(tmp_path):
 
 def test_index_refuses_more_documents_than_an_int32_column_holds(monkeypatch):
     monkeypatch.setattr(index_module, "MAX_DOCS", 3)
-    ImpactIndex(["A", "B", "C"], {}, "h", {})
+    index_from_postings(["A", "B", "C"], {})
     with pytest.raises(ContractError, match="at most 3"):
-        ImpactIndex(["A", "B", "C", "D"], {}, "h", {})
+        index_from_postings(["A", "B", "C", "D"], {})
 
 
 def _postings_bytes(index):
@@ -560,8 +556,8 @@ def test_save_index_matches_per_posting_writer(gap_lists, seed):
         postings[term] = (np.array(idx, dtype=np.int64),
                           rng.standard_normal(len(idx)).astype(np.float32))
     num_docs = max((sum(gaps) for gaps in gap_lists.values()), default=0) + 3
-    index = ImpactIndex([f"D{i}" for i in range(num_docs)], postings, "hash",
-                        {"bs_tf_mean": 1.5})
+    index = index_from_postings([f"D{i}" for i in range(num_docs)], postings,
+                                stats={"bs_tf_mean": 1.5})
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, os.path.join(tmp, "array.ckix"))
         save_index_per_posting(index, os.path.join(tmp, "oracle.ckix"))
@@ -590,27 +586,30 @@ def test_save_load_bit_exact(indexed, tmp_path):
 @pytest.mark.parametrize("doc_idx", [[1, 0], [0, 2, 2], [-2, 0]],
                          ids=["decreasing", "repeated", "negative"])
 def test_save_refuses_postings_not_strictly_increasing(doc_idx, tmp_path):
-    # The check runs before any varint is written: a negative delta has no
-    # unsigned varint.
+    # The index refuses such columns when it is made, so there is never one
+    # to save: a negative gap has no unsigned varint.
     idx = np.array(doc_idx, dtype=np.int64)
-    index = ImpactIndex(["A", "B", "C"],
-                        {"t": (idx, np.ones(idx.size, np.float32))}, "h", {})
-    with pytest.raises(ContractError, match="'t'"):
-        save_index(index, tmp_path / "bad.ckix")
-
-
-@pytest.mark.parametrize("bad,postings", [
-    ("a", {"a": ([0, 1], [1.0]), "b": ([1], [7.0])}),
-    ("a", {"a": ([0], [1.0, 2.0])}),
-    ("b", {"a": ([0], [1.0]), "b": ([1, 2], [1.0, 2.0])}),
-], ids=["fewer-scores", "more-scores", "past-doc-table"])
-def test_save_refuses_malformed_postings(bad, postings, tmp_path):
-    index = ImpactIndex(["A", "B"], {t: (np.array(i, dtype=np.int64),
-                                         np.array(s, dtype=np.float32))
-                                     for t, (i, s) in postings.items()}, "h", {})
     path = tmp_path / "bad.ckix"
-    with pytest.raises(ContractError, match=repr(bad)):
-        save_index(index, path)
+    with pytest.raises(ContractError, match="'t'"):
+        save_index(index_from_postings(
+            ["A", "B", "C"], {"t": (idx, np.ones(idx.size, np.float32))}), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("reason,postings", [
+    (r"\(3,\) int64 doc indices but \(2,\) scores",
+     {"a": ([0, 1], [1.0]), "b": ([1], [7.0])}),
+    (r"\(1,\) int64 doc indices but \(2,\) scores", {"a": ([0], [1.0, 2.0])}),
+    ("'b'", {"a": ([0], [1.0]), "b": ([1, 2], [1.0, 2.0])}),
+], ids=["fewer-scores", "more-scores", "past-doc-table"])
+def test_save_refuses_malformed_postings(reason, postings, tmp_path):
+    # Refused when the index is made, so nothing reaches the file.
+    path = tmp_path / "bad.ckix"
+    with pytest.raises(ContractError, match=reason):
+        save_index(index_from_postings(
+            ["A", "B"], {t: (np.array(i, dtype=np.int64),
+                             np.array(s, dtype=np.float32))
+                         for t, (i, s) in postings.items()}), path)
     assert not path.exists()
 
 
@@ -679,8 +678,8 @@ def _small_index_bytes():
     postings = {"alpha": (np.array([0, 2, 3]), np.array([0.5, -1.25, 2.0], dtype=np.float32)),
                 "beta": (np.array([1]), np.array([3.5], dtype=np.float32)),
                 "gamma": (np.array([0, 300]), np.array([1.0, 0.25], dtype=np.float32))}
-    index = ImpactIndex([f"D{i}" for i in range(301)], postings, "hash",
-                        {"bs_tf_mean": 1.5})
+    index = index_from_postings([f"D{i}" for i in range(301)], postings,
+                                stats={"bs_tf_mean": 1.5})
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "small.ckix")
         save_index(index, path)
@@ -714,10 +713,12 @@ def test_every_prefix_fails_cleanly_or_round_trips(cut):
 
 
 def test_load_rejects_postings_past_the_doc_table(tmp_path):
-    index = ImpactIndex(["D0"], {"t": (np.array([3]), np.ones(1, np.float32))},
-                        "hash", {})
+    # ImpactIndex refuses such a posting, so write the file posting by
+    # posting from plain fields.
+    index = SimpleNamespace(
+        doc_ids=["D0"], postings={"t": (np.array([3]), np.ones(1, np.float32))},
+        config_hash="hash", stats={}, max_query_tokens=None)
     path = tmp_path / "range.ckix"
-    # save_index refuses such a posting, so write the file posting by posting.
     save_index_per_posting(index, path)
     with pytest.raises(IndexFormatError):
         load_index(path)
@@ -727,9 +728,8 @@ def _one_posting_file(path, varints):
     """A one-term CKIX file whose posting block holds the given varint bytes
     and one score per varint."""
     count = sum(1 for b in varints if b < 0x80)
-    index = ImpactIndex(["D0", "D1"], {"t": (np.arange(count),
-                                             np.ones(count, np.float32))},
-                        "hash", {})
+    index = index_from_postings(["D0", "D1"], {"t": (np.arange(count),
+                                                     np.ones(count, np.float32))})
     save_index(index, path)
     blob = path.read_bytes()
     head = len(blob) - count - 4 * count          # saved deltas are all 1 byte
@@ -767,7 +767,7 @@ def test_load_rejects_repeated_documents(tmp_path):
 
 
 def test_empty_index_round_trip(tmp_path):
-    index = ImpactIndex(["D1"], {}, "hash", {"a": 1.0})
+    index = index_from_postings(["D1"], {}, stats={"a": 1.0})
     path = tmp_path / "empty.ckix"
     save_index(index, path)
     loaded = load_index(path)
@@ -775,12 +775,13 @@ def test_empty_index_round_trip(tmp_path):
     assert loaded.stats == {"a": 1.0}
 
 
-def _v3_file(path, terms, counts, gaps, scores, payloads=None):
-    """A CKIX container over four documents holding the given terms, counts,
-    gap bytes and scores as they are, without save_index's checks; payloads
-    adds or replaces payloads."""
+def _v3_file(path, terms, counts, gaps, scores, payloads=None,
+             doc_ids=("D0", "D1", "D2", "D3")):
+    """A CKIX container over the doc table (four documents by default)
+    holding the given terms, counts, gap bytes and scores as they are, with
+    no check; payloads adds or replaces payloads."""
     container.write(path, MAGIC, VERSION, {
-        "doc_ids": ["D0", "D1", "D2", "D3"], "config_hash": "h", "stats": {},
+        "doc_ids": list(doc_ids), "config_hash": "h", "stats": {},
         "max_query_tokens": None, "terms": terms, "counts": counts,
     }, {"gaps": np.array(gaps, dtype=np.uint8),
         "scores": np.array(scores, dtype=np.float32), **(payloads or {})})
@@ -788,9 +789,9 @@ def _v3_file(path, terms, counts, gaps, scores, payloads=None):
 
 def test_v3_manifest_holds_no_offsets(tmp_path):
     path = tmp_path / "v3.ckix"
-    save_index(ImpactIndex(["D0", "D1", "D2"], {
+    save_index(index_from_postings(["D0", "D1", "D2"], {
         "b": (np.array([1, 2]), np.array([3.0, 4.0], np.float32)),
-        "a": (np.array([0, 1]), np.array([1.0, 2.0], np.float32))}, "h", {}),
+        "a": (np.array([0, 1]), np.array([1.0, 2.0], np.float32))}, "h"),
         path)
     manifest, arrays = container.read(path, MAGIC, VERSION, "index", {})
     assert list(manifest) == ["format_version", "doc_ids", "config_hash",
@@ -841,6 +842,81 @@ def test_load_refuses_other_payloads(tmp_path, payloads):
     _v3_file(path, ["a", "b"], [2, 1], [1, 1, 2], [1.0, 2.0, 3.0], payloads)
     with pytest.raises(IndexFormatError, match="payloads are not"):
         load_index(path)
+
+
+@pytest.mark.parametrize("doc_ids", [[1, "a"], ["a", None], ["a", "b", "a"]],
+                         ids=["int", "null", "repeated"])
+def test_a_doc_table_must_be_distinct_strings(tmp_path, doc_ids):
+    with pytest.raises(ContractError, match="doc ids are not distinct strings"):
+        index_from_postings(doc_ids, {"t": ([0], [1.0])})
+    path = tmp_path / "docs.ckix"
+    _v3_file(path, ["t"], [1], [1], [1.0], doc_ids=doc_ids)
+    with pytest.raises(IndexFormatError, match="doc ids are not distinct"):
+        load_index(path)
+
+
+def _columns(**changes):
+    """Constructor arguments of a valid two-term index over three documents,
+    with some replaced."""
+    args = dict(doc_ids=["A", "B", "C"], terms=["a", "b"], counts=[2, 1],
+                doc_idx=np.array([0, 2, 1]), scores=np.ones(3, np.float32),
+                config_hash="h", stats={})
+    args.update(changes)
+    return args
+
+
+@pytest.mark.parametrize("changes,reason", [
+    (dict(terms=["b", "a"]), "sorted order"),
+    (dict(terms=["a", "a"]), "distinct strings"),
+    (dict(terms=["a", 2]), "distinct strings"),
+    (dict(counts=[2, 2]), "add up to 4 postings but there are 3"),
+    (dict(counts=[3]), "non-negative integer per term"),
+    (dict(counts=[2.0, 1]), "non-negative integer"),
+    (dict(counts=np.array([2.0, 1.0])), "non-negative integer"),
+    (dict(counts=[4, -1]), "non-negative integer"),
+    (dict(counts=np.array([4, -1])), "non-negative integer"),
+    (dict(doc_idx=np.array([0.0, 2.0, 1.0])), "float64 doc indices"),
+    (dict(doc_idx=np.array([[0, 2, 1]])), r"\(1, 3\) int64 doc indices"),
+    (dict(scores=np.ones(2)), r"\(3,\) int64 doc indices but \(2,\) scores"),
+    (dict(doc_idx=np.array([2, 0, 1])), "'a'"),
+    (dict(doc_idx=np.array([0, 2, 3])), "'b'"),
+    (dict(doc_idx=np.array([0, 2, 2**32 + 1])), "'b'"),
+    (dict(max_query_tokens=-1), "query cap -1"),
+    (dict(max_query_tokens=True), "query cap True"),
+    (dict(max_query_tokens=2.0), "query cap 2.0"),
+], ids=["unsorted-terms", "repeated-term", "int-term", "counts-sum",
+        "counts-per-term", "float-count", "float-count-array", "negative-count",
+        "negative-count-array", "float-doc-idx", "2-d-doc-idx", "fewer-scores",
+        "decreasing", "past-doc-table", "wraps-in-int32", "negative-cap",
+        "bool-cap", "float-cap"])
+def test_the_index_checks_its_columns_when_made(changes, reason):
+    ImpactIndex(**_columns())
+    with pytest.raises(ContractError, match=reason):
+        ImpactIndex(**_columns(**changes))
+
+
+def test_the_index_holds_its_columns_and_builds_lookups_on_first_use(indexed,
+                                                                     tmp_path):
+    index = ImpactIndex(**_columns(doc_idx=np.array([0, 2, 1], np.uint64),
+                                   counts=np.array([2, 1], np.int32)))
+    assert (index.doc_idx.dtype, index.counts.dtype) == (np.int32, np.int64)
+    lookups = {"postings", "doc_id_array", "doc_rank"}
+    assert lookups.isdisjoint(vars(index))
+    # an empty index may be made from plain lists
+    assert ImpactIndex(["A"], [], [], [], [], "h", {}).postings == {}
+    # building and saving, as `ckrank index` does, builds none of them
+    corpus, _, model, _ = indexed
+    built = build_index(corpus, model)
+    save_index(built, tmp_path / "built.ckix")
+    assert lookups.isdisjoint(vars(built))
+    assert {t: i.tolist() for t, (i, _) in index.postings.items()} == \
+        {"a": [0, 2], "b": [1]}
+    for doc_idx, scores in index.postings.values():
+        # views of the two columns, not copies
+        assert doc_idx.base is index.doc_idx and scores.base is index.scores
+    _, _, _, built = indexed
+    assert built.terms == sorted(built.postings)
+    assert built.counts.tolist() == [built.postings[t][0].size for t in built.terms]
 
 
 # -- synthetic collection ----------------------------------------------------------

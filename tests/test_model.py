@@ -48,6 +48,12 @@ def test_config_validation_cascades():
     for cap in (-1, 2.5, "3"):
         with pytest.raises(ConfigError, match="max_query_tokens"):
             ModelConfig(max_query_tokens=cap)
+    # -1 would drop each document's last token, 2.5 fail at the slice, 0
+    # leave every document empty
+    for cap in (-1, 0, 2.5, "3", True, None):
+        with pytest.raises(ConfigError, match="max_doc_tokens"):
+            ModelConfig(max_doc_tokens=cap)
+    assert ModelConfig(max_doc_tokens=1).max_doc_tokens == 1
 
 
 def test_config_dict_round_trip_and_unknown_keys():
