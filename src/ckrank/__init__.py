@@ -27,6 +27,6 @@ from .pooling import KernelBank, WindowConfig, interaction_rows, num_windows, \
 from .tensor import Tensor, backward, constant, finite_checks, no_grad, \
     parameter, precision
 from .train import Adam, TrainConfig, TrainInstance, TrainPair, expand_pairs, \
-    make_instances, ranknet_loss, train
+    make_instances, ranknet_loss
 
 __version__ = "0.1.0"

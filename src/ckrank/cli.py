@@ -1,8 +1,9 @@
 """Command-line pipeline: vocabulary, training, indexing, retrieval, eval.
 
 Flag precedence for model settings: explicit flags > --config JSON file >
-built-in defaults. All randomness flows from --seed. Exit codes: 0 success,
-1 runtime error, 2 usage error.
+built-in defaults. All randomness flows from one seed: --seed, else the
+config file's for ``train``, else 0. Exit codes: 0 success, 1 runtime
+error, 2 usage error.
 """
 
 import argparse
@@ -31,7 +32,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ckrank",
         description="Additive per-term neural ranking with impact-index retrieval")
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
+    parser.add_argument("--seed", type=int,
+                        help="global random seed (default: the config's, else 0)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("build-vocab", help="build vocabulary + statistics")
@@ -118,11 +120,12 @@ def _cmd_train(args):
     query_tokens = {q.query_id: q.tokens for q in queries}
     triples = load_triples(args.triples)
     candidates = load_candidates(args.candidates)
-    model = CKModel(_model_config(args), vocab)
-    rng = np.random.default_rng(args.seed)
+    config = _model_config(args)        # holds the resolved seed
+    model = CKModel(config, vocab)
+    rng = np.random.default_rng(config.seed)
     instances = make_instances(triples, candidates, corpus, rng)
     cfg = TrainConfig(batch_size=args.batch_size, steps=args.steps, lr=args.lr,
-                      clip_norm=args.clip_norm, seed=args.seed)
+                      clip_norm=args.clip_norm, seed=config.seed)
     result = train(model, corpus, query_tokens, instances, cfg,
                    trace_path=args.trace)
     save_model(model, args.out)
@@ -194,7 +197,7 @@ def _cmd_eval(args):
 
 def _cmd_bench_memory(args):
     lengths = tuple(int(n) for n in args.lengths.split(","))
-    records = bench_memory(lengths=lengths, seed=args.seed,
+    records = bench_memory(lengths=lengths, seed=args.seed or 0,
                            max_bytes=args.max_bytes)
     write_bench_csv(records, args.out)
     for r in records:
@@ -208,7 +211,7 @@ def _cmd_bench_memory(args):
 
 
 def _cmd_selftest(args):
-    return 0 if run_selftest(seed=args.seed) else 1
+    return 0 if run_selftest(seed=args.seed or 0) else 1
 
 
 _HANDLERS = {

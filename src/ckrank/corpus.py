@@ -3,9 +3,12 @@
 Documents arrive as tab-separated (id, url, title, body) with an optional
 second file mapping doc id to click-query strings; all fields are
 concatenated in fixed order into one token stream per document, truncated
-at a configurable cap. The vocabulary keeps ids only for terms appearing
-in at least ``min_df`` documents, but document frequencies are retained
-for every observed term so rare/unknown terms still get a principled IDF.
+at ``MAX_DOC_TOKENS``: that bounds memory before any model exists, and the
+vocabulary's df and mean length are counted over the capped documents.
+Queries are kept whole; a model reads its own ``max_query_tokens`` of
+them. The vocabulary keeps ids only for terms appearing in at least
+``min_df`` documents, but document frequencies are retained for every
+observed term so rare/unknown terms still get a principled IDF.
 """
 
 import hashlib
@@ -23,7 +26,6 @@ from .errors import ContractError, IndexFormatError
 from .index import _rank
 
 MAX_DOC_TOKENS = 4000
-MAX_QUERY_TOKENS = 20
 
 _SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 
@@ -74,8 +76,9 @@ class Corpus:
         return self.docs.get(doc_id)
 
 
-def ingest_corpus(docs_file, orcas_file=None, max_doc_tokens=MAX_DOC_TOKENS):
-    """Read documents, concatenating url + title + body + click queries.
+def ingest_corpus(docs_file, orcas_file=None):
+    """Read documents, concatenating url + title + body + click queries, each
+    cut at ``MAX_DOC_TOKENS`` tokens.
 
     Malformed lines are skipped and counted on the returned corpus.
     """
@@ -96,19 +99,20 @@ def ingest_corpus(docs_file, orcas_file=None, max_doc_tokens=MAX_DOC_TOKENS):
                 continue
             doc_id, url, title, body = parts
             text = " ".join([url, title, body] + orcas.get(doc_id, []))
-            corpus.add(DocumentRecord(doc_id, tokenize(text)[:max_doc_tokens]))
+            corpus.add(DocumentRecord(doc_id, tokenize(text)[:MAX_DOC_TOKENS]))
     return corpus
 
 
-def load_queries(path, max_query_tokens=MAX_QUERY_TOKENS):
-    """Tab-separated (query id, text) -> list of QueryRecord."""
+def load_queries(path):
+    """Tab-separated (query id, text) -> list of QueryRecord, every token
+    kept."""
     queries = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2 or not parts[0]:
                 continue
-            queries.append(QueryRecord(parts[0], tokenize(parts[1])[:max_query_tokens]))
+            queries.append(QueryRecord(parts[0], tokenize(parts[1])))
     return queries
 
 

@@ -237,12 +237,13 @@ def build_index(corpus, model):
     """Score every (vocabulary term, containing document) pair offline.
 
     The pairs come from ``posting_table`` with their idf, tf and document
-    length. The explicit branch scores them all in one call and ndrm3's
-    duet mixes the two branches' columns in one call, both elementwise; only
-    the latent branch works one document at a time, encoding the document
-    once and scoring its terms in sorted order, so for ndrm1 and ndrm3 the
-    columns run document by document and are put back in term order at the
-    end. Scores are stored as float32.
+    length, and are scored as one ``CKModel.column_scores`` column with
+    those statistics as its explicit input. The explicit branch and ndrm3's
+    duet score the column elementwise; only the latent branch works one
+    document at a time, encoding the document once and scoring its terms in
+    sorted order, so for ndrm1 and ndrm3 the column runs document by
+    document and is put back in term order at the end. Scores are stored as
+    float32.
 
     The model must be in eval mode so batch-dependent statistics are frozen;
     building from a training-mode model is refused. Nothing is recorded for
@@ -262,17 +263,18 @@ def build_index(corpus, model):
         owner = np.repeat(np.arange(len(terms)), counts)
         order = np.lexsort((owner, doc_idx)) if model.needs_latent \
             else np.arange(doc_idx.size)
-        col_doc = doc_idx[order]
-        lat = exp = None
+        col_term, col_doc = owner[order], doc_idx[order]
+        docs = run_terms = ()
+        if model.needs_latent:       # ndrm2 needs no per-document lists
+            starts, stops = _runs(col_doc)
+            docs = [corpus.get(doc_ids[i]) for i in col_doc[starts].tolist()]
+            run_terms = [[terms[i] for i in col_term[a:b].tolist()]
+                         for a, b in zip(starts, stops)]
+        explicit = (model.vocab.idfs(terms)[col_term], tf[order],
+                    np.maximum(lengths[col_doc], 1.0)) \
+            if model.needs_explicit else None
         with T.no_grad():
-            if model.needs_latent:
-                lat = _latent_column(corpus, model, doc_ids, terms, owner[order],
-                                     col_doc)
-            if model.needs_explicit:
-                idf = model.vocab.idfs(terms)[owner[order]]
-                exp = model.explicit_scores(idf, tf[order],
-                                            np.maximum(lengths[col_doc], 1.0))
-            scores[order] = model.mix_scores(lat, exp).data
+            scores[order] = model.column_scores(docs, run_terms, explicit).data
     return ImpactIndex(doc_ids, terms, counts, doc_idx, scores, model.config_hash,
                        model.running_stats(), model.config.max_query_tokens)
 
@@ -282,17 +284,6 @@ def _runs(col):
     array."""
     bounds = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
     return [0] + bounds, bounds + [col.size]
-
-
-def _latent_column(corpus, model, doc_ids, terms, col_term, col_doc):
-    """Latent scores of a doc-major column of (term, document) pairs: one
-    encoding and one ``latent_term_scores`` call per document."""
-    chunks = []
-    for a, b in zip(*_runs(col_doc)):
-        doc = corpus.get(doc_ids[col_doc[a]])
-        chunks.append(model.latent_term_scores(
-            [terms[i] for i in col_term[a:b].tolist()], model.encode_document(doc)))
-    return chunks[0] if len(chunks) == 1 else T.concat(chunks)
 
 
 def retrieve(query, index, k=100):

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields as dc_fields
+from itertools import chain
 
 import numpy as np
 
@@ -52,8 +53,8 @@ class ModelConfig:
     num_layers: int = 2
     window_len: int = 300
     stride: int = 100
-    kernel_mus: tuple = (-0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    kernel_sigmas: tuple = (0.1,) * 9 + (0.001,)
+    kernel_mus: tuple = pooling.KERNEL_MUS
+    kernel_sigmas: tuple = pooling.KERNEL_SIGMAS
     eps_log: float = 1e-10
     epsilon: float = 1e-6
     bn_momentum: float = 0.9
@@ -411,69 +412,75 @@ class CKModel:
         feats = pooling.windowed_pool_terms(rows, self.wcfg, self.bank)
         return pooling.latent_term_scores(feats, self.head)
 
-    def explicit_stats(self, terms, doc):
-        """(idf, tf, dlen) arrays over the query terms against one document."""
-        idf = self.vocab.idfs(terms)
-        tf = np.array([doc.tf.get(t, 0) for t in terms], dtype=np.float64)
-        dlen = np.full(len(terms), max(doc.length, 1), dtype=np.float64)
-        return idf, tf, dlen
+    def explicit_stats(self, docs, terms):
+        """(idf, tf, dlen) float64 columns over a doc-major column: each term
+        of terms[i] against docs[i]."""
+        flat = list(chain.from_iterable(terms))
+        tf = np.fromiter((doc.tf.get(t, 0) for doc, ts in zip(docs, terms)
+                          for t in ts), np.float64, len(flat))
+        dlen = np.array([max(doc.length, 1) for doc in docs], dtype=np.float64)
+        return self.vocab.idfs(flat), tf, dlen.repeat(list(map(len, terms)))
 
     def explicit_scores(self, idf, tf, dlen):
         """Tensor[m] of explicit scores over parallel idf/tf/dlen columns."""
         return ndrm2_term_scores(idf, tf, dlen, self.explicit, self.bs)
 
     def explicit_term_scores(self, terms, doc):
-        return self.explicit_scores(*self.explicit_stats(terms, doc))
+        return self.explicit_scores(*self.explicit_stats([doc], [terms]))
 
-    def mix_scores(self, lat, exp):
-        """The variant's scores from parallel branch vectors (the branch it
-        lacks is None); ndrm3 mixes them with duet_scores in the model's
-        mode, so in train mode the batch is exactly these vectors."""
-        if self.variant == "ndrm1":
-            return lat
-        if self.variant == "ndrm2":
-            return exp
-        return duet_scores(lat, exp, self.duet, self.mode)
+    def column_scores(self, docs, terms, explicit=None):
+        """Tensor of the variant's scores over a doc-major column: each term
+        of terms[i] against docs[i], in that order, in the model's mode, so
+        ndrm3's train-mode batch is the whole column.
 
-    def term_scores(self, terms, doc, doc_enc=None):
-        """Tensor[t] of per-term scores under the configured variant.
-
-        For ndrm3 the normalization batch is exactly the vector built here;
-        training code that needs batch statistics across documents should
-        combine the branch vectors itself via duet_scores.
+        The latent branch encodes each document once and scores its terms.
+        The explicit branch scores ``explicit``, parallel (idf, tf, dlen)
+        arrays over the column, or reads them from the documents through
+        ``explicit_stats`` when it is None.
         """
-        if not terms:
-            raise ContractError("term_scores needs at least one query term")
         lat = exp = None
         if self.needs_latent:
-            if doc_enc is None:
-                doc_enc = self.encode_document(doc)
-            lat = self.latent_term_scores(terms, doc_enc)
+            chunks = [self.latent_term_scores(ts, self.encode_document(doc))
+                      for doc, ts in zip(docs, terms)]
+            lat = chunks[0] if len(chunks) == 1 else T.concat(chunks, axis=0)
         if self.needs_explicit:
-            exp = self.explicit_term_scores(terms, doc)
-        return self.mix_scores(lat, exp)
+            exp = self.explicit_scores(*(self.explicit_stats(docs, terms)
+                                         if explicit is None else explicit))
+        if self.variant == "ndrm3":
+            return duet_scores(lat, exp, self.duet, self.mode)
+        return lat if self.needs_latent else exp
+
+    def term_scores(self, terms, doc):
+        """Tensor[t] of per-term scores under the configured variant: the
+        column of one document."""
+        if not terms:
+            raise ContractError("term_scores needs at least one query term")
+        return self.column_scores([doc], [terms])
 
     # -- whole-query scoring ------------------------------------------------------
 
-    def _query_tokens(self, query):
+    def query_terms(self, query):
+        """The tokens of a query record or sequence that the model reads: the
+        first ``max_query_tokens``. ``rerank``, ``batch_loss`` and (through
+        the index) ``retrieve`` all apply this one cap."""
         tokens = query.tokens if isinstance(query, QueryRecord) else list(query)
         return tokens[:self.config.max_query_tokens]
 
     def score_query_document(self, query, doc):
         """Sum of per-term scores over query term occurrences -> float."""
-        terms = self._query_tokens(query)
+        terms = self.query_terms(query)
         if not terms:
             return 0.0
         with T.no_grad():
             scores = self.term_scores(terms, doc)
         return float(scores.data.sum(dtype=np.float64))
 
-    def per_term_scores(self, terms, doc, doc_enc=None):
-        """Per-occurrence score array (float) for index building and audits."""
+    def per_term_scores(self, terms, doc):
+        """Per-occurrence float64 score array, for audits of the index."""
         if not terms:
             return np.zeros(0, dtype=np.float64)
         with T.no_grad():
-            scores = self.term_scores(terms, doc, doc_enc=doc_enc)
+            scores = self.term_scores(terms, doc)
         return scores.data.astype(np.float64)
 
     # -- training-side statistics ---------------------------------------------------

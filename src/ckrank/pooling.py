@@ -28,12 +28,9 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 
 
-def _default_mus():
-    return np.array([-0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
-
-
-def _default_sigmas():
-    return np.array([0.1] * 9 + [0.001])
+# The default kernel means and widths, ModelConfig's defaults too
+KERNEL_MUS = (-0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+KERNEL_SIGMAS = (0.1,) * 9 + (0.001,)
 
 
 @dataclass
@@ -41,8 +38,8 @@ class KernelBank:
     """Gaussian kernel means/widths; the last default kernel (mu=1, sigma=1e-3)
     isolates exact matches."""
 
-    mus: np.ndarray = field(default_factory=_default_mus)
-    sigmas: np.ndarray = field(default_factory=_default_sigmas)
+    mus: np.ndarray = field(default_factory=lambda: np.array(KERNEL_MUS))
+    sigmas: np.ndarray = field(default_factory=lambda: np.array(KERNEL_SIGMAS))
     eps_log: float = 1e-10
     # dtype -> (mus, 1 / (2 sigma^2)) in that dtype, read-only
     _constants: dict = field(default_factory=dict, init=False, repr=False,

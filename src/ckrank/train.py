@@ -224,47 +224,26 @@ class TrainResult:
 def batch_loss(model, instances, corpus, query_tokens):
     """Score every instance document, expand pairs, return (loss, stats).
 
-    The latent branch encodes and scores one document at a time; the
-    explicit branch scores the whole batch's (idf, tf, dlen) column in one
-    call, with each query's idf looked up once per instance. stats carries
-    the observed (tf, dlen) values feeding the running scale means, gathered
+    Each document is scored against the query terms the model reads
+    (``CKModel.query_terms``, the cap ``rerank`` and ``retrieve`` apply),
+    the whole batch as one ``column_scores`` column. stats carries the
+    observed (tf, dlen) values feeding the running scale means, gathered
     during graph construction so updates happen post-step.
     """
     if not instances:
         raise ContractError("batch_loss needs at least one instance")
-    lat_chunks = []
-    idf_parts = []
-    tf_col = []
-    dlen_col = []
-    dlen_seen = []
-    seg_ids = []
-    doc_count = 0
+    docs, terms = [], []
     for inst in instances:
-        terms = query_tokens[inst.query_id]
-        if not terms:
-            raise ContractError(f"query {inst.query_id} has no tokens")
-        if model.needs_explicit:
-            idf = model.vocab.idfs(terms)
-        for doc_id in inst.doc_ids:
-            doc = corpus.get(doc_id)
-            if model.needs_latent:
-                enc = model.encode_document(doc)
-                lat_chunks.append(model.latent_term_scores(terms, enc))
-            if model.needs_explicit:
-                idf_parts.append(idf)
-                tf_col.extend(doc.tf.get(t, 0) for t in terms)
-                dlen_col.extend([max(doc.length, 1)] * len(terms))
-                dlen_seen.append(doc.length)
-            seg_ids.extend([doc_count] * len(terms))
-            doc_count += 1
-    lat = T.concat(lat_chunks, axis=0) if model.needs_latent else None
-    exp = None
-    tf = np.array(tf_col, dtype=np.float64)
-    if model.needs_explicit:
-        exp = model.explicit_scores(np.concatenate(idf_parts), tf,
-                                    np.array(dlen_col, dtype=np.float64))
-    scores = model.mix_scores(lat, exp)
-    totals = T.segment_sum(scores, seg_ids, doc_count)
+        query = model.query_terms(query_tokens[inst.query_id])
+        if not query:
+            raise ContractError(f"query {inst.query_id} has no tokens within "
+                                "the model's query cap")
+        docs.extend(map(corpus.get, inst.doc_ids))
+        terms.extend([query] * DOCS_PER_INSTANCE)
+    explicit = model.explicit_stats(docs, terms) if model.needs_explicit else None
+    scores = model.column_scores(docs, terms, explicit)
+    seg_ids = np.arange(len(docs)).repeat(list(map(len, terms)))
+    totals = T.segment_sum(scores, seg_ids, len(docs))
     pref_idx = []
     other_idx = []
     for i in range(len(instances)):
@@ -273,7 +252,10 @@ def batch_loss(model, instances, corpus, query_tokens):
             pref_idx.append(base + a)
             other_idx.append(base + b)
     losses = ranknet_loss(T.gather(totals, pref_idx), T.gather(totals, other_idx))
-    return T.tmean(losses), (tf[tf > 0].tolist(), dlen_seen)
+    if explicit is None:
+        return T.tmean(losses), ([], [])
+    tf = explicit[1]
+    return T.tmean(losses), (tf[tf > 0].tolist(), [doc.length for doc in docs])
 
 
 def train(model, corpus, query_tokens, instances, cfg, trace_path=None):

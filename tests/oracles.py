@@ -85,8 +85,7 @@ def build_index_per_document(corpus, model):
         terms = sorted(t for t in doc.tf if t in model.vocab)
         if not terms:
             continue
-        enc = model.encode_document(doc) if model.needs_latent else None
-        scores = model.per_term_scores(terms, doc, doc_enc=enc)
+        scores = model.per_term_scores(terms, doc)
         for term, score in zip(terms, scores):
             postings.setdefault(term, ([], []))
             postings[term][0].append(doc_idx)
@@ -267,14 +266,14 @@ def batch_loss_per_document(model, instances, corpus, query_tokens):
     dlen_seen = []
     for doc_count, (inst, doc_id) in enumerate(
             (inst, d) for inst in instances for d in inst.doc_ids):
-        terms = query_tokens[inst.query_id]
+        terms = model.query_terms(query_tokens[inst.query_id])
         doc = corpus.get(doc_id)
         if model.needs_latent:
             enc = model.encode_document(doc)
             lat_chunks.append(model.latent_term_scores(terms, enc))
         if model.needs_explicit:
             exp_chunks.append(model.explicit_term_scores(terms, doc))
-            _, tf, _ = model.explicit_stats(terms, doc)
+            _, tf, _ = model.explicit_stats([doc], [terms])
             tf_seen.extend(tf[tf > 0].tolist())
             dlen_seen.append(doc.length)
         seg_ids.extend([doc_count] * len(terms))

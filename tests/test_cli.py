@@ -107,6 +107,90 @@ def test_variant_flag_overrides_config_file(workspace, vocab_path):
     assert model.config.variant == "ndrm1"
 
 
+def _train_cli(root, vocab_path, out, config, *flags):
+    """Two ndrm2 steps through ``ckrank train`` with a config file."""
+    path = root / f"{out.stem}_config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert run_cli(*flags, "train", "--docs", root / "docs.tsv",
+                   "--vocab", vocab_path,
+                   "--queries", root / "train_queries.tsv",
+                   "--triples", root / "triples.tsv",
+                   "--candidates", root / "candidates.txt",
+                   "--config", path, "--steps", "2", "--batch-size", "2",
+                   "--out", out) == 0
+    return load_model(out, Vocabulary.load(vocab_path))
+
+
+def test_seed_flag_overrides_config_seed(workspace, vocab_path):
+    """Flags > config file > defaults holds for --seed: the config's seed
+    stands unless --seed is given, and it seeds the instances and the
+    shuffle as a flag would."""
+    root, _ = workspace
+    from_config = root / "seed_from_config.ckpt"
+    model = _train_cli(root, vocab_path, from_config,
+                       micro_config("ndrm2", seed=7))
+    assert model.config.seed == 7
+    model = _train_cli(root, vocab_path, root / "seed_flag.ckpt",
+                       micro_config("ndrm2", seed=7), "--seed", "3")
+    assert model.config.seed == 3
+    from_flag = root / "seed_7_flag.ckpt"
+    _train_cli(root, vocab_path, from_flag, micro_config("ndrm2"), "--seed", "7")
+    assert from_flag.read_bytes() == from_config.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def long_query(workspace, vocab_path):
+    """A model capped at 30 query tokens, its index, and a 25-token query
+    whose first 20 tokens match nothing and whose last 5 are one
+    document's terms."""
+    root, data = workspace
+    model = _train_cli(root, vocab_path, root / "cap30.ckpt",
+                       micro_config("ndrm2", max_query_tokens=30))
+    index = root / "cap30.ckix"
+    assert run_cli("index", "--docs", root / "docs.tsv", "--vocab", vocab_path,
+                   "--model", root / "cap30.ckpt", "--out", index) == 0
+    doc = data.corpus.get(sorted(data.corpus.docs)[0])
+    tokens = ["zzz"] * 20 + doc.tokens[:5]
+    queries = root / "long_query.tsv"
+    queries.write_text(f"L1\t{' '.join(tokens)}\n")
+    return model, index, queries, tokens, doc
+
+
+def test_search_reads_every_token_the_index_cap_allows(workspace, long_query):
+    root, _ = workspace
+    _, index, queries, tokens, doc = long_query
+    out = root / "long_search.txt"
+    assert run_cli("search", "--index", index, "--queries", queries,
+                   "--out", out) == 0
+    got = load_run(out)["L1"]
+    want = ckrank.index.retrieve(tokens, ckrank.index.load_index(index)).ranking
+    assert len(got) == len(want) > 0
+    assert doc.doc_id in dict(got)
+    for (doc_id, score), (want_id, want_score) in zip(got, want):
+        assert doc_id == want_id
+        assert score == pytest.approx(want_score, abs=1e-6)
+
+
+def test_rerank_reads_every_token_the_model_cap_allows(workspace, vocab_path,
+                                                       long_query):
+    root, data = workspace
+    model, _, queries, tokens, doc = long_query
+    candidates = sorted(data.corpus.docs)[:5]
+    run = root / "long_candidates.txt"
+    run.write_text("".join(f"L1 Q0 {d} {r} 1.0 t\n"
+                           for r, d in enumerate(candidates, start=1)))
+    out = root / "long_rerank.txt"
+    assert run_cli("rerank", "--docs", root / "docs.tsv", "--vocab", vocab_path,
+                   "--model", root / "cap30.ckpt", "--queries", queries,
+                   "--run", run, "--out", out) == 0
+    got = dict(load_run(out)["L1"])
+    assert got.keys() == set(candidates)
+    for doc_id in candidates:
+        want = model.score_query_document(tokens, data.corpus.get(doc_id))
+        assert got[doc_id] == pytest.approx(want, abs=1e-6)
+    assert got[doc.doc_id] > model.score_query_document(tokens[:20], doc)
+
+
 def test_search_writes_trec_run(workspace, index_path, capsys):
     root, data = workspace
     out = root / "eval_run.txt"

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckrank.corpus import (MAX_DOC_TOKENS, MAX_QUERY_TOKENS, Corpus,
-                           DocumentRecord, Vocabulary, ingest_corpus,
-                           load_queries, load_qrels, load_run, tokenize,
-                           write_run)
+from ckrank.corpus import (MAX_DOC_TOKENS, Corpus, DocumentRecord, Vocabulary,
+                           ingest_corpus, load_queries, load_qrels, load_run,
+                           tokenize, write_run)
 from ckrank.errors import ContractError, IndexFormatError
 
 
@@ -94,21 +93,23 @@ def test_ingest_counts_malformed_lines(tmp_path):
 
 
 def test_ingest_truncates_documents(tmp_path):
-    body = " ".join(f"tok{i}" for i in range(50))
+    body = " ".join(f"tok{i}" for i in range(MAX_DOC_TOKENS + 100))
     docs = tmp_path / "docs.tsv"
     docs.write_text(f"D1\tu\tt\t{body}\n")
-    corpus = ingest_corpus(docs, max_doc_tokens=10)
-    assert corpus.get("D1").length == 10
-    assert MAX_DOC_TOKENS == 4000  # default cap
+    corpus = ingest_corpus(docs)
+    assert MAX_DOC_TOKENS == 4000
+    assert corpus.get("D1").tokens == ["u", "t"] + \
+        [f"tok{i}" for i in range(MAX_DOC_TOKENS - 2)]
 
 
-def test_load_queries_truncates(tmp_path):
+def test_load_queries_keeps_every_token(tmp_path):
+    """Queries are read whole: each model reads its own max_query_tokens."""
     text = " ".join(f"q{i}" for i in range(30))
     path = tmp_path / "queries.tsv"
     path.write_text(f"Q1\t{text}\nbadline\n")
     queries = load_queries(path)
     assert len(queries) == 1
-    assert len(queries[0].tokens) == MAX_QUERY_TOKENS == 20
+    assert queries[0].tokens == [f"q{i}" for i in range(30)]
 
 
 # -- vocabulary -----------------------------------------------------------------------

@@ -10,7 +10,6 @@ tables), which no single op owns.
 """
 
 import ast
-import importlib
 import inspect
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from helpers import TINY_KWARGS
 
 import ckrank.tensor as T
-from ckrank import attention, model, pooling
+from ckrank import attention, model, pooling, train
 from ckrank.attention import AttentionConfig, init_block_params
 from ckrank.model import BSState, DuetParams, ExplicitParams
 from ckrank.pooling import KernelBank, WindowConfig
@@ -145,8 +144,6 @@ def _train_ops():
     return {"ranknet_loss": lambda: (train.ranknet_loss(a, b), [a, b])}
 
 
-# ckrank.train is a function of the package; import the module by name
-train = importlib.import_module("ckrank.train")
 MODULES = (T, attention, pooling, model, train)
 BUILDERS = {**_tensor_ops(), **_attention_ops(), **_pooling_ops(), **_model_ops(),
             **_train_ops()}

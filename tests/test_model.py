@@ -294,7 +294,7 @@ def test_term_scores_variant_dispatch(micro):
 
     m1 = CKModel(micro_config("ndrm1"), vocab)
     enc = m1.encode_document(doc)
-    np.testing.assert_array_equal(m1.term_scores(terms, doc, enc).numpy(),
+    np.testing.assert_array_equal(m1.term_scores(terms, doc).numpy(),
                                   m1.latent_term_scores(terms, enc).numpy())
 
     m2 = CKModel(micro_config("ndrm2"), vocab)
@@ -306,7 +306,7 @@ def test_term_scores_variant_dispatch(micro):
     lat = m3.latent_term_scores(terms, enc3)
     exp = m3.explicit_term_scores(terms, doc)
     want = duet_scores(lat, exp, m3.duet, "infer").numpy()
-    np.testing.assert_allclose(m3.term_scores(terms, doc, enc3).numpy(), want,
+    np.testing.assert_allclose(m3.term_scores(terms, doc).numpy(), want,
                                rtol=1e-6)
 
 
@@ -395,7 +395,7 @@ def test_explicit_stats_use_raw_tokens(micro):
     corpus, vocab = micro
     model = CKModel(micro_config("ndrm2"), vocab)
     doc = DocumentRecord("d", ["raretoken", "raretoken", "w00"])
-    idf, tf, dlen = model.explicit_stats(["raretoken"], doc)
+    idf, tf, dlen = model.explicit_stats([doc], [["raretoken"]])
     assert tf[0] == 2.0
     assert dlen[0] == 3.0
     assert idf[0] == pytest.approx(vocab.idf("raretoken"))

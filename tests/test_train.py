@@ -252,6 +252,32 @@ def test_batch_loss_matches_per_document_oracle(training_setup, variant):
     assert after == pytest.approx(want_after, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_batch_loss_reads_the_model_query_cap(training_setup, variant):
+    """Training scores the query tokens rerank and retrieve read: a query
+    longer than max_query_tokens gives exactly the loss, gradients and
+    statistics of its first max_query_tokens tokens."""
+    corpus, vocab, _, instances = training_setup
+    tokens = ["w00", "w05", "w11", "w17", "w23"]
+    runs = []
+    for query in (tokens, tokens[:2]):
+        model = CKModel(micro_config(variant, max_query_tokens=2), vocab)
+        model.train()
+        query_tokens = {inst.query_id: query for inst in instances}
+        loss, seen = batch_loss(model, instances[:3], corpus, query_tokens)
+        T.backward(loss)
+        runs.append((loss.numpy(), {k: p.grad for k, p in
+                                    model.parameters().items()},
+                     seen, model.running_stats()))
+    (loss, grads, seen, stats), (want_loss, want_grads, want_seen, want_stats) = runs
+    np.testing.assert_array_equal(loss, want_loss)
+    assert grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        np.testing.assert_array_equal(grads[name], grad, err_msg=name)
+    assert seen == want_seen
+    assert stats == want_stats
+
+
 def test_train_config_defaults():
     cfg = TrainConfig()
     assert (cfg.batch_size, cfg.steps, cfg.lr) == (32, 500, 1e-4)
