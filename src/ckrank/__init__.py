@@ -9,8 +9,7 @@ and evaluation plumbing (corpus, bm25, evalmetrics, synth), and harnesses
 
 from . import (attention, bench, bm25, checkpoint, corpus, evalmetrics,
                gradcheck, index, model, pooling, synth, tensor, train)
-from .attention import AttentionConfig, conformer_block, multi_head, \
-    positional_encoding
+from .attention import conformer_block, multi_head, positional_encoding
 from .corpus import Corpus, DocumentRecord, QueryRecord, Vocabulary, \
     ingest_corpus, load_qrels, load_queries, load_run, tokenize, write_run
 from .errors import CkrankError, ConfigError, ContractError, IndexFormatError, \
@@ -22,7 +21,7 @@ from .index import ImpactIndex, RetrievalResult, build_index, load_index, \
 from .memory import MemoryTracker, tracker
 from .model import BSState, CKModel, DuetParams, ExplicitParams, ModelConfig, \
     duet_scores, ndrm2_term_scores
-from .pooling import KernelBank, WindowConfig, interaction_rows, num_windows, \
+from .pooling import KernelBank, interaction_rows, num_windows, \
     windowed_pool_terms
 from .tensor import Tensor, backward, constant, finite_checks, no_grad, \
     parameter, precision

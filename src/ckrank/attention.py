@@ -22,40 +22,11 @@ residual connection, dropout, and a trailing layer norm.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-
-
-@dataclass
-class AttentionConfig:
-    model_dim: int = 256
-    num_heads: int = 32
-    d_key: int = 8
-    d_value: int = 8
-    conv_window: int = 31
-    conv_groups: int = 32
-    dropout_rate: float = 0.2
-    num_layers: int = 2
-
-    def __post_init__(self):
-        for name in ("model_dim", "num_heads", "d_key", "d_value",
-                     "conv_window", "conv_groups", "num_layers"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.model_dim % self.num_heads != 0:
-            raise ConfigError(f"model_dim {self.model_dim} not divisible by "
-                              f"num_heads {self.num_heads}")
-        if self.model_dim % self.conv_groups != 0:
-            raise ConfigError(f"model_dim {self.model_dim} not divisible by "
-                              f"conv_groups {self.conv_groups}")
-        if self.conv_window % 2 != 1:
-            raise ConfigError(f"conv_window must be odd, got {self.conv_window}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 # (dim, dtype) -> read-only table of the longest length asked for so far.
@@ -224,7 +195,8 @@ def _standard_heads(q, k, v, heads):
 def multi_head(x, params, cfg, variant="separable"):
     """Multi-head attention sublayer: q/k/v projections, every head, and the
     output projection. The separable variant is one fused op; the standard
-    one projects with ``linear`` around one op for all heads."""
+    one projects with ``linear`` around one op for all heads. Reads the
+    ``ModelConfig`` cfg's model_dim and num_heads."""
     if x.ndim != 2 or x.shape[1] != cfg.model_dim:
         raise ShapeError(f"multi_head expects (n, {cfg.model_dim}) input, "
                          f"got {tuple(x.shape)}")
@@ -285,7 +257,9 @@ def conformer_block(x, params, cfg, training=False, rng=None, variant="separable
 
     Each sublayer's output and input are dropped once its layer norm has
     read them, so without a graph to keep them alive at most four (n, d)
-    tensors are live: the caller's x, y2, ffn and the result."""
+    tensors are live: the caller's x, y2, ffn and the result. Reads the
+    ``ModelConfig`` cfg's dropout_rate, conv_groups, conv_window and what
+    ``multi_head`` reads."""
     p = cfg.dropout_rate
 
     conv = T.grouped_conv1d(x, params["conv_kernel"], cfg.conv_groups,
@@ -308,7 +282,8 @@ def conformer_block(x, params, cfg, training=False, rng=None, variant="separable
 def block_param_specs(cfg):
     """``(name, shape, init)`` of one encoder block's parameters in drawing
     order, as ``tensor.init_parameters`` reads them (Glorot-uniform
-    linears)."""
+    linears), from the ``ModelConfig`` cfg's model_dim, num_heads, d_key,
+    d_value, conv_window and conv_groups."""
     m = cfg.model_dim
     cg = m // cfg.conv_groups
     ffn_dim = 2 * m
@@ -344,5 +319,6 @@ def block_param_specs(cfg):
 
 
 def init_block_params(cfg, rng):
-    """Fresh parameter dict for one encoder block."""
+    """Fresh parameter dict for one encoder block of the ``ModelConfig`` cfg
+    (the fields ``block_param_specs`` reads)."""
     return T.init_parameters(block_param_specs(cfg), rng)

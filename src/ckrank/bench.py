@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, conformer_block, init_block_params
+from .attention import conformer_block, init_block_params
 from .memory import tracker
+from .model import ModelConfig
 
 DEFAULT_LENGTHS = (250, 500, 1000, 2000, 4000)
 # Length of the unrecorded run that seeds the estimates when a capped sweep
@@ -39,9 +40,9 @@ class BenchRecord:
 
 def bench_attention_config():
     """The benchmark's own encoder settings (documented, not model defaults)."""
-    return AttentionConfig(model_dim=32, num_heads=2, d_key=16, d_value=16,
-                           conv_window=7, conv_groups=4, dropout_rate=0.0,
-                           num_layers=2)
+    return ModelConfig(model_dim=32, num_heads=2, d_key=16, d_value=16,
+                       conv_window=7, conv_groups=4, dropout_rate=0.0,
+                       num_layers=2)
 
 
 def _estimate_bytes(n, measured, variant):
@@ -69,9 +70,11 @@ def _measure(blocks, params, cfg, variant, x):
 
 
 def bench_memory(lengths=DEFAULT_LENGTHS, config=None, seed=0, max_bytes=None):
-    """One BenchRecord per (variant, n); rows that would exceed max_bytes
-    (or die with MemoryError) come back with status 'capped'. The estimate
-    extrapolates the peaks measured at shorter lengths of the same sweep."""
+    """One BenchRecord per (variant, n) for the encoder of the ``ModelConfig``
+    config (num_layers blocks of model_dim, as ``conformer_block`` reads
+    them); rows that would exceed max_bytes (or die with MemoryError) come
+    back with status 'capped'. The estimate extrapolates the peaks measured
+    at shorter lengths of the same sweep."""
     cfg = config or bench_attention_config()
     rng = np.random.default_rng(seed)
     records = []

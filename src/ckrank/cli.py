@@ -23,6 +23,18 @@ from .selftest import run_selftest
 from .train import TrainConfig, load_candidates, load_triples, make_instances, train
 
 
+def _seed(text):
+    """--seed's type: an integer >= 0, as ModelConfig requires, so a bad seed
+    is a usage error for every command."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return value
+
+
 def _add_corpus_flags(sub):
     sub.add_argument("--docs", required=True, help="tab-separated corpus file")
     sub.add_argument("--orcas", help="optional doc-id \\t query-text field file")
@@ -32,7 +44,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ckrank",
         description="Additive per-term neural ranking with impact-index retrieval")
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=_seed,
                         help="global random seed (default: the config's, else 0)")
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -28,19 +28,41 @@ from itertools import chain
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import AttentionConfig, block_param_specs, conformer_block, \
-    positional_encoding
+from .attention import block_param_specs, conformer_block, positional_encoding
 from .corpus import DocumentRecord, QueryRecord
 from .errors import ConfigError, ContractError
-from .pooling import KernelBank, WindowConfig, empty_features
+from .pooling import KernelBank, empty_features
 
 VARIANTS = ("ndrm1", "ndrm2", "ndrm3")
+
+# ModelConfig's rules: the least value of each integer field, and the range
+# of each real field (a finite int or float) as a test and in words
+_INTEGER_MINIMA = {"model_dim": 1, "num_heads": 1, "d_key": 1, "d_value": 1,
+                   "conv_window": 1, "conv_groups": 1, "num_layers": 1,
+                   "window_len": 1, "stride": 1, "max_doc_tokens": 1,
+                   "max_query_tokens": 0, "seed": 0}
+_REAL_RULES = {"dropout_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
+               "bn_momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+               "epsilon": (lambda v: v > 0, "positive"),
+               "eps_log": (lambda v: v > 0, "positive"),
+               "var_floor": (lambda v: v > 0, "positive")}
+
+
+def _finite_real(value):
+    """A finite int or float that is not a bool."""
+    return type(value) is not bool and isinstance(value, (int, float)) and \
+        math.isfinite(value)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model hyperparameters. Frozen: a model hashes its config once, when it
-    is built, and its checkpoints and indexes carry that hash."""
+    """Model hyperparameters, the one object that holds them: the encoder
+    and pooling read their fields from it. Construction refuses a field out
+    of type or range (``_INTEGER_MINIMA``, ``_REAL_RULES``, the kernel fields
+    through a ``KernelBank``, and the cross-field rules) with a ConfigError,
+    and coerces nothing but the kernel sequences, to tuples of floats.
+    Frozen: a model hashes its config once, when it is built, and its
+    checkpoints and indexes carry that hash."""
 
     variant: str = "ndrm3"
     model_dim: int = 256
@@ -66,27 +88,33 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        for name, least in (("max_query_tokens", 0), ("max_doc_tokens", 1)):
-            cap = getattr(self, name)
-            if type(cap) is not int or cap < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, not {cap!r}")
-        object.__setattr__(self, "kernel_mus", tuple(map(float, self.kernel_mus)))
-        object.__setattr__(self, "kernel_sigmas", tuple(map(float, self.kernel_sigmas)))
-        self.attention_config()  # validates dims
-        self.window_config()
-        self.kernel_bank()
-
-    def attention_config(self):
-        return AttentionConfig(self.model_dim, self.num_heads, self.d_key,
-                               self.d_value, self.conv_window, self.conv_groups,
-                               self.dropout_rate, self.num_layers)
-
-    def window_config(self):
-        return WindowConfig(self.window_len, self.stride)
-
-    def kernel_bank(self):
-        return KernelBank(np.array(self.kernel_mus), np.array(self.kernel_sigmas),
-                          self.eps_log)
+        for name, least in _INTEGER_MINIMA.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+        for name, (holds, rule) in _REAL_RULES.items():
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ConfigError(f"{name} must be a finite real number, not {value!r}")
+            if not holds(value):
+                raise ConfigError(f"{name} must be {rule}, not {value!r}")
+        for name in ("kernel_mus", "kernel_sigmas"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list, np.ndarray)) or \
+                    not all(map(_finite_real, values)):
+                raise ConfigError(f"{name} must be a sequence of finite real "
+                                  f"numbers, not {values!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
+        for name in ("num_heads", "conv_groups"):
+            if self.model_dim % getattr(self, name):
+                raise ConfigError(f"model_dim {self.model_dim} not divisible by "
+                                  f"{name} {getattr(self, name)}")
+        if self.conv_window % 2 != 1:
+            raise ConfigError(f"conv_window must be odd, got {self.conv_window}")
+        if self.stride > self.window_len:
+            raise ConfigError(f"stride {self.stride} exceeds window_len "
+                              f"{self.window_len}")
+        KernelBank(self.kernel_mus, self.kernel_sigmas, self.eps_log)
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -97,10 +125,6 @@ class ModelConfig:
         unknown = set(blob) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        blob = dict(blob)
-        for key in ("kernel_mus", "kernel_sigmas"):
-            if key in blob:
-                blob[key] = tuple(blob[key])
         return cls(**blob)
 
     def config_hash(self):
@@ -118,9 +142,7 @@ class ModelConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except ConfigError:
-                raise
-            except (UnicodeDecodeError, ValueError, KeyError, TypeError) as err:
+            except (ValueError, KeyError, TypeError) as err:
                 raise ConfigError(f"{path}: malformed model config ({err})") \
                     from None
 
@@ -132,8 +154,7 @@ def _require_finite(owner, names):
     """ContractError unless each named field is a finite int or float."""
     for name in names:
         value = getattr(owner, name)
-        if type(value) is bool or not isinstance(value, (int, float)) or \
-                not math.isfinite(value):
+        if not _finite_real(value):
             raise ContractError(f"{name} must be a finite real number, not {value!r}")
 
 
@@ -266,7 +287,7 @@ def parameter_specs(config, vocab_size):
     specs = []
     if config.variant in ("ndrm1", "ndrm3"):
         specs.append(("embedding", (vocab_size + 1, config.model_dim), 0.05))
-        block = block_param_specs(config.attention_config())
+        block = block_param_specs(config)
         for i in range(config.num_layers):
             specs += [(f"block{i}.{key}", shape, init) for key, shape, init in block]
         specs += [(f"head.{key}", shape, init) for key, shape, init in
@@ -293,9 +314,8 @@ class CKModel:
         self.config = config
         self.config_hash = config.config_hash()  # of the config built with
         self.vocab = vocab
-        self.acfg = config.attention_config()
-        self.wcfg = config.window_config()
-        self.bank = config.kernel_bank()
+        self.bank = KernelBank(config.kernel_mus, config.kernel_sigmas,
+                               config.eps_log)
         self.training = False
         rng = None if arrays is not None else np.random.default_rng(config.seed)
         self.dropout_rng = np.random.default_rng(config.seed + 1)
@@ -376,7 +396,7 @@ class CKModel:
         x = T.embedding(self.embedding, ids,
                         positional_encoding(len(ids), self.config.model_dim))
         for block in self.blocks:
-            x = conformer_block(x, block, self.acfg, training=self.training,
+            x = conformer_block(x, block, self.config, training=self.training,
                                 rng=self.dropout_rng)
         return x
 
@@ -409,7 +429,7 @@ class CKModel:
     def _vocab_term_scores(self, ids, doc_enc):
         """Tensor[t] of latent scores of vocabulary term ids."""
         rows = pooling.interaction_rows(T.embedding(self.embedding, ids), doc_enc)
-        feats = pooling.windowed_pool_terms(rows, self.wcfg, self.bank)
+        feats = pooling.windowed_pool_terms(rows, self.config, self.bank)
         return pooling.latent_term_scores(feats, self.head)
 
     def explicit_stats(self, docs, terms):

@@ -77,29 +77,17 @@ class KernelBank:
         return pair
 
 
-@dataclass
-class WindowConfig:
-    window_len: int = 300
-    stride: int = 100
-
-    def __post_init__(self):
-        if self.window_len <= 0 or self.stride <= 0:
-            raise ConfigError("window_len and stride must be positive")
-        if self.stride > self.window_len:
-            raise ConfigError(f"stride {self.stride} exceeds window_len "
-                              f"{self.window_len}")
-
-
-def num_windows(n, wcfg):
-    """Window count covering n positions; a short tail extends the last window."""
-    if n <= wcfg.window_len:
+def num_windows(n, cfg):
+    """Window count covering n positions under the ``ModelConfig`` cfg's
+    window_len and stride; a short tail extends the last window."""
+    if n <= cfg.window_len:
         return 1
-    return math.ceil((n - wcfg.window_len) / wcfg.stride) + 1
+    return math.ceil((n - cfg.window_len) / cfg.stride) + 1
 
 
 # (window_len, stride, dtype) -> read-only cover matrix of the longest length
 # asked for so far, up to _COVER_CACHE_ROWS. Entry [p, i] depends only on p, i
-# and the window config, so [:n, :num_windows(n)] of a longer table is the
+# and the window settings, so [:n, :num_windows(n)] of a longer table is the
 # matrix built for n, and threads that race to grow a table can only build it
 # twice. A table holds n * num_windows(n) entries, about n^2 / stride, so a
 # longer document builds its cover per call instead of growing the table.
@@ -107,18 +95,19 @@ _COVER_TABLES = {}
 _COVER_CACHE_ROWS = 512
 
 
-def window_cover(n, wcfg, dtype):
+def window_cover(n, cfg, dtype):
     """Read-only 0/1 (n, num_windows(n)) matrix of dtype: [p, i] = 1 when
     window i covers position p, so one matmul sums every window (a short
-    last window covers fewer positions). A view of a cached table when n
-    is at most _COVER_CACHE_ROWS."""
-    w = num_windows(n, wcfg)
-    key = (wcfg.window_len, wcfg.stride, np.dtype(dtype))
+    last window covers fewer positions). Reads the ``ModelConfig`` cfg's
+    window_len and stride. A view of a cached table when n is at most
+    _COVER_CACHE_ROWS."""
+    w = num_windows(n, cfg)
+    key = (cfg.window_len, cfg.stride, np.dtype(dtype))
     table = _COVER_TABLES.get(key)
     if table is None or table.shape[0] < n:
-        starts = np.arange(w) * wcfg.stride
+        starts = np.arange(w) * cfg.stride
         pos = np.arange(n)[:, None]
-        table = ((pos >= starts) & (pos < starts + wcfg.window_len)).astype(dtype)
+        table = ((pos >= starts) & (pos < starts + cfg.window_len)).astype(dtype)
         table.flags.writeable = False
         if n <= _COVER_CACHE_ROWS:
             _COVER_TABLES[key] = table
@@ -209,10 +198,11 @@ def _kernel_features(r, mus, inv2s, cover, eps_log, ex=None, e=None):
     return ex, e, arg, best.reshape(arg.shape)
 
 
-def windowed_pool_terms(rows, wcfg, bank):
+def windowed_pool_terms(rows, cfg, bank):
     """Fused windowed pooling over all query terms at once -> Tensor[t, k],
     in blocks of kernels on the pool (each kernel's values over all terms
     and positions are one contiguous slab, and its window sums one matmul).
+    Windows follow the ``ModelConfig`` cfg's window_len and stride.
 
     Gradients flow only into the winning window of each (term, kernel) pair;
     overlapping winners accumulate additively.
@@ -222,11 +212,11 @@ def windowed_pool_terms(rows, wcfg, bank):
     t, n = rows.shape
     if n < 1:
         raise ShapeError("windowed_pool_terms needs at least one position")
-    wlen, stride = wcfg.window_len, wcfg.stride
+    wlen, stride = cfg.window_len, cfg.stride
     r = rows.data
     k = bank.k
     mus, inv2s = bank.constants(r.dtype)
-    cover = window_cover(n, wcfg, r.dtype)
+    cover = window_cover(n, cfg, r.dtype)
     blocks = T.row_blocks(k, r.nbytes)
     if blocks is None:
         ex, e, arg, best = _kernel_features(r, mus, inv2s, cover, bank.eps_log)

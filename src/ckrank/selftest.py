@@ -16,8 +16,8 @@ in the test suite. Prints one line per check.
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import AttentionConfig, conformer_block, feed_forward, \
-    init_block_params, multi_head
+from .attention import conformer_block, feed_forward, init_block_params, \
+    multi_head
 from .evalmetrics import ndcg_at_k
 from .gradcheck import finite_difference_check
 from .index import ImpactIndex, _rank, build_index, rerank, retrieve
@@ -34,9 +34,8 @@ def _projected_sum(out, w):
 def _fused_op_losses(rng):
     """(name, loss_fn, params) for every fused op of an encoder block and
     for the RankNet loss, at a micro config with d_key != d_value."""
-    cfg = AttentionConfig(model_dim=8, num_heads=2, d_key=3, d_value=2,
-                          conv_window=3, conv_groups=2, dropout_rate=0.0,
-                          num_layers=1)
+    cfg = ModelConfig(model_dim=8, num_heads=2, d_key=3, d_value=2,
+                      conv_window=3, conv_groups=2, dropout_rate=0.0, num_layers=1)
     p = init_block_params(cfg, rng)
     x = T.parameter(rng.normal(size=(5, cfg.model_dim)))
     residual = T.parameter(rng.normal(size=(5, cfg.model_dim)))
@@ -71,7 +70,7 @@ def _fused_op_losses(rng):
 def _same_bytes_on_any_worker_count(rng):
     """A paper-width conformer block long enough that every op spans
     several blocks, run with one worker and with the process's pool."""
-    cfg = AttentionConfig(dropout_rate=0.0)
+    cfg = ModelConfig(dropout_rate=0.0)
     params = init_block_params(cfg, rng)
     x = T.constant(rng.normal(size=(1100, cfg.model_dim)))
     full = T._POOL
@@ -166,14 +165,15 @@ def run_selftest(seed=0, verbose=True):
         bank = pooling.KernelBank(np.linspace(-0.8, 0.8, 5), np.full(5, 0.3))
         rows = T.parameter(np.clip(rng.normal(size=(3, 11)) * 0.4, -1, 1))
         weights = T.constant(rng.normal(size=(5, 1)))
-        for wcfg in (pooling.WindowConfig(5, 2), pooling.WindowConfig(6, 4)):
-            label = f"window {wcfg.window_len}, stride {wcfg.stride}"
+        for window_len, stride in ((5, 2), (6, 4)):
+            cfg = ModelConfig(window_len=window_len, stride=stride)
 
             def pool_fn():
-                return _projected_sum(pooling.windowed_pool_terms(rows, wcfg, bank),
+                return _projected_sum(pooling.windowed_pool_terms(rows, cfg, bank),
                                       weights)
             res = finite_difference_check(pool_fn, {"rows": rows})
-            check(f"gradients: windowed pooling, {label}", res.max_rel_err < 1e-3,
+            check(f"gradients: windowed pooling, window {window_len}, stride "
+                  f"{stride}", res.max_rel_err < 1e-3,
                   f"rel err {res.max_rel_err:.2e}")
 
         with T.no_grad():

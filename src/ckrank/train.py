@@ -51,21 +51,16 @@ class TrainPair:
     other: str
 
 
+# The pair rule, which expand_pairs and batch_loss both read: one
+# (preferred, other) row of doc slots per pair, positive-first, where the
+# slots of an instance are 0=pos, 1=cand, 2=coll1, 3=coll2
+_PAIR_SLOTS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+
+
 def expand_pairs(inst):
     """The five ordered pairs of one instance, positive-first."""
-    pos, cand = inst.positive, inst.candidate_negative
-    coll1, coll2 = inst.collection_negatives
-    return [
-        TrainPair(inst.query_id, pos, cand),
-        TrainPair(inst.query_id, pos, coll1),
-        TrainPair(inst.query_id, pos, coll2),
-        TrainPair(inst.query_id, cand, coll1),
-        TrainPair(inst.query_id, cand, coll2),
-    ]
-
-
-# local doc slots within an instance: 0=pos, 1=cand, 2=coll1, 3=coll2
-_PAIR_SLOTS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    docs = inst.doc_ids
+    return [TrainPair(inst.query_id, docs[a], docs[b]) for a, b in _PAIR_SLOTS]
 
 
 def ranknet_loss(s_pref, s_other):
@@ -244,14 +239,10 @@ def batch_loss(model, instances, corpus, query_tokens):
     scores = model.column_scores(docs, terms, explicit)
     seg_ids = np.arange(len(docs)).repeat(list(map(len, terms)))
     totals = T.segment_sum(scores, seg_ids, len(docs))
-    pref_idx = []
-    other_idx = []
-    for i in range(len(instances)):
-        base = i * DOCS_PER_INSTANCE
-        for a, b in _PAIR_SLOTS:
-            pref_idx.append(base + a)
-            other_idx.append(base + b)
-    losses = ranknet_loss(T.gather(totals, pref_idx), T.gather(totals, other_idx))
+    slots = (np.arange(len(instances)) * DOCS_PER_INSTANCE)[:, None, None] + \
+        _PAIR_SLOTS                                   # (instances, pairs, 2)
+    losses = ranknet_loss(T.gather(totals, slots[..., 0].ravel()),
+                          T.gather(totals, slots[..., 1].ravel()))
     if explicit is None:
         return T.tmean(losses), ([], [])
     tf = explicit[1]

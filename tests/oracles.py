@@ -564,7 +564,7 @@ def latent_term_scores_slots(model, terms, doc_enc):
     if iv:
         q_embs = T.embedding(model.embedding, [tid for _, tid in iv])
         rows = interaction_rows(q_embs, doc_enc)
-        feats = windowed_pool_terms(rows, model.wcfg, model.bank)
+        feats = windowed_pool_terms(rows, model.config, model.bank)
         pieces.append(latent_term_scores(feats, model.head))
         for j, (i, _) in enumerate(iv):
             slot[i] = j

@@ -16,16 +16,15 @@ from oracles import (TermDocStats, batch_norm_infer, kernel_features,
                      ndrm2_term_score, windowed_pool_term)
 
 import ckrank.tensor as T
-from ckrank.attention import (AttentionConfig, conformer_block,
-                              init_block_params, multi_head)
+from ckrank.attention import conformer_block, init_block_params, multi_head
 from ckrank.bench import analyze, bench_memory
 from ckrank.evalmetrics import evaluate
 from ckrank.gradcheck import finite_difference_check
 from ckrank.index import retrieve
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
-                          duet_scores, ndrm2_term_scores)
-from ckrank.pooling import (KernelBank, WindowConfig, interaction_rows,
-                            latent_term_scores, windowed_pool_terms)
+                          ModelConfig, duet_scores, ndrm2_term_scores)
+from ckrank.pooling import (KernelBank, interaction_rows, latent_term_scores,
+                            windowed_pool_terms)
 from ckrank.train import (Adam, TrainConfig, TrainInstance, batch_loss,
                           clip_gradients, expand_pairs, ranknet_loss, train)
 
@@ -98,9 +97,9 @@ def test_02_memory_growth_shapes():
 
 
 def _micro_attention_cfg():
-    return AttentionConfig(model_dim=8, num_heads=2, d_key=4, d_value=4,
-                           conv_window=3, conv_groups=2, dropout_rate=0.0,
-                           num_layers=1)
+    return ModelConfig(model_dim=8, num_heads=2, d_key=4, d_value=4,
+                       conv_window=3, conv_groups=2, dropout_rate=0.0,
+                       num_layers=1)
 
 
 def _op_checks():
@@ -121,7 +120,7 @@ def _op_checks():
         head = init_head_params(np.random.default_rng(0), 7)
         head_arrays = {"w": head["w"].numpy(), "b": head["b"].numpy()}
     bank = KernelBank(mus=tuple(np.linspace(-0.8, 1.0, 7)), sigmas=(0.3,) * 7)
-    wcfg = WindowConfig(window_len=5, stride=2)
+    wcfg = ModelConfig(window_len=5, stride=2)
     bs = BSState(mean_tf=1.5, mean_dlen=50.0)
     pos = rand(4, 3, lo=0.3, hi=2.0)
     off_zero = rand(4, 3, lo=0.3, hi=2.0) * np.where(rand(4, 3) > 0, 1, -1)

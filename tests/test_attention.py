@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 from refops import self_attention, separable_self_attention
 
 import ckrank.tensor as T
-from ckrank.attention import (AttentionConfig, conformer_block, init_block_params,
-                              multi_head, positional_encoding)
+from ckrank.attention import (conformer_block, init_block_params, multi_head,
+                              positional_encoding)
 from ckrank.corpus import Corpus, DocumentRecord
 from ckrank.errors import ConfigError, ShapeError
 from ckrank.index import build_index
 from ckrank.memory import tracker
-from ckrank.model import CKModel
+from ckrank.model import CKModel, ModelConfig
 
 
 def micro_cfg(**overrides):
     kwargs = dict(model_dim=8, num_heads=2, d_key=4, d_value=4, conv_window=3,
                   conv_groups=2, dropout_rate=0.0, num_layers=1)
     kwargs.update(overrides)
-    return AttentionConfig(**kwargs)
+    return ModelConfig(**kwargs)
 
 
 def rand_qkv(n, dk=4, dv=3, seed=0):
@@ -128,8 +128,8 @@ def test_separable_multi_head_matches_dense_oracle():
         dk = int(rng.integers(1, 17))
         dv = int(rng.integers(1, 17))
         m = heads * int(rng.integers(1, 5))
-        cfg = AttentionConfig(model_dim=m, num_heads=heads, d_key=dk, d_value=dv,
-                              conv_groups=1)
+        cfg = ModelConfig(model_dim=m, num_heads=heads, d_key=dk, d_value=dv,
+                          conv_groups=1)
         shapes = {"wq": (m, heads * dk), "wk": (m, heads * dk),
                   "wv": (m, heads * dv), "wo": (heads * dv, m)}
         arrays = {}

@@ -8,9 +8,10 @@ import pytest
 import refops as R
 
 import ckrank.tensor as T
-from ckrank.attention import AttentionConfig, init_block_params, multi_head
+from ckrank.attention import init_block_params, multi_head
 from ckrank.errors import ShapeError
 from ckrank.memory import tracker
+from ckrank.model import ModelConfig
 
 ATOL = 1e-12
 
@@ -124,9 +125,9 @@ def test_grouped_conv_rejects_empty_input():
 
 
 def head_cfg(heads, d_key, d_value):
-    return AttentionConfig(model_dim=8, num_heads=heads, d_key=d_key,
-                           d_value=d_value, conv_window=3, conv_groups=2,
-                           dropout_rate=0.0, num_layers=1)
+    return ModelConfig(model_dim=8, num_heads=heads, d_key=d_key,
+                       d_value=d_value, conv_window=3, conv_groups=2,
+                       dropout_rate=0.0, num_layers=1)
 
 
 @pytest.mark.parametrize("variant", ["separable", "standard"])

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from ckrank.attention import AttentionConfig
 from ckrank.bench import (BenchRecord, analyze, bench_attention_config,
                           bench_memory, write_bench_csv)
+from ckrank.model import ModelConfig
 
-SMALL_CFG = AttentionConfig(model_dim=8, num_heads=2, d_key=4, d_value=4,
-                            conv_window=3, conv_groups=2, dropout_rate=0.0,
-                            num_layers=1)
+SMALL_CFG = ModelConfig(model_dim=8, num_heads=2, d_key=4, d_value=4,
+                        conv_window=3, conv_groups=2, dropout_rate=0.0,
+                        num_layers=1)
 LENGTHS = (40, 80, 160)
 
 

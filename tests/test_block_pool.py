@@ -16,19 +16,16 @@ from helpers import tiny_config
 from test_gradients import check, mixed
 
 import ckrank.tensor as T
-from ckrank.attention import AttentionConfig, feed_forward, init_block_params, \
-    multi_head
+from ckrank.attention import feed_forward, init_block_params, multi_head
 from ckrank.corpus import Corpus, DocumentRecord, Vocabulary
 from ckrank.index import build_index
 from ckrank.model import CKModel, ModelConfig
-from ckrank.pooling import KernelBank, WindowConfig, interaction_rows, \
-    windowed_pool_terms
+from ckrank.pooling import KernelBank, interaction_rows, windowed_pool_terms
 
-PAPER = AttentionConfig(dropout_rate=0.0)
+PAPER = ModelConfig(dropout_rate=0.0)
 PAPER_PARAMS = init_block_params(PAPER, np.random.default_rng(3))
 D = PAPER.model_dim
 BANK = KernelBank()
-WINDOWS = WindowConfig()
 
 
 class CountingPool(T.BlockPool):
@@ -147,7 +144,7 @@ def test_pooling_does_not_depend_on_the_worker_count(monkeypatch, pools, size):
     rng = np.random.default_rng(t)
     cos = np.clip(rng.normal(size=(t, n)) * 0.4, -1, 1)
     one, two = per_worker_count(monkeypatch, pools, lambda: windowed_pool_terms(
-        T.constant(cos), WINDOWS, bank))
+        T.constant(cos), PAPER, bank))
     assert_same_bytes(one, two)
     assert (pools[2].shared > 0) == (bank.k > block)
 
@@ -156,7 +153,7 @@ def test_one_position_document_is_one_block(monkeypatch, pools):
     rng = np.random.default_rng(0)
     q, doc = rng.normal(size=(3, D)), rng.normal(size=(1, D))
     one, two = per_worker_count(monkeypatch, pools, lambda: windowed_pool_terms(
-        interaction_rows(T.constant(q), T.constant(doc)), WINDOWS, BANK))
+        interaction_rows(T.constant(q), T.constant(doc)), PAPER, BANK))
     assert_same_bytes(one, two)
     assert pools[2].shared == 0
 
@@ -175,7 +172,7 @@ def test_float64_blocks_stay_float64(monkeypatch, pools, op):
                 rows = interaction_rows(T.constant(q), T.constant(doc))
                 if op == "interaction_rows":
                     return rows
-                return windowed_pool_terms(rows, WINDOWS, BANK)
+                return windowed_pool_terms(rows, PAPER, BANK)
         else:
             params = init_block_params(PAPER, np.random.default_rng(3))
             build = paper_op(op, 700, rng, params)
@@ -326,9 +323,9 @@ def test_gradients_of_blocked_conv(small_blocks):
 
 
 def test_gradients_of_blocked_attention(small_blocks):
-    cfg = AttentionConfig(model_dim=8, num_heads=4, d_key=3, d_value=2,
-                          conv_window=3, conv_groups=2, dropout_rate=0.0,
-                          num_layers=1)
+    cfg = ModelConfig(model_dim=8, num_heads=4, d_key=3, d_value=2,
+                      conv_window=3, conv_groups=2, dropout_rate=0.0,
+                      num_layers=1)
     with T.precision("float64"):
         base = init_block_params(cfg, np.random.default_rng(23))
     names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
@@ -344,6 +341,7 @@ def test_gradients_of_blocked_interaction_and_pooling(small_blocks):
     bank = KernelBank(np.linspace(-0.8, 0.8, 5), np.full(5, 0.3))
     check(lambda p: mixed(interaction_rows(p["q"], p["d"])),
           {"q": rand(rng, 5, 4), "d": rand(rng, 7, 4)})
-    check(lambda p: mixed(windowed_pool_terms(p["rows"], WindowConfig(5, 2), bank)),
+    windows = ModelConfig(window_len=5, stride=2)
+    check(lambda p: mixed(windowed_pool_terms(p["rows"], windows, bank)),
           {"rows": np.clip(rng.normal(size=(4, 11)) * 0.4, -1, 1)})
     assert small_blocks.shared >= 2

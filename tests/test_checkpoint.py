@@ -152,7 +152,14 @@ def test_integer_params_rejected(tmp_path):
     (lambda c, s: c.update(epsilon=0.0), "epsilon must be positive"),
     (lambda c, s: s.pop("bs_tf_mean"), "running statistics"),
     (lambda c, s: s.update(extra=1.0), "running statistics"),
-], ids=["unknown-key", "variant", "epsilon", "missing-stat", "extra-stat"])
+    (lambda c, s: c.update(seed=-2), "seed must be an integer >= 0, not -2"),
+    (lambda c, s: c.update(seed=2.5), "seed must be an integer >= 0, not 2.5"),
+    (lambda c, s: c.update(model_dim=8.0), "model_dim must be an integer >= 1"),
+    (lambda c, s: c.update(bn_momentum=7.0), "bn_momentum must be in"),
+    (lambda c, s: c.update(var_floor=0.0), "var_floor must be positive"),
+], ids=["unknown-key", "variant", "epsilon", "missing-stat", "extra-stat",
+        "seed-negative", "seed-real", "model_dim-real", "bn_momentum",
+        "var_floor"])
 def test_load_model_refuses_a_malformed_manifest(tmp_path, micro, edit, reason):
     """A config ModelConfig or CKModel refuses, or running statistics that
     are not the model's, is a malformed file, not a ConfigError or a

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import micro_config
 
+import ckrank.cli
 import ckrank.index
 from ckrank.checkpoint import load_model
 from ckrank.cli import main
@@ -335,6 +336,52 @@ def test_malformed_config_is_runtime_error(workspace, vocab_path, capsys):
                    "--config", bad, "--steps", "1", "--out", root / "never.ckpt")
     assert code == 1
     assert f"error: {bad}: malformed model config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,value", [("seed", -2), ("bn_momentum", 1.5),
+                                        ("model_dim", 8.0)])
+def test_config_file_with_a_bad_field_is_one_error_line(workspace, vocab_path,
+                                                        capsys, name, value):
+    root, _ = workspace
+    bad = root / f"config_{name}.json"
+    bad.write_text(json.dumps({**micro_config("ndrm2").to_dict(), name: value}))
+    code = run_cli("train", "--docs", root / "docs.tsv", "--vocab", vocab_path,
+                   "--queries", root / "train_queries.tsv",
+                   "--triples", root / "triples.tsv",
+                   "--candidates", root / "candidates.txt",
+                   "--config", bad, "--steps", "1", "--out", root / "never.ckpt")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed model config ({name} must be")
+    assert err.count("\n") == 1
+    assert not (root / "never.ckpt").exists()
+
+
+# Each command with its required flags; the paths need not exist, because a
+# bad --seed is refused before any is read
+COMMAND_ARGS = {
+    "build-vocab": ["--docs", "d", "--out", "o"],
+    "train": ["--docs", "d", "--vocab", "v", "--queries", "q", "--triples", "t",
+              "--candidates", "c", "--out", "o"],
+    "index": ["--docs", "d", "--vocab", "v", "--model", "m", "--out", "o"],
+    "search": ["--index", "i", "--queries", "q", "--out", "o"],
+    "rerank": ["--docs", "d", "--vocab", "v", "--model", "m", "--queries", "q",
+               "--run", "r", "--out", "o"],
+    "eval": ["--run", "r", "--qrels", "q"],
+    "bench-memory": ["--lengths", "8", "--out", "o"],
+    "selftest": [],
+}
+
+
+@pytest.mark.parametrize("command", ckrank.cli._HANDLERS)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    argv = [a if a.startswith("--") else tmp_path / a for a in COMMAND_ARGS[command]]
+    with pytest.raises(SystemExit) as err:
+        run_cli("--seed", "-1", command, *argv)
+    assert err.value.code == 2
+    assert "argument --seed: must be an integer >= 0, not '-1'" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_usage_errors_exit_two(workspace):

@@ -18,12 +18,11 @@ from oracles import (duet_infer_composed, duet_mix_composed, embedding_then_add,
                      separable_multi_head_composed, windowed_pool_terms_blocks)
 
 import ckrank.tensor as T
-from ckrank.attention import AttentionConfig, feed_forward, multi_head
+from ckrank.attention import feed_forward, multi_head
 from ckrank.errors import ShapeError
-from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
-    ndrm2_term_scores
-from ckrank.pooling import KernelBank, WindowConfig, latent_term_scores, \
-    windowed_pool_terms
+from ckrank.model import BSState, DuetParams, ExplicitParams, ModelConfig, \
+    duet_scores, ndrm2_term_scores
+from ckrank.pooling import KernelBank, latent_term_scores, windowed_pool_terms
 from ckrank.train import ranknet_loss
 
 TOL = 1e-12
@@ -225,8 +224,8 @@ def _attention_arrays(rng, n, heads, d_key, d_value, m):
 
 def _attention_pair(n, heads, d_key, d_value, per_head_dim, seed):
     m = heads * per_head_dim
-    cfg = AttentionConfig(model_dim=m, num_heads=heads, d_key=d_key,
-                          d_value=d_value, conv_window=1, conv_groups=1)
+    cfg = ModelConfig(model_dim=m, num_heads=heads, d_key=d_key,
+                      d_value=d_value, conv_window=1, conv_groups=1)
     arrays = _attention_arrays(np.random.default_rng(seed), n, heads, d_key,
                                d_value, m)
     with T.precision("float64"):
@@ -344,7 +343,7 @@ def test_latent_head_refuses_mismatched_features():
 
 
 def _pool_pair(t, n, window_len, stride, seed, bank):
-    wcfg = WindowConfig(window_len=window_len, stride=stride)
+    wcfg = ModelConfig(window_len=window_len, stride=stride)
     rows = np.random.default_rng(seed).uniform(-1, 1, size=(t, n))
     with T.precision("float64"):
         fused = value_and_grads(

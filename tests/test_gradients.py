@@ -7,13 +7,13 @@ from helpers import init_head_params
 from oracles import batch_norm_infer, kernel_features, windowed_pool_term
 
 import ckrank.tensor as T
-from ckrank.attention import (AttentionConfig, conformer_block, feed_forward,
-                              init_block_params, multi_head)
+from ckrank.attention import (conformer_block, feed_forward, init_block_params,
+                              multi_head)
 from ckrank.gradcheck import finite_difference_check
-from ckrank.model import BSState, DuetParams, ExplicitParams, duet_scores, \
-    ndrm2_term_scores
-from ckrank.pooling import (KernelBank, WindowConfig, interaction_rows,
-                            latent_term_scores, windowed_pool_terms)
+from ckrank.model import BSState, DuetParams, ExplicitParams, ModelConfig, \
+    duet_scores, ndrm2_term_scores
+from ckrank.pooling import (KernelBank, interaction_rows, latent_term_scores,
+                            windowed_pool_terms)
 from ckrank.train import ranknet_loss
 
 RNG = np.random.default_rng(12345)
@@ -200,9 +200,9 @@ def test_grad_self_attention_both_variants():
 
 
 def _micro_attention_cfg():
-    return AttentionConfig(model_dim=8, num_heads=2, d_key=4, d_value=4,
-                           conv_window=3, conv_groups=2, dropout_rate=0.0,
-                           num_layers=1)
+    return ModelConfig(model_dim=8, num_heads=2, d_key=4, d_value=4,
+                       conv_window=3, conv_groups=2, dropout_rate=0.0,
+                       num_layers=1)
 
 
 def test_grad_multi_head_and_conformer_block():
@@ -262,7 +262,7 @@ def test_grad_kernel_features():
 
 def test_grad_windowed_pooling_both_paths():
     bank = _smooth_bank()
-    wcfg = WindowConfig(window_len=5, stride=2)
+    wcfg = ModelConfig(window_len=5, stride=2)
     row = rand(12, lo=-0.9, hi=0.9)
     check(lambda p: mixed(windowed_pool_term(p["row"], wcfg, bank)), {"row": row})
     rows = rand(3, 12, lo=-0.9, hi=0.9)

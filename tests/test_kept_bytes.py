@@ -18,12 +18,12 @@ from helpers import TINY_KWARGS
 
 import ckrank.tensor as T
 from ckrank import attention, model, pooling, train
-from ckrank.attention import AttentionConfig, init_block_params
-from ckrank.model import BSState, DuetParams, ExplicitParams
-from ckrank.pooling import KernelBank, WindowConfig
+from ckrank.attention import init_block_params
+from ckrank.model import BSState, DuetParams, ExplicitParams, ModelConfig
+from ckrank.pooling import KernelBank
 
 N = 60                                   # positions, as a short document
-CFG = AttentionConfig(**{k: TINY_KWARGS[k] for k in (
+CFG = ModelConfig(**{k: TINY_KWARGS[k] for k in (
     "model_dim", "num_heads", "d_key", "d_value", "conv_window", "conv_groups",
     "num_layers")}, dropout_rate=0.1)
 D = CFG.model_dim
@@ -115,7 +115,7 @@ def _pooling_ops():
     q, doc = _param(3, D), _param(N, D)
     rows = T.parameter(np.tanh(_rng().normal(size=(3, N))))
     feats, head = _param(3, 10), {"w": _param(10), "b": _param()}
-    bank, wcfg = KernelBank(), WindowConfig(window_len=30, stride=10)
+    bank, wcfg = KernelBank(), ModelConfig(window_len=30, stride=10)
     return {
         "interaction_rows": lambda: (pooling.interaction_rows(q, doc), [q, doc]),
         "windowed_pool_terms": lambda: (pooling.windowed_pool_terms(rows, wcfg, bank),

@@ -1,5 +1,6 @@
 """Model config, explicit/duet scoring formulas, and the additive contract."""
 
+import dataclasses
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -54,6 +55,38 @@ def test_config_validation_cascades():
         with pytest.raises(ConfigError, match="max_doc_tokens"):
             ModelConfig(max_doc_tokens=cap)
     assert ModelConfig(max_doc_tokens=1).max_doc_tokens == 1
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig)])
+def test_every_config_field_refuses_a_bool_and_a_str(name):
+    """A field added without a rule in ModelConfig's table fails here."""
+    for value in (True, False, "1"):
+        with pytest.raises(ConfigError, match=name):
+            ModelConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("seed", -1), ("seed", 2.5), ("max_query_tokens", -1), ("num_layers", 0),
+    ("model_dim", 8.0), ("stride", 0), ("dropout_rate", 1.0),
+    ("dropout_rate", -0.1), ("dropout_rate", float("nan")), ("bn_momentum", 1.5),
+    ("bn_momentum", -0.1), ("var_floor", -1.0), ("var_floor", 0.0),
+    ("epsilon", -1.0), ("epsilon", float("inf")), ("eps_log", 0.0),
+    ("kernel_mus", (0.1, float("nan"))), ("kernel_sigmas", 0.1)])
+def test_config_refuses_each_field_out_of_range(name, value):
+    # ndrm1 builds no ExplicitParams, whose own check would refuse epsilon
+    with pytest.raises(ConfigError, match=name):
+        ModelConfig(variant="ndrm1", **{name: value})
+
+
+def test_config_accepts_each_bound_and_coerces_nothing():
+    cfg = ModelConfig(dropout_rate=0, bn_momentum=1, epsilon=1, var_floor=2,
+                      seed=0, max_query_tokens=0, stride=300)
+    assert [type(getattr(cfg, name)) for name in ("dropout_rate", "bn_momentum",
+                                                   "epsilon", "var_floor")] == [int] * 4
+    assert ModelConfig(bn_momentum=0.0, dropout_rate=0.999).bn_momentum == 0.0
+    # the kernel sequences alone become tuples of floats, as they hash
+    assert ModelConfig(kernel_mus=[0, 1], kernel_sigmas=np.array([0.1, 0.001])) \
+        .to_dict()["kernel_mus"] == (0.0, 1.0)
 
 
 def test_config_dict_round_trip_and_unknown_keys():

@@ -12,9 +12,10 @@ from oracles import (interaction_row, kernel_features, latent_term_score,
 import ckrank.tensor as T
 from ckrank import pooling
 from ckrank.errors import ConfigError, ShapeError
-from ckrank.pooling import (KernelBank, WindowConfig, empty_features,
-                            interaction_rows, latent_term_scores, num_windows,
-                            window_cover, windowed_pool_terms)
+from ckrank.model import ModelConfig
+from ckrank.pooling import (KernelBank, empty_features, interaction_rows,
+                            latent_term_scores, num_windows, window_cover,
+                            windowed_pool_terms)
 
 LOG_EPS = np.log(1e-10)
 
@@ -43,16 +44,16 @@ def test_bank_validation():
 
 
 def test_window_config_validation():
-    assert WindowConfig().window_len == 300
-    assert WindowConfig().stride == 100
+    assert ModelConfig().window_len == 300
+    assert ModelConfig().stride == 100
     with pytest.raises(ConfigError):
-        WindowConfig(window_len=10, stride=11)
+        ModelConfig(window_len=10, stride=11)
     with pytest.raises(ConfigError):
-        WindowConfig(window_len=0, stride=1)
+        ModelConfig(window_len=0, stride=1)
 
 
 def test_num_windows_enumeration():
-    wcfg = WindowConfig(window_len=300, stride=100)
+    wcfg = ModelConfig(window_len=300, stride=100)
     assert num_windows(1, wcfg) == 1
     assert num_windows(300, wcfg) == 1
     assert num_windows(301, wcfg) == 2
@@ -149,7 +150,7 @@ def numpy_pool_oracle(row, wcfg, bank):
 
 @pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13])
 def test_windowed_pool_matches_numpy_oracle(n):
-    wcfg = WindowConfig(window_len=5, stride=2)
+    wcfg = ModelConfig(window_len=5, stride=2)
     bank = KernelBank()
     rng = np.random.default_rng(n)
     row = rng.uniform(-1, 1, size=n)
@@ -175,7 +176,7 @@ def _pool_value_and_grad(pool, rows, mix):
       for n in (5, 23, 30)),
 ])
 def test_fused_matches_composed(n, window_len, stride):
-    wcfg = WindowConfig(window_len=window_len, stride=stride)
+    wcfg = ModelConfig(window_len=window_len, stride=stride)
     bank = KernelBank()
     rng = np.random.default_rng(n + 1)
     rows = rng.uniform(-1, 1, size=(3, n))
@@ -195,13 +196,13 @@ def test_fused_matches_composed(n, window_len, stride):
 
 
 def test_fused_handles_zero_terms():
-    out = windowed_pool_terms(T.constant(np.zeros((0, 10))), WindowConfig(5, 2),
-                              KernelBank())
+    out = windowed_pool_terms(T.constant(np.zeros((0, 10))),
+                              ModelConfig(window_len=5, stride=2), KernelBank())
     assert out.shape == (0, 10)
 
 
 def test_pooled_features_dominate_every_window():
-    wcfg = WindowConfig(window_len=4, stride=2)
+    wcfg = ModelConfig(window_len=4, stride=2)
     bank = KernelBank()
     row = np.random.default_rng(9).uniform(-1, 1, size=11)
     pooled = windowed_pool_term(T.constant(row), wcfg, bank).numpy()
@@ -214,7 +215,8 @@ def test_pooled_features_dominate_every_window():
 def test_single_window_equals_plain_kernel_features():
     bank = KernelBank()
     row = np.random.default_rng(11).uniform(-1, 1, size=8)
-    pooled = windowed_pool_term(T.constant(row), WindowConfig(300, 100), bank)
+    pooled = windowed_pool_term(T.constant(row), ModelConfig(window_len=300, stride=100),
+                                bank)
     plain = kernel_features(T.constant(row), bank)
     np.testing.assert_array_equal(pooled.numpy(), plain.numpy())
 
@@ -223,7 +225,7 @@ def test_fused_gradient_only_hits_winning_windows():
     # Two windows with no overlap; a strong match in the second window means
     # the exact-match kernel's gradient must not touch the first window.
     bank = KernelBank()
-    wcfg = WindowConfig(window_len=2, stride=2)
+    wcfg = ModelConfig(window_len=2, stride=2)
     rows = T.parameter(np.array([[0.0, 0.1, 1.0, 0.99]]))
     out = windowed_pool_terms(rows, wcfg, bank)
     T.backward(T.tsum(R.mul(out, T.constant(np.eye(10)[9][None, :]))))
@@ -236,7 +238,7 @@ def test_fused_gradient_only_hits_winning_windows():
 
 def test_cover_slices_equal_fresh_covers(monkeypatch):
     monkeypatch.setattr(pooling, "_COVER_TABLES", {})
-    wcfg = WindowConfig(window_len=5, stride=2)
+    wcfg = ModelConfig(window_len=5, stride=2)
     # the table grows, then serves shorter lengths
     for n in (3, 12, 40, 1, 5, 6, 39, 12):
         got = window_cover(n, wcfg, np.float32)
@@ -247,7 +249,7 @@ def test_cover_slices_equal_fresh_covers(monkeypatch):
 
 def test_cover_tables_and_constants_per_dtype(monkeypatch):
     monkeypatch.setattr(pooling, "_COVER_TABLES", {})
-    wcfg, bank = WindowConfig(window_len=5, stride=2), KernelBank()
+    wcfg, bank = ModelConfig(window_len=5, stride=2), KernelBank()
     rows = np.random.default_rng(4).uniform(-1, 1, size=(2, 9))
     for mode in ("float32", "float64"):
         with T.precision(mode), T.no_grad():
@@ -264,7 +266,7 @@ def test_cover_tables_and_constants_per_dtype(monkeypatch):
 
 
 def test_cached_arrays_are_read_only():
-    wcfg, bank = WindowConfig(window_len=5, stride=2), KernelBank()
+    wcfg, bank = ModelConfig(window_len=5, stride=2), KernelBank()
     cover = window_cover(7, wcfg, np.float64)
     arrays = (cover, pooling._COVER_TABLES[5, 2, np.dtype(np.float64)],
               *bank.constants(np.float32), bank.mus, bank.sigmas)
@@ -282,7 +284,7 @@ def test_bank_does_not_freeze_the_callers_arrays():
 
 def test_same_length_makes_no_new_table(monkeypatch):
     monkeypatch.setattr(pooling, "_COVER_TABLES", {})
-    wcfg, bank = WindowConfig(window_len=5, stride=2), KernelBank()
+    wcfg, bank = ModelConfig(window_len=5, stride=2), KernelBank()
     key = (5, 2, np.dtype(np.float32))
     window_cover(11, wcfg, np.float32)
     table = pooling._COVER_TABLES[key]
@@ -298,7 +300,7 @@ def test_cover_past_the_cap_is_built_per_call(monkeypatch):
     # _COVER_CACHE_ROWS and a longer document gets a fresh cover
     monkeypatch.setattr(pooling, "_COVER_TABLES", {})
     monkeypatch.setattr(pooling, "_COVER_CACHE_ROWS", 20)
-    wcfg = WindowConfig(window_len=5, stride=2)
+    wcfg = ModelConfig(window_len=5, stride=2)
     key = (5, 2, np.dtype(np.float64))
     window_cover(20, wcfg, np.float64)
     table = pooling._COVER_TABLES[key]

@@ -19,12 +19,12 @@ import ckrank.tensor as T
 from ckrank.corpus import Vocabulary
 from ckrank.index import _runs
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
-                          duet_scores, ndrm2_term_scores)
-from ckrank.pooling import (KernelBank, WindowConfig, _kernel_features,
-                            _unit_rows, window_cover, windowed_pool_terms)
+                          ModelConfig, duet_scores, ndrm2_term_scores)
+from ckrank.pooling import (KernelBank, _kernel_features, _unit_rows,
+                            window_cover, windowed_pool_terms)
 
 DTYPES = (np.float32, np.float64)
-WCFG = WindowConfig(window_len=8, stride=3)
+WCFG = ModelConfig(window_len=8, stride=3)
 BANK = KernelBank()
 
 
