@@ -16,9 +16,12 @@ summaries, so the last product is the size of that projection alone. The
 standard variant, a baseline for memory growth, projects with ``linear``
 around one op for all heads.
 
-The encoder block wraps grouped convolution, separable multi-head
-attention, and a position-wise feed-forward network (one op), each with
-residual connection, dropout, and a trailing layer norm.
+The encoder block is three sublayers: grouped convolution, separable
+multi-head attention and a position-wise feed-forward network. Each is one
+op together with its dropout, residual add and trailing layer norm
+(``tensor.sublayer_op``): every block of rows it computes is masked, added
+to its input's rows and normalized in place, so no whole sublayer, dropout
+or residual-sum array is made.
 """
 
 import math
@@ -80,29 +83,27 @@ def _softmax_backward(s, g, axis):
     return g
 
 
-def _project(x, w_qkv, b_qkv, out=None):
-    """Key-major q, k and v of the rows of x: w_qkvᵀ @ xᵀ + b_qkv."""
-    out = np.matmul(w_qkv.T, x.T, out)
+def _project(x, w_qkv, b_qkv, out):
+    """Key-major q, k and v of the rows of x, w_qkvᵀ @ xᵀ + b_qkv, into out."""
+    np.matmul(w_qkv.T, x.T, out)
     out += b_qkv
-    return out
 
 
-def _summarize(q, k, v, out=None):
+def _summarize(q, k, v, out):
     """Both softmaxes in place on key-major (heads, d, n) q and k, then each
-    head's softmax(k) @ vᵀ."""
+    head's softmax(k) @ vᵀ into out."""
     _softmax(q, 1, out=q)
     _softmax(k, 2, out=k)
-    return np.matmul(k, v.transpose(0, 2, 1), out)
+    np.matmul(k, v.transpose(0, 2, 1), out)
 
 
-def _attend(q, mixed, bias, out=None):
-    """softmax(q)ᵀ @ M + bo for key-major q of some positions."""
-    out = np.matmul(q.T, mixed, out)
+def _attend(q, mixed, bias, out):
+    """softmax(q)ᵀ @ M + bo for key-major q of some positions, into out."""
+    np.matmul(q.T, mixed, out)
     out += bias
-    return out
 
 
-def _separable_attention(x, params, heads):
+def _separable_attention(x, params, heads, norm=None):
     """The separable attention sublayer as one op -> Tensor[n, model_dim].
 
     q, k and v come out key-major from one product, w_qkvᵀ @ xᵀ, a
@@ -111,8 +112,8 @@ def _separable_attention(x, params, heads):
     (d_key, d_value); folding the output projection into it gives
     M_h = summary_h @ wo_h, so out = softmax(q over d_key)ᵀ @ M + bo is one
     product the size of the output projection. The projection and the
-    output product run on the pool in blocks of positions, both softmaxes
-    and the summaries in blocks of heads.
+    output product (with ``norm``'s epilogue) run on the pool in blocks of
+    positions, both softmaxes and the summaries in blocks of heads.
     """
     wq, bq, wk, bk, wv, bv, wo, bo = (params[name] for name in (
         "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
@@ -125,25 +126,17 @@ def _separable_attention(x, params, heads):
     wo_h = wo_data.reshape(heads, -1, m)                       # (h, dv, m)
     column_bytes = w_qkv.shape[1] * x_data.itemsize
     positions = T.row_blocks(n, column_bytes)
-    if positions is None:
-        qkv = _project(x_data, w_qkv, b_qkv)                   # (2pk + pv, n)
-        phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
-        summary = _summarize(phi_q, phi_k, vk)                 # (h, dk, dv)
-        mixed = (summary @ wo_h).reshape(pk, m)                # (h * dk, m)
-        out = _attend(qkv[:pk], mixed, bo_data)
-    else:
-        # Blocks of positions for the projection and the output product;
-        # blocks of heads, each with its rows of qkv, for the softmaxes and
-        # the summaries.
-        qkv = np.empty((w_qkv.shape[1], n), np.result_type(w_qkv, x_data))
-        T.run_blocks(lambda b: _project(x_data[b], w_qkv, b_qkv, qkv[:, b]), positions)
-        phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
-        summary = np.empty((heads, pk // heads, pv // heads), qkv.dtype)
-        T.run_blocks(lambda b: _summarize(phi_q[b], phi_k[b], vk[b], summary[b]),
-                     T.row_blocks(heads, n * column_bytes // heads))
-        mixed = (summary @ wo_h).reshape(pk, m)
-        out = np.empty((n, m), np.result_type(qkv, mixed))
-        T.run_blocks(lambda b: _attend(qkv[:pk, b], mixed, bo_data, out[b]), positions)
+    qkv = np.empty((w_qkv.shape[1], n), np.result_type(w_qkv, x_data))
+    T.run_blocks(lambda b: _project(x_data[b], w_qkv, b_qkv, qkv[:, b]), positions)
+    phi_q, phi_k, vk = (qkv[lo:hi].reshape(heads, -1, n) for lo, hi in spans)
+    summary = np.empty((heads, pk // heads, pv // heads), qkv.dtype)  # (h, dk, dv)
+    T.run_blocks(lambda b: _summarize(phi_q[b], phi_k[b], vk[b], summary[b]),
+                 T.row_blocks(heads, n * column_bytes // heads))
+    mixed = (summary @ wo_h).reshape(pk, m)                    # (h * dk, m)
+    out = np.empty((n, m), np.result_type(qkv, mixed))
+
+    def rows(b):
+        _attend(qkv[:pk, b], mixed, bo_data, out[b])
 
     def backward(g):
         bo._accumulate(g.sum(axis=0))
@@ -165,8 +158,9 @@ def _separable_attention(x, params, heads):
         if x.requires_grad:
             x._accumulate((w_qkv @ d_qkv).T)
 
-    return T.wrap_op(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward,
-                     "separable_attention", saved=(w_qkv, qkv, summary, mixed))
+    return T.sublayer_op(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward,
+                         "separable_attention", rows, positions,
+                         saved=(w_qkv, qkv, summary, mixed), norm=norm)
 
 
 def _standard_heads(q, k, v, heads):
@@ -192,50 +186,49 @@ def _standard_heads(q, k, v, heads):
     return T.wrap_op(out, (q, k, v), backward, "standard_heads", saved=(attn,))
 
 
-def multi_head(x, params, cfg, variant="separable"):
+def multi_head(x, params, cfg, variant="separable", norm=None):
     """Multi-head attention sublayer: q/k/v projections, every head, and the
-    output projection. The separable variant is one fused op; the standard
-    one projects with ``linear`` around one op for all heads. Reads the
-    ``ModelConfig`` cfg's model_dim and num_heads."""
+    output projection, then ``norm``'s epilogue when given (a
+    ``tensor.ResidualNorm``). The separable variant is one fused op; the
+    standard one projects with ``linear`` around one op for all heads, the
+    output projection and the epilogue one block of its last ``linear``.
+    Reads the ``ModelConfig`` cfg's model_dim and num_heads."""
     if x.ndim != 2 or x.shape[1] != cfg.model_dim:
         raise ShapeError(f"multi_head expects (n, {cfg.model_dim}) input, "
                          f"got {tuple(x.shape)}")
     if variant not in ("standard", "separable"):
         raise ConfigError(f"unknown attention variant {variant!r}")
     if variant == "separable":
-        return _separable_attention(x, params, cfg.num_heads)
+        return _separable_attention(x, params, cfg.num_heads, norm)
     q = T.linear(x, params["wq"], params["bq"])
     k = T.linear(x, params["wk"], params["bk"])
     v = T.linear(x, params["wv"], params["bv"])
     heads = _standard_heads(q, k, v, cfg.num_heads)
-    return T.linear(heads, params["wo"], params["bo"])
+    return T.linear(heads, params["wo"], params["bo"], norm)
 
 
-def _ffn_rows(x, w1, b1, w2, b2, hidden=None, out=None):
+def _ffn_rows(x, w1, b1, w2, b2, hidden, out):
     """relu(x @ w1 + b1) -> hidden, then hidden @ w2 + b2 -> out."""
-    hidden = np.matmul(x, w1, hidden)
+    np.matmul(x, w1, hidden)
     hidden += b1
     np.maximum(hidden, 0, out=hidden)
-    out = np.matmul(hidden, w2, out)
+    np.matmul(hidden, w2, out)
     out += b2
-    return hidden, out
 
 
-def feed_forward(x, w1, b1, w2, b2):
+def feed_forward(x, w1, b1, w2, b2, norm=None):
     """Position-wise FFN as one op: relu(x @ w1 + b1) @ w2 + b2, the relu in
-    place, in blocks of rows on the pool; the post-relu hidden array is kept
-    for the backward pass."""
+    place, in blocks of rows on the pool, each then finished by ``norm``'s
+    epilogue when given; the post-relu hidden array is kept for the
+    backward pass."""
     x_data, w1_data, w2_data = x._data, w1._data, w2._data
     b1_data, b2_data = b1._data, b2._data
     n, hidden_dim = len(x_data), w1_data.shape[1]
-    blocks = T.row_blocks(n, hidden_dim * x_data.itemsize)
-    if blocks is None:
-        hidden, out = _ffn_rows(x_data, w1_data, b1_data, w2_data, b2_data)
-    else:
-        hidden = np.empty((n, hidden_dim), np.result_type(x_data, w1_data))
-        out = np.empty((n, w2_data.shape[1]), np.result_type(hidden, w2_data))
-        T.run_blocks(lambda b: _ffn_rows(x_data[b], w1_data, b1_data, w2_data, b2_data,
-                                         hidden[b], out[b]), blocks)
+    hidden = np.empty((n, hidden_dim), np.result_type(x_data, w1_data))
+    out = np.empty((n, w2_data.shape[1]), np.result_type(hidden, w2_data))
+
+    def rows(b):
+        _ffn_rows(x_data[b], w1_data, b1_data, w2_data, b2_data, hidden[b], out[b])
 
     def backward(g):
         w2._accumulate(hidden.T @ g)
@@ -247,36 +240,43 @@ def feed_forward(x, w1, b1, w2, b2):
         if x.requires_grad:
             x._accumulate(d_hidden @ w1_data.T)
 
-    return T.wrap_op(out, (x, w1, b1, w2, b2), backward, "feed_forward",
-                     saved=(hidden,))
+    return T.sublayer_op(out, (x, w1, b1, w2, b2), backward, "feed_forward", rows,
+                         T.row_blocks(n, hidden_dim * x_data.itemsize),
+                         saved=(hidden,), norm=norm)
+
+
+def conformer_sublayers(params, cfg, training=False, rng=None, variant="separable"):
+    """The three sublayers of one encoder block, in order: grouped conv,
+    multi-head attention and FFN. Each is a function of the block's current
+    activation x that returns the next one as one op: the sublayer, dropout
+    (its mask drawn from rng when training), the residual add of x and a
+    layer norm. Reads the ``ModelConfig`` cfg's dropout_rate, conv_groups,
+    conv_window and what ``multi_head`` reads."""
+    p = cfg.dropout_rate
+
+    def norm(x, name):
+        return T.ResidualNorm(x, params[f"{name}_gamma"], params[f"{name}_beta"],
+                              T.dropout_mask(x.shape, p, training, rng, x.dtype))
+
+    return (
+        lambda x: T.grouped_conv1d(x, params["conv_kernel"], cfg.conv_groups,
+                                   cfg.conv_window, params["conv_bias"], norm(x, "ln1")),
+        lambda x: multi_head(x, params, cfg, variant, norm(x, "ln2")),
+        lambda x: feed_forward(x, params["ffn_w1"], params["ffn_b1"], params["ffn_w2"],
+                               params["ffn_b2"], norm(x, "ln3")),
+    )
 
 
 def conformer_block(x, params, cfg, training=False, rng=None, variant="separable"):
-    """Grouped conv, separable multi-head attention, and FFN sublayers, each
-    followed by dropout and a layer norm of the sum with its input.
+    """One encoder block: its three ``conformer_sublayers`` applied in turn.
 
-    Each sublayer's output and input are dropped once its layer norm has
-    read them, so without a graph to keep them alive at most four (n, d)
-    tensors are live: the caller's x, y2, ffn and the result. Reads the
-    ``ModelConfig`` cfg's dropout_rate, conv_groups, conv_window and what
-    ``multi_head`` reads."""
-    p = cfg.dropout_rate
-
-    conv = T.grouped_conv1d(x, params["conv_kernel"], cfg.conv_groups,
-                            cfg.conv_window, params["conv_bias"])
-    conv = T.dropout(conv, p, training, rng)
-    y1 = T.layer_norm(x, params["ln1_gamma"], params["ln1_beta"], residual=conv)
-    del conv
-
-    attn = multi_head(y1, params, cfg, variant=variant)
-    attn = T.dropout(attn, p, training, rng)
-    y2 = T.layer_norm(y1, params["ln2_gamma"], params["ln2_beta"], residual=attn)
-    del y1, attn
-
-    ffn = feed_forward(y2, params["ffn_w1"], params["ffn_b1"], params["ffn_w2"],
-                       params["ffn_b2"])
-    ffn = T.dropout(ffn, p, training, rng)
-    return T.layer_norm(y2, params["ln3_gamma"], params["ln3_beta"], residual=ffn)
+    Without a graph each op holds only its input and its output; here the
+    caller's x stays alive as well, so at most three (n, d) tensors are
+    live. ``CKModel.encode_document`` runs the sublayers of all blocks in
+    one flat loop instead, which keeps it to two."""
+    for sublayer in conformer_sublayers(params, cfg, training, rng, variant):
+        x = sublayer(x)
+    return x
 
 
 def block_param_specs(cfg):

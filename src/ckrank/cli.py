@@ -35,6 +35,18 @@ def _seed(text):
     return value
 
 
+def _lengths(text):
+    """--lengths's type: a comma-separated list of integers >= 1."""
+    try:
+        lengths = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        lengths = ()
+    if not lengths or min(lengths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of integers >= 1, not {text!r}")
+    return lengths
+
+
 def _add_corpus_flags(sub):
     sub.add_argument("--docs", required=True, help="tab-separated corpus file")
     sub.add_argument("--orcas", help="optional doc-id \\t query-text field file")
@@ -99,7 +111,8 @@ def build_parser():
     p.add_argument("--per-query", help="per-query CSV output path")
 
     p = commands.add_parser("bench-memory", help="attention memory benchmark")
-    p.add_argument("--lengths", default=",".join(str(n) for n in DEFAULT_LENGTHS))
+    p.add_argument("--lengths", type=_lengths, default=DEFAULT_LENGTHS,
+                   help="comma-separated sequence lengths, each >= 1")
     p.add_argument("--max-bytes", type=int, help="cap a row instead of running it")
     p.add_argument("--out", required=True, help="CSV output path")
 
@@ -126,18 +139,18 @@ def _cmd_build_vocab(args):
 
 
 def _cmd_train(args):
+    config = _model_config(args)        # holds the resolved seed
+    cfg = TrainConfig(batch_size=args.batch_size, steps=args.steps, lr=args.lr,
+                      clip_norm=args.clip_norm, seed=config.seed)
     corpus = ingest_corpus(args.docs, args.orcas)
     vocab = Vocabulary.load(args.vocab)
     queries = load_queries(args.queries)
     query_tokens = {q.query_id: q.tokens for q in queries}
     triples = load_triples(args.triples)
     candidates = load_candidates(args.candidates)
-    config = _model_config(args)        # holds the resolved seed
     model = CKModel(config, vocab)
     rng = np.random.default_rng(config.seed)
     instances = make_instances(triples, candidates, corpus, rng)
-    cfg = TrainConfig(batch_size=args.batch_size, steps=args.steps, lr=args.lr,
-                      clip_norm=args.clip_norm, seed=config.seed)
     result = train(model, corpus, query_tokens, instances, cfg,
                    trace_path=args.trace)
     save_model(model, args.out)
@@ -208,8 +221,7 @@ def _cmd_eval(args):
 
 
 def _cmd_bench_memory(args):
-    lengths = tuple(int(n) for n in args.lengths.split(","))
-    records = bench_memory(lengths=lengths, seed=args.seed or 0,
+    records = bench_memory(lengths=args.lengths, seed=args.seed or 0,
                            max_bytes=args.max_bytes)
     write_bench_csv(records, args.out)
     for r in records:

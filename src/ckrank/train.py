@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NonFiniteError, ShapeError, TrainingDiverged
+from .errors import ConfigError, ContractError, NonFiniteError, ShapeError, \
+    TrainingDiverged
+from .model import _finite_real, check_numbers
 
 DOCS_PER_INSTANCE = 4  # positive, candidate negative, two collection negatives
 PAIRS_PER_INSTANCE = 5
@@ -183,7 +185,8 @@ class Adam:
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm (0:
+    leave them as they are); returns the norm before scaling."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -200,14 +203,34 @@ def clip_gradients(params, max_norm):
 # -- the loop ---------------------------------------------------------------------
 
 
+# TrainConfig's rules, as ModelConfig states its own: the least value of
+# each integer field, and the range of each real field
+_TRAIN_INTEGER_MINIMA = {"batch_size": 1, "steps": 1, "seed": 0}
+_TRAIN_REAL_RULES = {"lr": (lambda v: v >= 0, ">= 0"),
+                     "clip_norm": (lambda v: v >= 0, ">= 0 (0 turns clipping off)")}
+
+
 @dataclass
 class TrainConfig:
+    """Optimizer settings. Construction refuses a field out of type or range
+    with a ConfigError: ``_TRAIN_INTEGER_MINIMA``, ``_TRAIN_REAL_RULES``,
+    and betas a pair of finite reals in [0, 1). An lr of 0 leaves the
+    parameters as they are (the running statistics still move), and a
+    clip_norm of 0 leaves the gradients unclipped."""
     batch_size: int = 32
     steps: int = 500
     lr: float = 1e-4
     betas: tuple = (0.9, 0.999)
     clip_norm: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        check_numbers(self, _TRAIN_INTEGER_MINIMA, _TRAIN_REAL_RULES)
+        betas = self.betas
+        if not (isinstance(betas, (tuple, list)) and len(betas) == 2
+                and all(_finite_real(b) and 0 <= b < 1 for b in betas)):
+            raise ConfigError(f"betas must be a pair of finite real numbers in "
+                              f"[0, 1), not {betas!r}")
 
 
 @dataclass

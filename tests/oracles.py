@@ -16,7 +16,8 @@ from helpers import index_from_postings
 
 import ckrank.tensor as T
 from ckrank.errors import ConfigError, ContractError, ShapeError
-from ckrank.attention import _softmax, _softmax_backward
+from ckrank.attention import _softmax, _softmax_backward, feed_forward, \
+    multi_head
 from ckrank.index import _best_first
 from ckrank.model import duet_scores, ndrm2_term_scores
 from ckrank.pooling import (empty_features, interaction_rows,
@@ -357,6 +358,27 @@ def latent_term_score(features, head):
 def layer_norm_after_add(x, residual, gamma, beta, eps=1e-5):
     """``layer_norm`` of ``add(x, residual)``: two ops."""
     return T.layer_norm(R.add(x, residual), gamma, beta, eps)
+
+
+def conformer_sublayers_composed(params, cfg, training, rng, variant="separable"):
+    """``attention.conformer_sublayers`` as chains of three ops each: the
+    sublayer's own op, ``dropout`` with its mask drawn from rng, then
+    ``layer_norm`` of the input plus the dropped output."""
+    p = cfg.dropout_rate
+
+    def then_norm(x, out, name):
+        return T.layer_norm(x, params[f"{name}_gamma"], params[f"{name}_beta"],
+                            residual=R.dropout(out, p, training, rng))
+
+    return (
+        lambda x: then_norm(x, T.grouped_conv1d(
+            x, params["conv_kernel"], cfg.conv_groups, cfg.conv_window,
+            params["conv_bias"]), "ln1"),
+        lambda x: then_norm(x, multi_head(x, params, cfg, variant), "ln2"),
+        lambda x: then_norm(x, feed_forward(
+            x, params["ffn_w1"], params["ffn_b1"], params["ffn_w2"],
+            params["ffn_b2"]), "ln3"),
+    )
 
 
 def ndrm2_term_scores_composed(idf, tf, dlen, params, bs_state):

@@ -13,7 +13,7 @@ shapes, a scalar operand, or a trailing-dimension bias vector.
 import numpy as np
 
 from ckrank.errors import ShapeError
-from ckrank.tensor import _reduce_to, scale, softmax, wrap_op
+from ckrank.tensor import _reduce_to, dropout_mask, scale, softmax, wrap_op
 
 
 def _binary_shapes_ok(a, b):
@@ -120,6 +120,21 @@ def sqrt(a):
         a._accumulate(g / (2.0 * data))
 
     return wrap_op(data, (a,), backward, "sqrt")
+
+
+def dropout(a, p, training, rng):
+    """Zero elements with probability p, scaling survivors by 1/(1-p): the
+    mask of ``tensor.dropout_mask`` as an op of its own, the form the fused
+    sublayers replace. Identity (same tensor) when inactive."""
+    keep = dropout_mask(a.shape, p, training, rng, a._data.dtype)
+    if keep is None:
+        return a
+    data = a._data * keep
+
+    def backward(g):
+        a._accumulate(g * keep)
+
+    return wrap_op(data, (a,), backward, "dropout", saved=(keep,))
 
 
 def softplus(a):

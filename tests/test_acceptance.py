@@ -158,7 +158,7 @@ def _op_checks():
         ("softmax", lambda p: mixed(T.softmax(p["a"], axis=-1)),
          {"a": rand(4, 5)}, None),
         ("dropout",
-         lambda p: mixed(T.dropout(p["a"], 0.4, training=True,
+         lambda p: mixed(R.dropout(p["a"], 0.4, training=True,
                                    rng=np.random.default_rng(3))),
          {"a": rand(5, 4)}, None),
         ("matmul", lambda p: mixed(R.matmul(p["a"], p["b"])),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import micro_corpus, tiny_config
+from helpers import micro_config, micro_corpus, tiny_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from refops import self_attention, separable_self_attention
@@ -319,21 +319,43 @@ def test_standard_does_allocate_n_by_n():
     assert large >= 3.5 * small
 
 
-def test_tiny_fold_peak_is_four_activations():
-    """Without a graph, a conformer block drops each sublayer's input and
-    output once its layer norm has read them, so at most four (n, d)
-    tensors are live: the caller's input, y2, the FFN output and the
-    result. Folding one 80-token document (fold-short's longest) with a
-    tiny-config ndrm3 peaks at 4 * 80 * 32 * 4 bytes; before, conv, y1 and
-    the attention output were live too, seven tensors in all."""
+def test_tiny_fold_peak_is_the_interaction_stage():
+    """Without a graph each encoder sublayer holds only its input and its
+    output, so folding one 80-token document (fold-short's longest) with a
+    tiny-config ndrm3 peaks after the encoder: the encoded document, the
+    embeddings of its 33 distinct terms and their interaction rows. Before
+    the sublayers took in their dropout, residual add and layer norm, a
+    block had four (n, d) activations live, 40,960 bytes."""
     corpus, vocab = micro_corpus()
     rng = np.random.default_rng(6)
     terms = sorted(vocab.term_to_id)
+    doc = DocumentRecord("long", [terms[i] for i in
+                                  rng.integers(0, len(terms), size=80)])
     one = Corpus()
-    one.add(DocumentRecord("long", [terms[i] for i in
-                                    rng.integers(0, len(terms), size=80)]))
+    one.add(doc)
     model = CKModel(tiny_config("ndrm3"), vocab)
     model.eval()
     with tracker.scope() as scope:
         build_index(one, model)
-    assert scope.peak_bytes == 4 * 80 * 32 * 4 == 40960
+    t = len(set(doc.tokens))
+    assert t == 33
+    assert scope.peak_bytes == (80 * 32 + t * 32 + t * 80) * 4 == 25024
+
+
+@pytest.mark.parametrize("profile", ["micro", "tiny"])
+def test_encoder_peak_is_two_activations(profile):
+    """One no-grad encode_document holds at most two (n, d) activations at a
+    time, the input and the output of one fused sublayer, for n = 1, n below
+    the conv window and longer documents. A sublayer that made a whole
+    sublayer, dropout or residual-sum array again would break this."""
+    corpus, vocab = micro_corpus()
+    config = (micro_config if profile == "micro" else tiny_config)("ndrm1")
+    model = CKModel(config, vocab)
+    terms = sorted(vocab.term_to_id)
+    d = config.model_dim
+    for n in (1, 2, config.conv_window - 1, 40, 257):
+        doc = [terms[i % len(terms)] for i in range(n)]
+        with T.no_grad(), tracker.scope() as scope:
+            enc = model.encode_document(doc)
+        assert enc.shape == (n, d)
+        assert scope.peak_bytes <= 2 * n * d * enc.data.itemsize, (n, scope.peak_bytes)

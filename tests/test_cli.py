@@ -357,6 +357,38 @@ def test_config_file_with_a_bad_field_is_one_error_line(workspace, vocab_path,
     assert not (root / "never.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--steps", "-3", "steps must be an integer >= 1"),
+    ("--batch-size", "0", "batch_size must be an integer >= 1"),
+    ("--lr", "-0.001", "lr must be >= 0"),
+    ("--lr", "nan", "lr must be a finite real number"),
+    ("--clip-norm", "-1", "clip_norm must be >= 0 (0 turns clipping off)")])
+def test_train_refuses_a_bad_number_in_one_error_line(workspace, vocab_path,
+                                                      capsys, flag, value, rule):
+    root, _ = workspace
+    code = run_cli("train", "--docs", root / "docs.tsv", "--vocab", vocab_path,
+                   "--queries", root / "train_queries.tsv",
+                   "--triples", root / "triples.tsv",
+                   "--candidates", root / "candidates.txt",
+                   "--config", root / "model_config.json", flag, value,
+                   "--out", root / "never.ckpt")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rule}, not ")
+    assert err.count("\n") == 1
+    assert not (root / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("lengths", ["8,x", "0", "-5", "", "8,,16"])
+def test_bench_memory_lengths_are_checked_when_parsed(tmp_path, capsys, lengths):
+    with pytest.raises(SystemExit) as err:
+        run_cli("bench-memory", "--lengths", lengths, "--out", tmp_path / "b.csv")
+    assert err.value.code == 2
+    assert "argument --lengths: must be a comma-separated list of integers >= 1" \
+        in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # Each command with its required flags; the paths need not exist, because a
 # bad --seed is refused before any is read
 COMMAND_ARGS = {

@@ -1,9 +1,10 @@
 """Fused ops against the chains of small ops they replace (``oracles.py``).
 
 Each fused op must give the forward value and every gradient of its chain,
-within 1e-12 in float64; ``ndrm2_term_scores`` and ``ranknet_loss`` repeat
-their chains' numpy operations in order, so their forwards and gradients are
-``==`` in float32 and float64.
+within 1e-12 in float64; ``ndrm2_term_scores``, ``ranknet_loss`` and the
+encoder sublayers fused with their dropout, residual add and layer norm
+repeat their chains' numpy operations in order, so their forwards and
+gradients are ``==``.
 """
 
 import numpy as np
@@ -12,13 +13,15 @@ import refops as R
 from helpers import value_and_grads
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (duet_infer_composed, duet_mix_composed, embedding_then_add,
+from oracles import (conformer_sublayers_composed, duet_infer_composed,
+                     duet_mix_composed, embedding_then_add,
                      feed_forward_composed, latent_term_scores_composed,
                      layer_norm_after_add, ndrm2_term_scores_composed,
                      separable_multi_head_composed, windowed_pool_terms_blocks)
 
 import ckrank.tensor as T
-from ckrank.attention import feed_forward, multi_head
+from ckrank.attention import (conformer_sublayers, feed_forward, init_block_params,
+                              multi_head)
 from ckrank.errors import ShapeError
 from ckrank.model import BSState, DuetParams, ExplicitParams, ModelConfig, \
     duet_scores, ndrm2_term_scores
@@ -286,6 +289,38 @@ def test_feed_forward_passes_no_gradient_through_exact_zeros():
     assert_same(fused, composed)
     assert np.all(fused[1]["b1"][0] == 0.0)
     assert np.all(fused[1]["w1"][:, 0] == 0.0)
+
+
+# -- each encoder sublayer with its dropout, residual add and layer norm ----------------
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("sublayer, variant", [
+    (0, "separable"), (1, "separable"), (1, "standard"), (2, "separable")],
+    ids=["conv", "separable-attention", "standard-attention", "ffn"])
+@pytest.mark.parametrize("n", [1, 2, 4, 13])
+def test_fused_sublayer_matches_the_chain(n, sublayer, variant, dropout, mode):
+    """Each fused sublayer against its sublayer op, dropout and residual
+    layer norm as three ops, with the same mask, at n = 1 and n below the
+    conv window too; the standard variant's epilogue runs on its output
+    projection."""
+    cfg = ModelConfig(model_dim=8, num_heads=2, d_key=3, d_value=2, conv_window=5,
+                      conv_groups=2, dropout_rate=dropout, num_layers=1)
+    rng = np.random.default_rng(n)
+    with T.precision(mode):
+        arrays = {name: t.numpy() for name, t in
+                  init_block_params(cfg, rng).items()}
+    arrays["x"] = rng.normal(size=(n, cfg.model_dim))
+    runs = []
+    for make in (conformer_sublayers, conformer_sublayers_composed):
+        def build(p, make=make):
+            block = {name: t for name, t in p.items() if name != "x"}
+            return make(block, cfg, True, np.random.default_rng(7),
+                        variant)[sublayer](p["x"])
+        with T.precision(mode):
+            runs.append(value_and_grads(build, arrays))
+    assert_same(*runs, tol=None)
 
 
 # -- the positional add inside the embedding -------------------------------------------

@@ -7,8 +7,8 @@ from helpers import init_head_params
 from oracles import batch_norm_infer, kernel_features, windowed_pool_term
 
 import ckrank.tensor as T
-from ckrank.attention import (conformer_block, feed_forward, init_block_params,
-                              multi_head)
+from ckrank.attention import (conformer_block, conformer_sublayers, feed_forward,
+                              init_block_params, multi_head)
 from ckrank.gradcheck import finite_difference_check
 from ckrank.model import BSState, DuetParams, ExplicitParams, ModelConfig, \
     duet_scores, ndrm2_term_scores
@@ -94,7 +94,7 @@ def test_grad_dropout_matches_mask():
     # FD would resample the mask, so compare against the captured mask directly.
     with T.precision("float64"):
         x = T.parameter(rand(6, 4))
-        y = T.dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
+        y = R.dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
         mask = y.numpy() / np.where(x.numpy() == 0, 1, x.numpy())
         T.backward(T.tsum(y))
         np.testing.assert_allclose(x.grad, mask, rtol=1e-12)
@@ -238,6 +238,29 @@ def test_grad_conformer_block_standard_variant():
                                      rng=None, variant="standard"))
 
     check(block_loss, arrays, max_elements=6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("sublayer, variant", [
+    (0, "separable"), (1, "separable"), (1, "standard"), (2, "separable")],
+    ids=["conv", "separable-attention", "standard-attention", "ffn"])
+def test_grad_fused_sublayer_with_dropout(sublayer, variant, n):
+    """Each sublayer fused with its dropout, residual add and layer norm,
+    with a mask that stays fixed across the probes: every call draws it
+    from a fresh generator of one seed."""
+    cfg = ModelConfig(**{**_micro_attention_cfg().to_dict(), "dropout_rate": 0.3})
+    with T.precision("float64"):
+        params = init_block_params(cfg, np.random.default_rng(n))
+        arrays = {name: t.numpy() for name, t in params.items()}
+    arrays["x"] = rand(n, cfg.model_dim)
+
+    def loss(p):
+        block = {name: p[name] for name in p if name != "x"}
+        fused = conformer_sublayers(block, cfg, True, np.random.default_rng(9),
+                                    variant)[sublayer]
+        return mixed(fused(p["x"]))
+
+    check(loss, arrays, max_elements=6)
 
 
 # -- pooling and scoring -----------------------------------------------------------

@@ -41,13 +41,16 @@ def _owner(a):
 
 
 def _closure_arrays(fn):
-    """The arrays a function's closure refers to, directly or inside a list
-    or tuple."""
+    """The arrays a function's closure refers to, directly, inside a list or
+    tuple, or through the closure of a function it refers to (a fused op's
+    backward calls its sublayer's)."""
     found = []
     for cell in fn.__closure__ or ():
         value = cell.cell_contents
         items = value if isinstance(value, (list, tuple)) else (value,)
         found += [v for v in items if isinstance(v, np.ndarray)]
+        found += [a for v in items if inspect.isfunction(v)
+                  for a in _closure_arrays(v)]
     return found
 
 
@@ -78,7 +81,6 @@ def _tensor_ops():
     table = _param(40, D)
     return {
         "scale": lambda: (T.scale(x, 0.5), [x]),
-        "dropout": lambda: (T.dropout(x, 0.1, True, _rng()), [x]),
         "concat": lambda: (T.concat([x, y]), [x, y]),
         "gather": lambda: (T.gather(v, [3, 1, 1, 7]), [v]),
         "segment_sum": lambda: (T.segment_sum(v, np.arange(N) % 5, 5), [v]),
@@ -150,11 +152,13 @@ BUILDERS = {**_tensor_ops(), **_attention_ops(), **_pooling_ops(), **_model_ops(
 
 
 def _op_names(module):
-    """The op names a module passes to wrap_op."""
+    """The op names a module passes to wrap_op or sublayer_op (the fourth
+    argument of both; sublayer_op's own wrap_op call passes a name on)."""
     names = set()
     for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
-                node.func, "id", None)) == "wrap_op" and len(node.args) > 3:
+                node.func, "id", None)) in ("wrap_op", "sublayer_op") \
+                and len(node.args) > 3 and isinstance(node.args[3], ast.Constant):
             names.add(node.args[3].value)
     return names
 
@@ -168,4 +172,42 @@ def test_an_op_charges_the_buffers_its_closure_keeps(name):
     out, inputs = BUILDERS[name]()
     assert out.requires_grad and out._backward is not None
     assert out._kept == _kept_bytes(out, inputs), name
+    assert out.tracked_nbytes() == out.data.nbytes + out._kept
+
+
+def _fused_sublayers(dropout):
+    """Each encoder sublayer fused with its dropout (when on), residual add
+    and layer norm, both attention variants, and the inputs it reads."""
+    params = init_block_params(CFG, _rng())
+    cfg = ModelConfig(**{**CFG.to_dict(), "dropout_rate": 0.1 if dropout else 0.0})
+    conv, attn, ffn = attention.conformer_sublayers(params, cfg, True, _rng())
+    _, standard, _ = attention.conformer_sublayers(params, cfg, True, _rng(),
+                                                   variant="standard")
+    names = {"conv": ("conv_kernel", "conv_bias", "ln1_gamma", "ln1_beta"),
+             "attention": ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                           "ln2_gamma", "ln2_beta"),
+             "ffn": ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln3_gamma",
+                     "ln3_beta")}
+    x = _param(N, D)
+    return {name: (fn, [x, *(params[p] for p in names[key])], x)
+            for name, key, fn in (("conv", "conv", conv),
+                                  ("separable-attention", "attention", attn),
+                                  ("standard-attention", "attention", standard),
+                                  ("ffn", "ffn", ffn))}
+
+
+@pytest.mark.parametrize("dropout", [True, False], ids=["dropout", "no-dropout"])
+@pytest.mark.parametrize("name", ["conv", "separable-attention",
+                                  "standard-attention", "ffn"])
+def test_a_fused_sublayer_charges_what_its_closure_keeps(name, dropout):
+    fn, inputs, x = _fused_sublayers(dropout)[name]
+    out = fn(x)
+    assert out.requires_grad and out._backward is not None
+    # The standard variant's op reads the heads' output, another parent.
+    assert out._kept == _kept_bytes(out, [*inputs, *out._parents]), name
+    # The normalized rows and their deviations, the mask when dropout is
+    # on, and what the sublayer keeps: never a second (n, d) output.
+    n_d = N * D * out.data.itemsize
+    masks = n_d if dropout else 0
+    assert out._kept >= n_d + N * out.data.itemsize + masks
     assert out.tracked_nbytes() == out.data.nbytes + out._kept

@@ -5,15 +5,17 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from helpers import micro_config, micro_corpus
+from helpers import micro_config, micro_corpus, tiny_config
 from oracles import (TermDocStats, latent_term_score, ndrm2_term_score,
                      ndrm3_term_score)
 
 import ckrank.tensor as T
 from ckrank.corpus import DocumentRecord, QueryRecord
-from ckrank.errors import ConfigError, ContractError
+from ckrank.errors import ConfigError, ContractError, NonFiniteError
+from ckrank.index import build_index
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
                           ModelConfig, duet_scores, ndrm2_term_scores)
+from ckrank.train import TrainInstance, batch_loss
 
 
 @pytest.fixture(scope="module")
@@ -432,3 +434,25 @@ def test_explicit_stats_use_raw_tokens(micro):
     assert tf[0] == 2.0
     assert dlen[0] == 3.0
     assert idf[0] == pytest.approx(vocab.idf("raretoken"))
+
+
+# -- non-finite weights in the fused encoder -----------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("weight", ["conv_kernel", "ffn_w1", "wv"])
+def test_an_inf_weight_in_a_fused_sublayer_is_caught(micro, weight):
+    """The finite check sees only each fused sublayer's normalized output;
+    an inf weight inside the conv, the FFN or the attention still reaches
+    it (inf or nan through the layer norm), when folding and in a
+    train-mode step with dropout on."""
+    corpus, vocab = micro
+    model = CKModel(tiny_config("ndrm3"), vocab)
+    model.parameters()[f"block0.{weight}"].data.reshape(-1)[0] = np.inf
+    with pytest.raises(NonFiniteError):
+        build_index(corpus, model)
+    doc_ids = sorted(corpus.docs)
+    inst = TrainInstance("Q1", doc_ids[0], doc_ids[1], tuple(doc_ids[2:4]))
+    model.train()
+    with pytest.raises(NonFiniteError):
+        batch_loss(model, [inst], corpus, {"Q1": ["w00", "w01", "w02"]})

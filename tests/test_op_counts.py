@@ -28,17 +28,17 @@ def op_count(monkeypatch):
     return calls
 
 
-def test_tiny_ndrm3_fold_of_one_document_takes_19_ops(op_count):
+def test_tiny_ndrm3_fold_of_one_document_takes_13_ops(op_count):
     corpus, vocab = micro_corpus()
     one = Corpus()
     one.add(next(iter(corpus)))
     model = CKModel(tiny_config("ndrm3"), vocab)
     index = build_index(one, model)
     assert index.postings
-    # embedding (positional add inside), 2 blocks x [conv, layer norm,
-    # attention, layer norm, FFN, layer norm], then the query embedding,
+    # embedding (positional add inside), 2 blocks x [conv, attention, FFN],
+    # each with its residual layer norm inside, then the query embedding,
     # interaction rows, pooling, head, explicit scores, duet
-    assert len(op_count) == 19, op_count
+    assert len(op_count) == 13, op_count
 
 
 def test_ndrm2_training_step_takes_7_ops(op_count):
@@ -53,7 +53,7 @@ def test_ndrm2_training_step_takes_7_ops(op_count):
     assert len(op_count) == 7, op_count
 
 
-def test_tiny_ndrm3_training_step_takes_103_ops(op_count):
+def test_tiny_ndrm3_training_step_takes_55_ops(op_count):
     corpus, vocab = micro_corpus()
     doc_ids = sorted(corpus.docs)
     model = CKModel(tiny_config("ndrm3"), vocab)
@@ -61,8 +61,9 @@ def test_tiny_ndrm3_training_step_takes_103_ops(op_count):
     inst = TrainInstance("Q1", doc_ids[0], doc_ids[1], tuple(doc_ids[2:4]))
     loss, _ = batch_loss(model, [inst], corpus, {"Q1": ["w00", "w01", "w02"]})
     T.backward(loss)
-    # 4 documents x [embedding, 2 blocks x (conv, attention, FFN, 3 dropouts,
-    # 3 layer norms), query embedding, interaction rows, pooling, head] = 92,
-    # then concat, explicit scores, 2 batch norms, duet, segment sum,
-    # 2 gathers, RankNet loss, sum, scale = 11
-    assert len(op_count) == 103, op_count
+    # 4 documents x [embedding, 2 blocks x (conv, attention, FFN, each with
+    # its dropout and residual layer norm inside), query embedding,
+    # interaction rows, pooling, head] = 44, then concat, explicit scores,
+    # 2 batch norms, duet, segment sum, 2 gathers, RankNet loss, sum,
+    # scale = 11
+    assert len(op_count) == 55, op_count

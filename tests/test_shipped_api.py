@@ -20,12 +20,17 @@ KEPT = {
     "tensor": {
         # Mode switches for callers of the package.
         "finite_checks", "grad_enabled",
-        # perfbench traces tensor.softmax; only a benchmark change may retire it.
-        "softmax",
+        # perfbench traces tensor.softmax and tensor.layer_norm; only a
+        # benchmark change may retire them.
+        "softmax", "layer_norm",
         # Called inside tensor.py: the second op of tmean.
         "scale",
     },
-    "attention": set(),
+    "attention": {
+        # Called inside attention.py, by conformer_sublayers; multi_head is
+        # also exported by the package.
+        "feed_forward", "multi_head",
+    },
     "pooling": {
         # Called inside pooling.py, by windowed_pool_terms and window_cover;
         # num_windows is also exported by the package.

@@ -138,14 +138,14 @@ def test_softmax_rows_sum_to_one_and_stable():
 
 def test_dropout_eval_is_identity_object():
     x = T.parameter(np.ones(8))
-    assert T.dropout(x, 0.5, training=False, rng=None) is x
-    assert T.dropout(x, 0.0, training=True, rng=None) is x
+    assert R.dropout(x, 0.5, training=False, rng=None) is x
+    assert R.dropout(x, 0.0, training=True, rng=None) is x
 
 
 def test_dropout_train_scales_survivors():
     rng = np.random.default_rng(0)
     x = T.constant(np.ones(2000))
-    y = T.dropout(x, 0.25, training=True, rng=rng).numpy()
+    y = R.dropout(x, 0.25, training=True, rng=rng).numpy()
     kept = y > 0
     assert 0.6 < kept.mean() < 0.9
     np.testing.assert_allclose(y[kept], 1.0 / 0.75, rtol=1e-6)

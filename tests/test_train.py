@@ -11,7 +11,7 @@ from oracles import batch_loss_per_document, make_instances_pool_per_triple
 
 import ckrank.tensor as T
 from ckrank.corpus import Corpus, DocumentRecord
-from ckrank.errors import ContractError, TrainingDiverged
+from ckrank.errors import ConfigError, ContractError, TrainingDiverged
 from ckrank.model import CKModel
 from ckrank.train import (DOCS_PER_INSTANCE, PAIRS_PER_INSTANCE, Adam,
                           TrainConfig, TrainInstance, batch_loss,
@@ -283,6 +283,25 @@ def test_train_config_defaults():
     assert (cfg.batch_size, cfg.steps, cfg.lr) == (32, 500, 1e-4)
     assert cfg.betas == (0.9, 0.999)
     assert cfg.clip_norm == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", 2.0), ("batch_size", True),
+    ("steps", -3), ("steps", 0), ("steps", True),
+    ("lr", -1e-4), ("lr", float("nan")), ("lr", float("inf")), ("lr", "0.1"),
+    ("betas", (0.9, 1.0)), ("betas", (-0.1, 0.999)), ("betas", (0.9,)),
+    ("betas", (0.9, float("nan"))), ("betas", 0.9),
+    ("clip_norm", -1.0), ("clip_norm", float("inf")),
+    ("seed", -1), ("seed", 1.0)])
+def test_train_config_refuses_each_field_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_the_edges_of_its_ranges():
+    cfg = TrainConfig(batch_size=1, steps=1, lr=0.0, betas=(0.0, 0.5),
+                      clip_norm=0, seed=0)
+    assert (cfg.batch_size, cfg.steps, cfg.clip_norm) == (1, 1, 0)
 
 
 def test_zero_lr_keeps_params_bitwise(training_setup):
