@@ -208,8 +208,8 @@ def multi_head(x, params, cfg, variant="separable", norm=None):
 
 
 def _ffn_rows(x, w1, b1, w2, b2, hidden, out):
-    """relu(x @ w1 + b1) -> hidden, then hidden @ w2 + b2 -> out."""
-    np.matmul(x, w1, hidden)
+    """relu(x @ w1 + b1) -> hidden (new when None), then hidden @ w2 + b2 -> out."""
+    hidden = np.matmul(x, w1, hidden)
     hidden += b1
     np.maximum(hidden, 0, out=hidden)
     np.matmul(hidden, w2, out)
@@ -219,16 +219,19 @@ def _ffn_rows(x, w1, b1, w2, b2, hidden, out):
 def feed_forward(x, w1, b1, w2, b2, norm=None):
     """Position-wise FFN as one op: relu(x @ w1 + b1) @ w2 + b2, the relu in
     place, in blocks of rows on the pool, each then finished by ``norm``'s
-    epilogue when given; the post-relu hidden array is kept for the
-    backward pass."""
+    epilogue when given. In grad mode the whole post-relu hidden array is
+    kept for the backward pass; under no_grad each block relus into rows of
+    its own."""
     x_data, w1_data, w2_data = x._data, w1._data, w2._data
     b1_data, b2_data = b1._data, b2._data
     n, hidden_dim = len(x_data), w1_data.shape[1]
-    hidden = np.empty((n, hidden_dim), np.result_type(x_data, w1_data))
-    out = np.empty((n, w2_data.shape[1]), np.result_type(hidden, w2_data))
+    hidden = np.empty((n, hidden_dim), np.result_type(x_data, w1_data)) \
+        if T.grad_enabled() else None
+    out = np.empty((n, w2_data.shape[1]), np.result_type(x_data, w1_data, w2_data))
 
     def rows(b):
-        _ffn_rows(x_data[b], w1_data, b1_data, w2_data, b2_data, hidden[b], out[b])
+        _ffn_rows(x_data[b], w1_data, b1_data, w2_data, b2_data,
+                  None if hidden is None else hidden[b], out[b])
 
     def backward(g):
         w2._accumulate(hidden.T @ g)
@@ -242,7 +245,7 @@ def feed_forward(x, w1, b1, w2, b2, norm=None):
 
     return T.sublayer_op(out, (x, w1, b1, w2, b2), backward, "feed_forward", rows,
                          T.row_blocks(n, hidden_dim * x_data.itemsize),
-                         saved=(hidden,), norm=norm)
+                         saved=() if hidden is None else (hidden,), norm=norm)
 
 
 def conformer_sublayers(params, cfg, training=False, rng=None, variant="separable"):

@@ -23,16 +23,17 @@ from .selftest import run_selftest
 from .train import TrainConfig, load_candidates, load_triples, make_instances, train
 
 
-def _seed(text):
-    """--seed's type: an integer >= 0, as ModelConfig requires, so a bad seed
-    is a usage error for every command."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
-    return value
+def _at_least(least):
+    """An argparse type: an integer >= least, or else a usage error."""
+    def integer(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, not {text!r}")
+        return value
+    return integer
 
 
 def _lengths(text):
@@ -56,7 +57,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ckrank",
         description="Additive per-term neural ranking with impact-index retrieval")
-    parser.add_argument("--seed", type=_seed,
+    parser.add_argument("--seed", type=_at_least(0),
                         help="global random seed (default: the config's, else 0)")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -107,7 +108,7 @@ def build_parser():
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--metric", choices=METRICS, default="ndcg")
-    p.add_argument("--cutoff", type=int, default=10)
+    p.add_argument("--cutoff", type=_at_least(1), default=10)
     p.add_argument("--per-query", help="per-query CSV output path")
 
     p = commands.add_parser("bench-memory", help="attention memory benchmark")

@@ -231,11 +231,19 @@ class Vocabulary:
 # -- TREC-format files ----------------------------------------------------------
 
 
+def number_field(convert, text, path, line_no):
+    """convert(text) of a field on line line_no of path, or IndexFormatError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise IndexFormatError(f"{path}:{line_no}: malformed number {text!r}") from None
+
+
 def load_qrels(path):
     """TREC qrels (qid 0 docid rel) -> {qid: {docid: rel}}."""
     qrels = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if len(parts) != 4:
                 continue
@@ -243,7 +251,7 @@ def load_qrels(path):
             per_query = qrels.setdefault(qid, {})
             if docid in per_query:
                 raise ContractError(f"duplicate qrels entry for ({qid}, {docid})")
-            per_query[docid] = int(rel)
+            per_query[docid] = number_field(int, rel, path, line_no)
     return qrels
 
 
@@ -254,12 +262,13 @@ def load_run(path):
     """
     run = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if len(parts) != 6:
                 continue
             qid, _, docid, _, score, _ = parts
-            run.setdefault(qid, []).append((docid, float(score)))
+            run.setdefault(qid, []).append(
+                (docid, number_field(float, score, path, line_no)))
     return {qid: _rank(pairs, None) for qid, pairs in run.items()}
 
 

@@ -69,6 +69,8 @@ def evaluate(run, qrels, metric, cutoff):
     """
     if metric not in _METRIC_FNS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
+    if type(cutoff) is not int or cutoff < 1:
+        raise ConfigError(f"cutoff must be an integer >= 1, not {cutoff!r}")
     fn = _METRIC_FNS[metric]
     per_query = {}
     skipped = 0

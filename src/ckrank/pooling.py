@@ -15,8 +15,8 @@ call: the kernel bank casts its means and 1/(2σ²) once per dtype, and the
 cover matrix is a read-only slice of one table per (window_len, stride,
 dtype), grown to the longest document seen up to 512 positions (about
 512^2 / stride entries); a longer document builds its own cover per call.
-The interaction rows run in blocks of positions and the pooling in blocks
-of kernels on the tensor module's worker pool.
+Each op fills the outputs it allocates in blocks on the tensor module's
+worker pool: the interaction rows by positions, the pooling by kernels.
 """
 
 import math
@@ -136,8 +136,8 @@ def _unit_rows(a, out=None):
 
 def interaction_rows(q_embs, doc_enc):
     """Cosine of every (query term, document position) pair -> Tensor[t, n],
-    in blocks of positions on the pool for a long document (normalizing it
-    is half the work, and it is per position).
+    in blocks of positions on the pool (normalizing the document is half
+    the work, and it is per position).
 
     Zero-norm vectors on either side produce cosine 0 with zero gradient.
     """
@@ -146,20 +146,15 @@ def interaction_rows(q_embs, doc_enc):
                          f"vs {tuple(doc_enc.shape)}")
     u, v = q_embs.data, doc_enc.data
     uh, un_safe, u_mask = _unit_rows(u)
-    blocks = T.row_blocks(len(v), (v.shape[1] + len(u)) * v.itemsize)
-    if blocks is None:
-        vh, vn_safe, v_mask = _unit_rows(v)
-        cos = uh @ vh.T
-    else:
-        vh = np.empty(v.shape, v.dtype)
-        vn_safe, v_mask = np.empty(len(v), v.dtype), np.empty(len(v), bool)
-        cos = np.empty((len(u), len(v)), np.result_type(uh, vh))
+    vh = np.empty(v.shape, v.dtype)
+    vn_safe, v_mask = np.empty(len(v), v.dtype), np.empty(len(v), bool)
+    cos = np.empty((len(u), len(v)), np.result_type(uh, vh))
 
-        def positions(b):
-            _, vn_safe[b], v_mask[b] = _unit_rows(v[b], vh[b])
-            np.matmul(uh, vh[b].T, out=cos[:, b])
+    def positions(b):
+        _, vn_safe[b], v_mask[b] = _unit_rows(v[b], vh[b])
+        np.matmul(uh, vh[b].T, out=cos[:, b])
 
-        T.run_blocks(positions, blocks)
+    T.run_blocks(positions, T.row_blocks(len(v), (v.shape[1] + len(u)) * v.itemsize))
 
     def backward(g):
         if q_embs.requires_grad:
@@ -178,24 +173,23 @@ def interaction_rows(q_embs, doc_enc):
 # -- windowed pooling ----------------------------------------------------------
 
 
-def _kernel_features(r, mus, inv2s, cover, eps_log, ex=None, e=None):
-    """Kernel values of every (kernel, term, position), kernel-major and in
-    place, then each window's log-sum and the best window -> (values, window
-    sums, winning window, its feature), into ex and e when given."""
-    ex = np.subtract(r, mus[:, None, None], ex)      # (kb, t, n)
+def _kernel_features(r, mus, inv2s, cover, eps_log, ex, e):
+    """Kernel values of every (kernel, term, position) into ex, kernel-major
+    and in place, and each window's sum into e -> (winning window, its
+    log-sum feature)."""
+    np.subtract(r, mus[:, None, None], ex)           # (kb, t, n)
     ex *= ex
     ex *= -inv2s[:, None, None]
     np.exp(ex, out=ex)
     w = cover.shape[1]
     rows = ex.reshape(-1, r.shape[1])
-    sums = np.matmul(rows, cover, None if e is None else e.reshape(len(rows), w))
-    e = sums.reshape(len(ex), len(r), w)
+    np.matmul(rows, cover, e.reshape(len(rows), w))
     f = np.log(eps_log + e)
     arg = f.argmax(axis=2)
     # the winners by flat row index: on a few windows this costs less than
     # take_along_axis or f.max(axis=2), and picks the same values
     best = f.reshape(-1, w)[np.arange(arg.size), arg.ravel()]
-    return ex, e, arg, best.reshape(arg.shape)
+    return arg, best.reshape(arg.shape)
 
 
 def windowed_pool_terms(rows, cfg, bank):
@@ -217,20 +211,14 @@ def windowed_pool_terms(rows, cfg, bank):
     k = bank.k
     mus, inv2s = bank.constants(r.dtype)
     cover = window_cover(n, cfg, r.dtype)
-    blocks = T.row_blocks(k, r.nbytes)
-    if blocks is None:
-        ex, e, arg, best = _kernel_features(r, mus, inv2s, cover, bank.eps_log)
-    else:
-        ex = np.empty((k, t, n), dtype=r.dtype)
-        e = np.empty((k, t, cover.shape[1]), dtype=r.dtype)
-        arg = np.empty((k, t), dtype=np.intp)
-        best = np.empty((k, t), dtype=r.dtype)
+    ex, e = np.empty((k, t, n), r.dtype), np.empty((k, t, cover.shape[1]), r.dtype)
+    arg, best = np.empty((k, t), np.intp), np.empty((k, t), r.dtype)
 
-        def kernels(b):
-            _, _, arg[b], best[b] = _kernel_features(r, mus[b], inv2s[b], cover,
-                                                     bank.eps_log, ex[b], e[b])
+    def kernels(b):
+        arg[b], best[b] = _kernel_features(r, mus[b], inv2s[b], cover, bank.eps_log,
+                                           ex[b], e[b])
 
-        T.run_blocks(kernels, blocks)
+    T.run_blocks(kernels, T.row_blocks(k, r.nbytes))
     data = best.T
 
     def backward(g):

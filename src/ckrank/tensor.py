@@ -30,11 +30,11 @@ cache-sized chunk of positions at a time (``_CONV_CHUNK_BYTES``), each chunk
 one batched matmul into its rows of the output. The input gradient runs
 through the same helper; the kernel gradient multiplies the view directly.
 
-Large forward ops run in row blocks (``run_blocks``) shared among the
-calling thread and a ``BlockPool`` of helper threads, one per CPU the
-process may use. Block boundaries depend only on shapes and a byte budget,
-so results do not depend on the worker count; an op that fits in one block
-runs on the calling thread alone. Backward passes stay serial.
+Large forward ops run their row blocks (``run_blocks``) on a ``BlockPool``:
+the calling thread and one helper thread per further CPU the process may
+use. Block boundaries depend only on shapes and a byte budget, so results
+do not depend on the worker count; an op that fits in one block gets the
+one block ``WHOLE``, run on the calling thread. Backward passes stay serial.
 """
 
 import contextvars
@@ -362,37 +362,31 @@ def _available_cpus():
 
 
 _POOL = BlockPool(_available_cpus())
-# Runs every block on the calling thread: backward passes stay serial.
-_SERIAL = BlockPool(1)
+# The blocks of an op whose rows all fit in one.
+WHOLE = (slice(None),)
 
 
 def row_blocks(rows, row_bytes, budget=None):
     """Consecutive slices covering range(rows), each of at most
-    ``budget // row_bytes`` rows (``_BLOCK_BYTES`` when budget is None), or
-    None when all rows fit in one block: the op then runs whole on the
-    calling thread.
+    ``budget // row_bytes`` rows (``_BLOCK_BYTES`` when budget is None);
+    ``WHOLE`` when all rows fit in one block.
 
     Boundaries depend only on these numbers, never on the worker count.
     """
     budget = budget or _BLOCK_BYTES
     if rows * row_bytes <= budget:
-        return None
+        return WHOLE
     step = max(1, budget // row_bytes)
     return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
 
 
-def run_blocks(fn, blocks, pool=None):
-    """Call ``fn(block)`` for every block, shared among the workers of pool
-    (the shared pool when None), or ``fn(slice(None))`` once on the calling
-    thread when blocks is None.
+def run_blocks(fn, blocks):
+    """Call ``fn(block)`` for every block, shared among the pool's workers.
 
     fn may use only numpy on arrays it is given (no tensor, no mode flag)
     and must write each block's result to that block's own rows.
     """
-    if blocks is None:
-        fn(slice(None))
-    else:
-        (pool or _POOL).run(fn, blocks)
+    _POOL.run(fn, blocks)
 
 
 def _reduce_to(g, shape):
@@ -547,12 +541,11 @@ ResidualNorm = namedtuple("ResidualNorm", "residual gamma beta keep eps",
                           defaults=(None, 1e-5))
 
 
-def sublayer_op(out, parents, backward_fn, name, rows, blocks=None, saved=(),
+def sublayer_op(out, parents, backward_fn, name, rows, blocks=WHOLE, saved=(),
                 norm=None):
     """``wrap_op`` for a sublayer that fills its output ``out`` by rows:
     ``rows(b)`` writes rows b of out, once per slice of ``blocks`` on the
-    pool, or once on all rows on the calling thread when blocks is None (as
-    ``run_blocks`` calls it, so rows may use only numpy).
+    pool (``run_blocks`` calls it, so rows may use only numpy).
 
     With a ``ResidualNorm`` the block that wrote its rows then finishes them
     in place: mask, residual add and layer norm. The op is then the
@@ -677,7 +670,7 @@ def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
                            *(() if residual is None else (residual._data,)))
     out = np.empty(x_data.shape, dtype)
     blocks = row_blocks(len(x_data), x_data.shape[1] * x_data.itemsize) \
-        if x_data.ndim == 2 else None
+        if x_data.ndim == 2 else WHOLE
 
     def rows(b):
         out[b] = x_data[b]
@@ -712,7 +705,7 @@ def _receptive_fields(a, groups, window):
 def _fields_matmul(fields, kmat, bias=None):
     """(groups, n, w) fields @ (groups, w, cg) kmat (+ bias) -> (out, chunk,
     blocks): the (n, groups * cg) output, a function that fills its rows b,
-    and the cache-sized blocks of positions to call it on (None: one call).
+    and the cache-sized blocks of positions to call it on.
 
     Fields overlap in memory, which BLAS cannot read in place, so each
     chunk of positions is copied into a buffer of its own and multiplied
@@ -774,7 +767,8 @@ def grouped_conv1d(x, kernel, groups, window, bias=None, norm=None):
                 groups, window * cg, cg)
             dx, dx_chunk, dx_blocks = _fields_matmul(
                 _receptive_fields(g, groups, window)[1], kt)
-            run_blocks(dx_chunk, dx_blocks, _SERIAL)
+            for b in dx_blocks:
+                dx_chunk(b)
             x._accumulate(dx)
         if bias is not None:
             bias._accumulate(g.sum(axis=0))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .corpus import number_field
 from .errors import ConfigError, ContractError, NonFiniteError, ShapeError, \
     TrainingDiverged
 from .model import _finite_real, check_numbers
@@ -103,10 +104,11 @@ def load_candidates(path):
     """Whitespace-separated (query id, doc id, rank) lines -> {qid: [doc ids]}."""
     ranked = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if len(parts) >= 3:
-                ranked.setdefault(parts[0], []).append((int(parts[2]), parts[1]))
+                rank = number_field(int, parts[2], path, line_no)
+                ranked.setdefault(parts[0], []).append((rank, parts[1]))
     return {qid: [doc for _, doc in sorted(pairs)] for qid, pairs in ranked.items()}
 
 

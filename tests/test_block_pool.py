@@ -9,10 +9,13 @@ arrays span several blocks.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import tiny_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_gradients import check, mixed
 
 import ckrank.tensor as T
@@ -29,13 +32,16 @@ BANK = KernelBank()
 
 
 class CountingPool(T.BlockPool):
-    """A pool that counts the calls that had more than one block to share."""
+    """A pool that records the block count of every call and counts the
+    calls that had more than one block to share."""
 
     def __init__(self, workers):
         super().__init__(workers)
+        self.calls = []
         self.shared = 0
 
     def run(self, fn, blocks):
+        self.calls.append(len(blocks))
         self.shared += len(blocks) > 1
         super().run(fn, blocks)
 
@@ -222,6 +228,61 @@ def test_tiny_config_fold_shares_nothing(monkeypatch):
     assert build_index(corpus, model).postings
     assert pool.shared == 0
     assert pool._executor is None
+
+
+def test_one_document_tiny_fold_runs_every_blocked_op_through_the_pool(monkeypatch):
+    """No op runs its rows beside the pool: per layer the conv, the
+    attention's projection, summaries and output rows, and the FFN, then
+    the interaction rows and the pooling, each one call of one block."""
+    pool = CountingPool(2)
+    monkeypatch.setattr(T, "_POOL", pool)
+    rng = np.random.default_rng(2)
+    terms = [f"w{i:03d}" for i in range(200)]
+    corpus = Corpus()
+    corpus.add(DocumentRecord("S0", list(rng.choice(terms, size=60, replace=False))))
+    config = tiny_config("ndrm3")
+    model = CKModel(config, Vocabulary.build(corpus, min_df=1))
+    model.eval()
+    with T.no_grad():
+        assert build_index(corpus, model).postings
+    assert pool.calls == [1] * (5 * config.num_layers + 2)
+    assert pool.shared == 0
+    assert pool._executor is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 3000), row_bytes=st.integers(1, 4096),
+       budget=st.integers(1, 1 << 16))
+def test_row_blocks_tile_the_rows(rows, row_bytes, budget):
+    """Consecutive slices that cover range(rows) exactly, each of at most
+    the rows the budget holds (one when it holds none): ``WHOLE`` iff all
+    rows fit in the budget, else as few blocks as that allows."""
+    blocks = T.row_blocks(rows, row_bytes, budget)
+    step = max(1, budget // row_bytes)
+    spans = [range(rows)[b] for b in blocks]
+    assert [i for span in spans for i in span] == list(range(rows))
+    assert max(map(len, spans)) <= step
+    assert (blocks is T.WHOLE) == (rows * row_bytes <= budget)
+    assert len(blocks) == max(1, -(-rows // step))
+
+
+def test_ffn_without_a_graph_keeps_only_block_sized_hidden_rows(monkeypatch, pools):
+    """At paper width and n = 2000, without a graph each of two workers
+    relus into a hidden block of its own: the traced peak stays within the
+    output, two blocks and 1 MiB of slack."""
+    monkeypatch.setattr(T, "_POOL", pools[2])
+    n = 2000
+    x = T.constant(np.random.default_rng(4).normal(size=(n, D)))
+    p = PAPER_PARAMS
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            out = feed_forward(x, p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert pools[2].shared > 0
+    assert peak <= out.data.nbytes + 2 * T._BLOCK_BYTES + (1 << 20)
 
 
 def test_worker_error_reaches_the_caller_and_the_pool_stays_usable():

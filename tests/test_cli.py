@@ -416,6 +416,55 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_eval_cutoff_below_one_is_a_usage_error(workspace, capsys, cutoff):
+    root, _ = workspace
+    with pytest.raises(SystemExit) as err:
+        run_cli("eval", "--run", root / "nope.txt", "--qrels", root / "eval_qrels.txt",
+                "--cutoff", cutoff)
+    assert err.value.code == 2
+    assert f"argument --cutoff: must be an integer >= 1, not '{cutoff}'" in \
+        capsys.readouterr().err
+
+
+def one_error_line(capsys, path, line_no, text):
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{line_no}: malformed number {text!r}\n"
+
+
+def test_eval_refuses_a_malformed_relevance_in_one_error_line(capsys, tmp_path):
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d0 1\nshort line\nq1 0 d1 x\n")
+    (tmp_path / "run.txt").write_text("q1 Q0 d1 1 0.5 t\n")
+    assert run_cli("eval", "--run", tmp_path / "run.txt", "--qrels", qrels) == 1
+    one_error_line(capsys, qrels, 3, "x")
+
+
+def test_eval_refuses_a_malformed_score_in_one_error_line(workspace, capsys,
+                                                          tmp_path):
+    root, _ = workspace
+    run = tmp_path / "run.txt"
+    run.write_text("q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 abc t\n")
+    assert run_cli("eval", "--run", run, "--qrels", root / "eval_qrels.txt") == 1
+    one_error_line(capsys, run, 2, "abc")
+
+
+def test_train_refuses_a_malformed_candidate_rank_in_one_error_line(
+        workspace, vocab_path, capsys, tmp_path):
+    root, _ = workspace
+    candidates = tmp_path / "candidates.txt"
+    candidates.write_text((root / "candidates.txt").read_text() + "q1 d1 first\n")
+    line_no = len(candidates.read_text().splitlines())
+    code = run_cli("train", "--docs", root / "docs.tsv", "--vocab", vocab_path,
+                   "--queries", root / "train_queries.tsv",
+                   "--triples", root / "triples.tsv", "--candidates", candidates,
+                   "--config", root / "model_config.json", "--steps", "1",
+                   "--out", tmp_path / "never.ckpt")
+    assert code == 1
+    one_error_line(capsys, candidates, line_no, "first")
+    assert not (tmp_path / "never.ckpt").exists()
+
+
 def test_usage_errors_exit_two(workspace):
     with pytest.raises(SystemExit) as err:
         run_cli()

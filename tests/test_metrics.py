@@ -86,6 +86,12 @@ def test_evaluate_rejects_unknown_metric():
         evaluate({}, {}, "f1", 10)
 
 
+@pytest.mark.parametrize("cutoff", [0, -1, 2.0, True, "10"])
+def test_evaluate_rejects_a_cutoff_below_one_or_not_an_int(cutoff):
+    with pytest.raises(ConfigError, match="cutoff must be an integer >= 1"):
+        evaluate({"q1": [("d1", 1.0)]}, {"q1": {"d1": 1}}, "ndcg", cutoff)
+
+
 def test_evaluate_empty_run():
     per_query, mean, skipped = evaluate({}, {"Q1": {"d": 2}}, "ndcg", 10)
     assert per_query == {}

@@ -70,8 +70,10 @@ def test_unit_rows_match_linalg_norm(dtype, n, t, seed):
 def test_best_window_pick_matches_take_along_axis(dtype, n, t, seed):
     r = _cosines(np.random.default_rng(seed), t, n, dtype)
     mus, inv2s = BANK.constants(r.dtype)
-    _, e, arg, best = _kernel_features(r, mus, inv2s, window_cover(n, WCFG, dtype),
-                                       BANK.eps_log)
+    cover = window_cover(n, WCFG, dtype)
+    ex = np.empty((BANK.k, t, n), dtype)
+    e = np.empty((BANK.k, t, cover.shape[1]), dtype)
+    arg, best = _kernel_features(r, mus, inv2s, cover, BANK.eps_log, ex, e)
     want_arg, want_best = best_window_take_along(np.log(BANK.eps_log + e))
     assert np.array_equal(arg, want_arg)
     assert _same(best, want_best)

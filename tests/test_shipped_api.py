@@ -18,8 +18,8 @@ GUARDED = ("tensor", "attention", "pooling", "checkpoint", "container", "index")
 # Public functions kept although no other module of the package calls them.
 KEPT = {
     "tensor": {
-        # Mode switches for callers of the package.
-        "finite_checks", "grad_enabled",
+        # A mode switch for callers of the package.
+        "finite_checks",
         # perfbench traces tensor.softmax and tensor.layer_norm; only a
         # benchmark change may retire them.
         "softmax", "layer_norm",
