@@ -80,7 +80,8 @@ def ingest_corpus(docs_file, orcas_file=None):
     """Read documents, concatenating url + title + body + click queries, each
     cut at ``MAX_DOC_TOKENS`` tokens.
 
-    Malformed lines are skipped and counted on the returned corpus.
+    Malformed lines are skipped and counted on the returned corpus; a doc id
+    seen on an earlier line raises IndexFormatError naming the line.
     """
     orcas = {}
     if orcas_file is not None:
@@ -92,12 +93,15 @@ def ingest_corpus(docs_file, orcas_file=None):
                 orcas.setdefault(parts[0], []).append(parts[1])
     corpus = Corpus()
     with open(docs_file, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4 or not parts[0]:
                 corpus.skipped_lines += 1
                 continue
             doc_id, url, title, body = parts
+            if doc_id in corpus:
+                raise IndexFormatError(f"{docs_file}:{line_no}: repeated doc id "
+                                       f"{doc_id!r}")
             text = " ".join([url, title, body] + orcas.get(doc_id, []))
             corpus.add(DocumentRecord(doc_id, tokenize(text)[:MAX_DOC_TOKENS]))
     return corpus
@@ -232,11 +236,15 @@ class Vocabulary:
 
 
 def number_field(convert, text, path, line_no):
-    """convert(text) of a field on line line_no of path, or IndexFormatError."""
+    """convert(text) of a field on line line_no of path; IndexFormatError if
+    it does not parse or parses to a float that is not finite (nan, inf)."""
     try:
-        return convert(text)
+        value = convert(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError
     except ValueError:
         raise IndexFormatError(f"{path}:{line_no}: malformed number {text!r}") from None
+    return value
 
 
 def load_qrels(path):

@@ -15,11 +15,13 @@ deliberately dropped; scoring every (term, document) pair would be
 quadratic in the collection.
 
 In memory an index is what its file stores: the sorted terms, their
-posting counts and two term-major columns, int32 doc indices (at most
-2**31 - 1 documents) and scores, float32 for a model and float64 for BM25.
-The constructor checks them once; the per-term views ``retrieve`` reads are
-built on first use, and it widens a query's doc indices to ``intp`` once,
-for ``bincount`` and the touched-set scatter.
+posting counts and two term-major columns, doc indices and scores. The doc
+column is the narrowest unsigned type that holds every index of the doc
+table: uint8 up to 256 documents, uint16 up to 65,536 and uint32 above
+(at most 2**31 - 1 documents). Scores are float32 for a model and float64
+for BM25. The constructor checks the columns once; the per-term views
+``retrieve`` reads are built on first use, and it widens a query's doc
+indices to ``intp`` once, for ``bincount`` and the touched-set scatter.
 
 File layout (version 3): a ``CKIX`` container (``container.py``) whose
 manifest holds the doc table, the config hash, the frozen statistics, the
@@ -51,7 +53,10 @@ _OLDER = {
     2: "stores its postings in blocks at offsets, which may overlap; rebuild "
        f"it as version {VERSION}",
 }
-MAX_DOCS = np.iinfo(np.int32).max      # the doc column's limit
+# The int32 limit, though a uint32 doc column holds more: CKIX readers have
+# always refused a larger doc table, so no file written here is one they
+# would refuse.
+MAX_DOCS = np.iinfo(np.int32).max
 
 
 @dataclass
@@ -128,7 +133,8 @@ class ImpactIndex:
 
     @cached_property
     def postings(self):
-        """term -> (int32 doc indices, scores), views of the two columns."""
+        """term -> (doc indices, scores), views of the two columns; the doc
+        indices are uint8, uint16 or uint32, as ``_checked`` narrows them."""
         stops = np.cumsum(self.counts)
         return {t: (self.doc_idx[a:b], self.scores[a:b]) for t, a, b in
                 zip(self.terms, (stops - self.counts).tolist(), stops.tolist())}
@@ -177,11 +183,17 @@ def _previous(doc_idx, counts):
 
 
 def _checked(doc_ids, terms, counts, doc_idx, scores, cap):
-    """(int64 counts, int32 doc indices, scores) if the doc ids are at most
+    """(int64 counts, doc indices, scores) if the doc ids are at most
     MAX_DOCS distinct strings, the terms distinct sorted strings, the counts
     one int >= 0 per term adding up to both columns' length, the doc indices
     strictly rising within a term and inside the doc table, and the cap an
-    int >= 0 or None; else a ContractError naming the first bad term."""
+    int >= 0 or None; else a ContractError naming the first bad term.
+
+    The doc indices come back in the narrowest unsigned type holding
+    ``len(doc_ids) - 1``: uint8 up to 256 documents, uint16 up to 65,536,
+    uint32 above. A doc table past 65,536 documents keeps 4-byte doc
+    indices until an index is split into document-range segments with their
+    own doc tables."""
     if len(doc_ids) > MAX_DOCS:
         raise ContractError(f"{len(doc_ids)} documents: an index holds at most "
                             f"{MAX_DOCS}")
@@ -205,7 +217,9 @@ def _checked(doc_ids, terms, counts, doc_idx, scores, cap):
         term = terms[int(np.searchsorted(np.cumsum(counts), bad[0], "right"))]
         raise ContractError(f"posting list of {term!r} repeats a document, goes "
                             "back or names no document")
-    return counts, doc_idx.astype(np.int32, copy=False), scores
+    narrow = np.uint8 if len(doc_ids) <= 1 << 8 else \
+        np.uint16 if len(doc_ids) <= 1 << 16 else np.uint32
+    return counts, doc_idx.astype(narrow, copy=False), scores
 
 
 def posting_table(corpus):

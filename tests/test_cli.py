@@ -449,6 +449,17 @@ def test_eval_refuses_a_malformed_score_in_one_error_line(workspace, capsys,
     one_error_line(capsys, run, 2, "abc")
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+def test_eval_refuses_a_non_finite_score_in_one_error_line(capsys, tmp_path,
+                                                           score):
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d1 2\n")
+    run = tmp_path / "run.txt"
+    run.write_text(f"q1 Q0 d2 1 {score} t\nq1 Q0 d1 2 0.5 t\n")
+    assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+    one_error_line(capsys, run, 1, score)
+
+
 def test_train_refuses_a_malformed_candidate_rank_in_one_error_line(
         workspace, vocab_path, capsys, tmp_path):
     root, _ = workspace

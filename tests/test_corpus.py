@@ -1,6 +1,7 @@
 """Tokenization, ingestion, vocabulary, and TREC-format file round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ def test_ingest_counts_malformed_lines(tmp_path):
     corpus = ingest_corpus(docs)
     assert len(corpus) == 2
     assert corpus.skipped_lines == 3
+
+
+def test_ingest_refuses_a_repeated_doc_id(tmp_path):
+    docs = tmp_path / "docs.tsv"
+    docs.write_text("D1\tu\tt\tfirst\n"
+                    "D2\tu\tt\tb\n"
+                    "garbage line without tabs\n"
+                    "D1\tu\tt\tsecond\n")
+    with pytest.raises(IndexFormatError,
+                       match=re.escape(f"{docs}:4: repeated doc id 'D1'")):
+        ingest_corpus(docs)
 
 
 def test_ingest_truncates_documents(tmp_path):

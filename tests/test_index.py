@@ -129,6 +129,7 @@ def test_retrieve_matches_oracles_on_session_indexes(name, synth, index_ndrm2,
     """Rankings and every score bit for bit, on the float32 ndrm2 index and
     the float64 BM25 one."""
     index = index_ndrm2 if name == "ndrm2" else bm25_tuned.index
+    assert index.scores.dtype == (np.float32 if name == "ndrm2" else np.float64)
     for query in synth.eval_queries:
         scored = accumulate_oracle(index, query.tokens)
         for k in (100, None):
@@ -260,12 +261,12 @@ def test_postings_only_for_contained_vocabulary_terms(indexed):
             if term in vocab:
                 expected.setdefault(term, set()).add(doc_idx)
     assert set(index.postings) == set(expected)
+    assert index.num_postings == sum(map(len, expected.values()))
     for term, (doc_idx, scores) in index.postings.items():
         assert set(doc_idx.tolist()) == expected[term]
-        assert doc_idx.dtype == np.int32 and scores.dtype == np.float32
-        assert np.all(np.diff(doc_idx) > 0)
-        assert index.num_postings == sum(
-            len(v) for v in expected.values()) or True
+        assert doc_idx.dtype == np.uint8 and scores.dtype == np.float32
+        # widened first: on an unsigned column a decrease would wrap positive
+        assert np.all(np.diff(doc_idx.astype(np.int64)) > 0)
 
 
 def test_posting_scores_match_fresh_model(indexed):
@@ -326,7 +327,7 @@ def test_build_index_matches_per_document_oracle(fold_models, drawn, data):
         assert got.doc_ids == want.doc_ids
         assert got.postings.keys() == want.postings.keys(), variant
         for term, (doc_idx, scores) in want.postings.items():
-            assert got.postings[term][0].dtype == np.int32
+            assert got.postings[term][0].dtype == np.uint8
             assert got.postings[term][0].tolist() == doc_idx.tolist()
             assert got.postings[term][1].dtype == np.float32
             assert got.postings[term][1].tobytes() == scores.tobytes(), \
@@ -340,15 +341,75 @@ def _bytes_per_posting(index):
                index.postings.values()) / index.num_postings
 
 
-def test_postings_take_8_bytes_each_and_bm25_12(tmp_path):
-    # int32 doc indices with float32 scores, or float64 BM25 scores
-    corpus, vocab = micro_corpus(seed=5, num_docs=12)
-    for variant in ("ndrm1", "ndrm2", "ndrm3"):
-        built = build_index(corpus, CKModel(micro_config(variant), vocab))
-        assert _bytes_per_posting(built) == 8, variant
-        save_index(built, tmp_path / f"{variant}.ckix")
-        assert _bytes_per_posting(load_index(tmp_path / f"{variant}.ckix")) == 8
-    assert _bytes_per_posting(BM25Searcher(corpus, vocab).index) == 12
+# Doc tables at and just past the uint8 and uint16 limits, and the doc
+# column's dtype for each.
+NARROW_COLUMNS = [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                  (65_536, np.uint16), (65_537, np.uint32)]
+
+
+@pytest.mark.parametrize("num_docs,dtype", NARROW_COLUMNS,
+                         ids=[str(n) for n, _ in NARROW_COLUMNS])
+def test_postings_take_the_narrow_doc_column_plus_the_score(tmp_path, num_docs,
+                                                             dtype):
+    # itemsize + 4 bytes a posting with float32 scores and itemsize + 8 with
+    # float64 (BM25) ones; the file stores float32 scores, so a loaded index
+    # takes itemsize + 4
+    doc_ids = [f"D{i}" for i in range(num_docs)]
+    docs = sorted({0, num_docs // 2, num_docs - 1})
+    for score_dtype in (np.float32, np.float64):
+        index = index_from_postings(
+            doc_ids, {"t": (docs, np.ones(len(docs), score_dtype))})
+        save_index(index, tmp_path / "narrow.ckix")
+        loaded = load_index(tmp_path / "narrow.ckix")
+        for got, score_bytes in ((index, np.dtype(score_dtype).itemsize),
+                                 (loaded, 4)):
+            assert got.doc_idx.dtype == dtype
+            assert _bytes_per_posting(got) == np.dtype(dtype).itemsize + score_bytes
+            assert got.postings["t"][0].tolist() == docs
+
+
+# Doc indices on either side of the uint8 and uint16 limits.
+EDGE_DOCS = (0, 1, 254, 255, 256, 257, 65_534, 65_535, 65_536)
+
+
+@st.composite
+def edge_indexes(draw, num_docs):
+    """(index, its postings as drawn, query tokens): postings at the doc
+    indices around the uint8 and uint16 limits that the doc table reaches,
+    float32 or float64 scores with ties and rounding sums."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    edges = [i for i in EDGE_DOCS if i < num_docs]
+    postings = {}
+    for t in range(draw(st.integers(1, 3))):
+        docs = draw(st.sets(st.sampled_from(edges), min_size=1))
+        # the first list always holds the table's last document
+        docs = sorted(docs | {num_docs - 1} if t == 0 else docs)
+        scores = draw(st.lists(TIED_SCORES | ROUNDING_SCORES, min_size=len(docs),
+                               max_size=len(docs)))
+        postings[f"t{t}"] = (docs, np.array(scores, dtype=dtype))
+    tokens = draw(st.lists(st.sampled_from(sorted(postings)), min_size=1,
+                           max_size=6))
+    doc_ids = [f"D{i}" for i in range(num_docs)]
+    return index_from_postings(doc_ids, postings), postings, tokens
+
+
+@pytest.mark.parametrize("num_docs", [256, 257, 65_536, 65_537])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_retrieve_matches_oracles_at_the_doc_column_limits(num_docs, data):
+    index, postings, tokens = data.draw(edge_indexes(num_docs))
+    assert {t: idx.tolist() for t, (idx, _) in index.postings.items()} == \
+        {t: docs for t, (docs, _) in postings.items()}
+    # summed from the drawn lists, not the index's column
+    acc = {}
+    for term in tokens:
+        docs, scores = postings[term]
+        for i, score in zip(docs, scores.tolist()):
+            acc[index.doc_ids[i]] = acc.get(index.doc_ids[i], 0.0) + score
+    for k in k_values(len(acc), data):
+        got = bits(retrieve(tokens, index, k=k).ranking)
+        assert got == bits(retrieve_term_at_a_time(tokens, index, k))
+        assert got == bits(sorted_oracle(list(acc.items()), k))
 
 
 def test_index_refuses_more_documents_than_an_int32_column_holds(monkeypatch):
@@ -899,7 +960,7 @@ def test_the_index_holds_its_columns_and_builds_lookups_on_first_use(indexed,
                                                                      tmp_path):
     index = ImpactIndex(**_columns(doc_idx=np.array([0, 2, 1], np.uint64),
                                    counts=np.array([2, 1], np.int32)))
-    assert (index.doc_idx.dtype, index.counts.dtype) == (np.int32, np.int64)
+    assert (index.doc_idx.dtype, index.counts.dtype) == (np.uint8, np.int64)
     lookups = {"postings", "doc_id_array", "doc_rank"}
     assert lookups.isdisjoint(vars(index))
     # an empty index may be made from plain lists
