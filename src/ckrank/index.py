@@ -332,18 +332,29 @@ def retrieve(query, index, k=100):
 
 
 def rerank(query, candidates, model, corpus, k=None):
-    """Fresh forward scoring of candidate documents; unknown ids are skipped
-    and counted on the result."""
+    """Fresh forward scoring of candidate documents, ranked as ``_rank``
+    ranks. Unknown ids are skipped and counted on the result; repeated ids
+    are scored each time. Every known candidate is scored against the capped
+    query (``CKModel.query_terms``) in one ``column_scores`` column, each
+    document's slice summed in float64. A train-mode model is refused, as
+    ``build_index`` refuses it: ndrm3 would batch-normalize over the
+    candidates and fold them into its running statistics."""
+    if model.training:
+        raise ContractError("refusing to rerank with a model in train mode: "
+                            "statistics are not frozen")
     qid, tokens = _query_parts(query)
-    scored = []
-    skipped = 0
-    for doc_id in candidates:
-        doc = corpus.get(doc_id)
-        if doc is None:
-            skipped += 1
-            continue
-        scored.append((doc_id, model.score_query_document(tokens, doc)))
-    return RetrievalResult(qid, _rank(scored, k), skipped=skipped)
+    terms = model.query_terms(tokens)
+    pairs = [(doc_id, corpus.get(doc_id)) for doc_id in candidates]
+    known = [(doc_id, doc) for doc_id, doc in pairs if doc is not None]
+    column = np.zeros(0)             # an empty query scores every doc 0.0
+    if terms and known:
+        with T.no_grad():
+            column = model.column_scores([doc for _, doc in known],
+                                         [terms] * len(known)).data
+    scored = [(doc_id, float(row.sum(dtype=np.float64))) for (doc_id, _), row
+              in zip(known, column.reshape(len(known), len(terms)))]
+    return RetrievalResult(qid, _rank(scored, k),
+                           skipped=len(pairs) - len(known))
 
 
 # -- binary format ---------------------------------------------------------------

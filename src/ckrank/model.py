@@ -422,9 +422,12 @@ class CKModel:
         """Tensor[t] of latent scores, in query order (repeats scored alike).
 
         Unknown query terms carry an empty interaction: their kernel features
-        are the constant no-match vector, so only the head touches them.
+        are the constant no-match vector, so only the head touches them. A
+        doc_enc of None stands for an empty document, which every term
+        matches as an unknown term does.
         """
-        ids = list(map(self.vocab.term_to_id.get, terms))
+        ids = list(map(self.vocab.term_to_id.get, terms)) \
+            if doc_enc is not None else [None] * len(terms)
         if None not in ids:
             return self._vocab_term_scores(ids, doc_enc)
         known = [i for i, tid in enumerate(ids) if tid is not None]
@@ -469,15 +472,17 @@ class CKModel:
         of terms[i] against docs[i], in that order, in the model's mode, so
         ndrm3's train-mode batch is the whole column.
 
-        The latent branch encodes each document once and scores its terms.
+        The latent branch encodes each document once and scores its terms;
+        every term of a document with no tokens gets the no-match score.
         The explicit branch scores ``explicit``, parallel (idf, tf, dlen)
         arrays over the column, or reads them from the documents through
         ``explicit_stats`` when it is None.
         """
         lat = exp = None
         if self.needs_latent:
-            chunks = [self.latent_term_scores(ts, self.encode_document(doc))
-                      for doc, ts in zip(docs, terms)]
+            chunks = [self.latent_term_scores(
+                ts, self.encode_document(doc) if doc.tokens else None)
+                for doc, ts in zip(docs, terms)]
             lat = chunks[0] if len(chunks) == 1 else T.concat(chunks, axis=0)
         if self.needs_explicit:
             exp = self.explicit_scores(*(self.explicit_stats(docs, terms)
@@ -486,37 +491,21 @@ class CKModel:
             return duet_scores(lat, exp, self.duet, self.mode)
         return lat if self.needs_latent else exp
 
-    def term_scores(self, terms, doc):
-        """Tensor[t] of per-term scores under the configured variant: the
-        column of one document."""
-        if not terms:
-            raise ContractError("term_scores needs at least one query term")
-        return self.column_scores([doc], [terms])
-
     # -- whole-query scoring ------------------------------------------------------
 
     def query_terms(self, query):
         """The tokens of a query record or sequence that the model reads: the
-        first ``max_query_tokens``. ``rerank``, ``batch_loss`` and (through
-        the index) ``retrieve`` all apply this one cap."""
+        first ``max_query_tokens``. ``rerank`` (once a query), ``batch_loss``
+        and (through the index) ``retrieve`` all apply this one cap."""
         tokens = query.tokens if isinstance(query, QueryRecord) else list(query)
         return tokens[:self.config.max_query_tokens]
-
-    def score_query_document(self, query, doc):
-        """Sum of per-term scores over query term occurrences -> float."""
-        terms = self.query_terms(query)
-        if not terms:
-            return 0.0
-        with T.no_grad():
-            scores = self.term_scores(terms, doc)
-        return float(scores.data.sum(dtype=np.float64))
 
     def per_term_scores(self, terms, doc):
         """Per-occurrence float64 score array, for audits of the index."""
         if not terms:
             return np.zeros(0, dtype=np.float64)
         with T.no_grad():
-            scores = self.term_scores(terms, doc)
+            scores = self.column_scores([doc], [terms])
         return scores.data.astype(np.float64)
 
     # -- training-side statistics ---------------------------------------------------

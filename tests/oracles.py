@@ -75,6 +75,22 @@ def layer_norm_rows(x, gamma, beta, eps=1e-5):
     return T.concat(rows, axis=0)
 
 
+def rerank_per_document(query, candidates, model, corpus, k=None):
+    """``rerank`` one candidate at a time -> (ranking, skipped): each known
+    candidate scores the float64 sum of its ``per_term_scores`` over the
+    capped query, unknown ids are counted, and the pairs are sorted by score
+    descending, then doc id ascending, and cut at k."""
+    terms = model.query_terms(getattr(query, "tokens", query))
+    scored, skipped = [], 0
+    for doc_id in candidates:
+        doc = corpus.get(doc_id)
+        if doc is None:
+            skipped += 1
+            continue
+        scored.append((doc_id, float(model.per_term_scores(terms, doc).sum())))
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k], skipped
+
+
 def build_index_per_document(corpus, model):
     """``build_index`` one document at a time: each document's sorted
     vocabulary terms through ``per_term_scores``, appended to the terms'

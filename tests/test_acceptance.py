@@ -388,8 +388,8 @@ def _single_pair_overfit():
     docs = sorted(corpus.docs)
     terms = ["w00", "w03", "w05"]
     model = CKModel(micro_config("ndrm1"), vocab)
-    s0 = model.score_query_document(terms, corpus.get(docs[0]))
-    s1 = model.score_query_document(terms, corpus.get(docs[1]))
+    s0 = model.per_term_scores(terms, corpus.get(docs[0])).sum()
+    s1 = model.per_term_scores(terms, corpus.get(docs[1])).sum()
     pref, other = (docs[1], docs[0]) if s1 < s0 else (docs[0], docs[1])
     doc_a, doc_b = corpus.get(pref), corpus.get(other)
 

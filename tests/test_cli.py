@@ -187,9 +187,10 @@ def test_rerank_reads_every_token_the_model_cap_allows(workspace, vocab_path,
     got = dict(load_run(out)["L1"])
     assert got.keys() == set(candidates)
     for doc_id in candidates:
-        want = model.score_query_document(tokens, data.corpus.get(doc_id))
+        want = model.per_term_scores(model.query_terms(tokens),
+                                     data.corpus.get(doc_id)).sum()
         assert got[doc_id] == pytest.approx(want, abs=1e-6)
-    assert got[doc.doc_id] > model.score_query_document(tokens[:20], doc)
+    assert got[doc.doc_id] > model.per_term_scores(tokens[:20], doc).sum()
 
 
 def test_search_writes_trec_run(workspace, index_path, capsys):

@@ -14,8 +14,8 @@ from helpers import (index_from_postings, micro_config, micro_corpus,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (build_index_per_document, posting_table_by_stable_sort,
-                     retrieve_term_at_a_time, save_index_per_posting,
-                     write_varint)
+                     rerank_per_document, retrieve_term_at_a_time,
+                     save_index_per_posting, write_varint)
 
 import ckrank.index as index_module
 import ckrank.tensor as T
@@ -28,7 +28,7 @@ from ckrank.index import (MAGIC, VERSION, ImpactIndex, RetrievalResult, _rank,
                           _read_varints, _write_varints, build_index,
                           load_index, posting_table, rerank, retrieve,
                           save_index)
-from ckrank.model import CKModel, ModelConfig
+from ckrank.model import CKModel, ModelConfig, duet_scores
 from ckrank.synth import (make_synthetic, write_candidates, write_qrels,
                           write_queries_tsv, write_triples, write_tsv_corpus)
 from ckrank.train import load_candidates, load_triples
@@ -559,10 +559,79 @@ def test_rerank_scores_and_skips(indexed):
     assert result.skipped == 1
     assert len(result.ranking) == 4
     for doc_id, score in result.ranking:
-        want = model.score_query_document(tokens, corpus.get(doc_id))
+        want = model.per_term_scores(tokens, corpus.get(doc_id)).sum()
         assert score == pytest.approx(want, abs=0)
     top2 = rerank(tokens, docs, model, corpus, k=2)
     assert top2.ranking == result.ranking[:2]
+
+
+@pytest.fixture(scope="module")
+def rerank_models():
+    """Micro models of every variant over a corpus that also holds a
+    document with no tokens, as ``ingest_corpus`` keeps a line with empty
+    fields."""
+    corpus, vocab = micro_corpus(num_docs=12)
+    corpus.add(DocumentRecord("EMPTY", []))
+    models = {v: CKModel(micro_config(v, max_query_tokens=4), vocab)
+              for v in ("ndrm1", "ndrm2", "ndrm3")}
+    return corpus, models
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
+def test_rerank_equals_the_per_document_loop(rerank_models, variant, data):
+    """One column over every candidate gives the per-document loop's
+    rankings, scores and skip count, bit for bit: unknown and repeated ids,
+    the empty document, empty queries and queries over the cap of 4."""
+    corpus, models = rerank_models
+    model = models[variant]
+    ids = sorted(corpus.docs) + ["GHOST", "NOPE"]
+    candidates = data.draw(st.lists(st.sampled_from(ids), max_size=10))
+    tokens = data.draw(st.lists(st.sampled_from(
+        ["w00", "w01", "w05", "w17", "w33", "zzz"]), max_size=7))
+    k = data.draw(st.sampled_from([None, 0, 1, len(candidates)]))
+    result = rerank(QueryRecord("Q", tokens), candidates, model, corpus, k=k)
+    ranking, skipped = rerank_per_document(tokens, candidates, model, corpus, k)
+    assert result.query_id == "Q"
+    assert result.ranking == ranking
+    assert result.skipped == skipped
+
+
+def test_rerank_refuses_a_train_mode_model(rerank_models):
+    corpus, models = rerank_models
+    model = models["ndrm3"]
+    before = model.running_stats()
+    model.train()
+    try:
+        with pytest.raises(ContractError, match="train mode"):
+            rerank(["w00", "w01"], sorted(corpus.docs), model, corpus)
+    finally:
+        model.eval()
+    assert model.running_stats() == before
+
+
+@pytest.mark.parametrize("variant", ["ndrm1", "ndrm3"])
+def test_rerank_scores_an_empty_document_as_no_match(rerank_models, variant):
+    """A document with no tokens gets every term's no-match latent score
+    (and, for ndrm3, its zero-tf explicit score), and the other candidates
+    are still scored."""
+    corpus, models = rerank_models
+    model = models[variant]
+    terms = ["w00", "zzz"]
+    other = corpus.get("M000")
+    got = dict(rerank(terms, ["EMPTY", other.doc_id], model, corpus).ranking)
+    no_match = pooling.latent_term_scores(
+        T.constant(pooling.empty_features(model.bank)[None, :].repeat(2, 0)),
+        model.head)
+    if variant == "ndrm3":
+        empty = corpus.get("EMPTY")
+        no_match = duet_scores(no_match, model.explicit_term_scores(terms, empty),
+                               model.duet, "infer")
+    assert got["EMPTY"] == pytest.approx(float(no_match.numpy().sum()), rel=1e-6)
+    assert got[other.doc_id] == model.per_term_scores(terms, other).sum()
+    with pytest.raises(ContractError, match="empty document"):
+        model.encode_document(corpus.get("EMPTY"))
 
 
 # -- binary format -------------------------------------------------------------------

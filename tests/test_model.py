@@ -12,7 +12,7 @@ from oracles import (TermDocStats, latent_term_score, ndrm2_term_score,
 import ckrank.tensor as T
 from ckrank.corpus import DocumentRecord, QueryRecord
 from ckrank.errors import ConfigError, ContractError, NonFiniteError
-from ckrank.index import build_index
+from ckrank.index import build_index, rerank
 from ckrank.model import (BSState, CKModel, DuetParams, ExplicitParams,
                           ModelConfig, duet_scores, ndrm2_term_scores)
 from ckrank.train import TrainInstance, batch_loss
@@ -322,18 +322,18 @@ def test_oov_terms_get_constant_no_match_score(micro):
     assert mixed[1] == pytest.approx(only_known[0], rel=1e-6)
 
 
-def test_term_scores_variant_dispatch(micro):
+def test_column_scores_variant_dispatch(micro):
     corpus, vocab = micro
     doc = next(iter(corpus))
     terms = ["w00", "w07"]
 
     m1 = CKModel(micro_config("ndrm1"), vocab)
     enc = m1.encode_document(doc)
-    np.testing.assert_array_equal(m1.term_scores(terms, doc).numpy(),
+    np.testing.assert_array_equal(m1.column_scores([doc], [terms]).numpy(),
                                   m1.latent_term_scores(terms, enc).numpy())
 
     m2 = CKModel(micro_config("ndrm2"), vocab)
-    np.testing.assert_array_equal(m2.term_scores(terms, doc).numpy(),
+    np.testing.assert_array_equal(m2.column_scores([doc], [terms]).numpy(),
                                   m2.explicit_term_scores(terms, doc).numpy())
 
     m3 = CKModel(micro_config("ndrm3"), vocab)
@@ -341,15 +341,15 @@ def test_term_scores_variant_dispatch(micro):
     lat = m3.latent_term_scores(terms, enc3)
     exp = m3.explicit_term_scores(terms, doc)
     want = duet_scores(lat, exp, m3.duet, "infer").numpy()
-    np.testing.assert_allclose(m3.term_scores(terms, doc).numpy(), want,
+    np.testing.assert_allclose(m3.column_scores([doc], [terms]).numpy(), want,
                                rtol=1e-6)
 
 
-def test_term_scores_rejects_empty(micro):
-    corpus, vocab = micro
-    model = CKModel(micro_config("ndrm2"), vocab)
-    with pytest.raises(ContractError):
-        model.term_scores([], next(iter(corpus)))
+def rerank_score(model, query, doc, corpus):
+    """The score ``rerank`` gives doc for query, alone in its list."""
+    (doc_id, score), = rerank(query, [doc.doc_id], model, corpus).ranking
+    assert doc_id == doc.doc_id
+    return score
 
 
 @pytest.mark.parametrize("variant", ["ndrm1", "ndrm2", "ndrm3"])
@@ -359,17 +359,17 @@ def test_additive_decomposition_per_term(micro, variant):
     model = CKModel(micro_config(variant), vocab)
     doc = next(iter(corpus))
     terms = ["w00", "w05", "unseen", "w00"]
-    whole = model.score_query_document(terms, doc)
+    whole = rerank_score(model, terms, doc, corpus)
     singles = [model.per_term_scores([t], doc)[0] for t in terms]
     assert whole == pytest.approx(sum(singles), abs=1e-6)
 
 
-def test_score_query_document_empty_query(micro):
+def test_rerank_of_an_empty_query_scores_zero(micro):
     corpus, vocab = micro
     model = CKModel(micro_config("ndrm2"), vocab)
-    assert model.score_query_document([], next(iter(corpus))) == 0.0
-    assert model.score_query_document(QueryRecord("q", []),
-                                      next(iter(corpus))) == 0.0
+    doc = next(iter(corpus))
+    assert rerank_score(model, [], doc, corpus) == 0.0
+    assert rerank_score(model, QueryRecord("q", []), doc, corpus) == 0.0
 
 
 def test_query_truncated_to_max_terms(micro):
@@ -377,8 +377,8 @@ def test_query_truncated_to_max_terms(micro):
     model = CKModel(micro_config("ndrm2", max_query_tokens=2), vocab)
     doc = next(iter(corpus))
     long_q = ["w00", "w01", "w02", "w03"]
-    assert model.score_query_document(long_q, doc) == \
-        pytest.approx(model.score_query_document(long_q[:2], doc))
+    assert rerank_score(model, long_q, doc, corpus) == \
+        pytest.approx(rerank_score(model, long_q[:2], doc, corpus))
 
 
 def test_scoring_is_deterministic_in_eval(micro):
@@ -386,8 +386,8 @@ def test_scoring_is_deterministic_in_eval(micro):
     model = CKModel(micro_config("ndrm3"), vocab)
     model.eval()
     doc = next(iter(corpus))
-    a = model.score_query_document(["w00", "w03"], doc)
-    b = model.score_query_document(["w00", "w03"], doc)
+    a = rerank_score(model, ["w00", "w03"], doc, corpus)
+    b = rerank_score(model, ["w00", "w03"], doc, corpus)
     assert a == b
 
 

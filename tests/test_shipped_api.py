@@ -1,10 +1,13 @@
 """The public functions of ``ckrank.tensor``, ``ckrank.attention``,
 ``ckrank.pooling``, ``ckrank.checkpoint``, ``ckrank.container`` and
-``ckrank.index`` are ones the package itself calls.
+``ckrank.index``, and the public methods of ``CKModel``, are ones the
+package itself calls.
 
-Reference code (generic ops, textbook attention) belongs in the test tree
-(``refops``, ``oracles``), so a public function that no other module of the
-package refers to fails here: move it to the tests or delete it.
+Reference code (generic ops, textbook attention, per-document scoring)
+belongs in the test tree (``refops``, ``oracles``), so a public function
+that no other module of the package refers to, or a ``CKModel`` method
+that nothing in the package reaches by attribute, fails here: move it to
+the tests or delete it.
 """
 
 import ast
@@ -39,6 +42,12 @@ KEPT = {
     "checkpoint": set(),
     "container": set(),
     "index": set(),
+}
+
+# Public CKModel methods kept although nothing in the package reaches them.
+KEPT_METHODS = {
+    # perfbench traces and calls it; only a benchmark change may retire it.
+    "explicit_term_scores",
 }
 
 
@@ -79,3 +88,18 @@ def unreferenced(module):
 def test_every_public_function_has_a_caller_in_the_package():
     for module in GUARDED:
         assert unreferenced(module) == KEPT[module], module
+
+
+def test_every_public_model_method_is_reached_in_the_package():
+    """By attribute, from any module: the model travels under many names
+    (``self``, ``model``), so any ``.name`` counts as a use."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py")}
+    ckmodel, = (node for node in trees["model"].body
+                if isinstance(node, ast.ClassDef) and node.name == "CKModel")
+    methods = {node.name for node in ckmodel.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    reached = {node.attr for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+    assert methods - reached == KEPT_METHODS

@@ -479,7 +479,7 @@ def test_live_bytes_return_to_baseline_after_backward():
     doc = corpus.get(sorted(corpus.docs)[0])
     gc.collect()
     before = tracker.live_bytes
-    T.backward(T.tsum(model.term_scores(["w00", "w01", "zzz"], doc)))
+    T.backward(T.tsum(model.column_scores([doc], [["w00", "w01", "zzz"]])))
     grads = [p.grad for p in model.parameters().values() if p.grad is not None]
     assert grads
     assert tracker.live_bytes == before + sum(g.nbytes for g in grads)
