@@ -76,6 +76,24 @@ class Corpus:
         return self.docs.get(doc_id)
 
 
+def text_lines(path):
+    """(line number, text) of each line of a UTF-8 text file, its line break
+    removed; lines break as in text mode (``\\n``, ``\\r\\n`` or ``\\r``).
+
+    The file is decoded with bytes that are not UTF-8 kept as lone
+    surrogates, and each line is checked by itself, so a line holding one
+    raises IndexFormatError naming ``<path>:<line>``.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise IndexFormatError(f"{path}:{line_no}: not UTF-8 text") from None
+            yield line_no, line.rstrip("\n")
+
+
 def ingest_corpus(docs_file, orcas_file=None):
     """Read documents, concatenating url + title + body + click queries, each
     cut at ``MAX_DOC_TOKENS`` tokens.
@@ -85,39 +103,39 @@ def ingest_corpus(docs_file, orcas_file=None):
     """
     orcas = {}
     if orcas_file is not None:
-        with open(orcas_file, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2 or not parts[0]:
-                    continue
-                orcas.setdefault(parts[0], []).append(parts[1])
-    corpus = Corpus()
-    with open(docs_file, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4 or not parts[0]:
-                corpus.skipped_lines += 1
+        for _, line in text_lines(orcas_file):
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0]:
                 continue
-            doc_id, url, title, body = parts
-            if doc_id in corpus:
-                raise IndexFormatError(f"{docs_file}:{line_no}: repeated doc id "
-                                       f"{doc_id!r}")
-            text = " ".join([url, title, body] + orcas.get(doc_id, []))
-            corpus.add(DocumentRecord(doc_id, tokenize(text)[:MAX_DOC_TOKENS]))
+            orcas.setdefault(parts[0], []).append(parts[1])
+    corpus = Corpus()
+    for line_no, line in text_lines(docs_file):
+        parts = line.split("\t")
+        if len(parts) != 4 or not parts[0]:
+            corpus.skipped_lines += 1
+            continue
+        doc_id, url, title, body = parts
+        if doc_id in corpus:
+            raise IndexFormatError(f"{docs_file}:{line_no}: repeated doc id "
+                                   f"{doc_id!r}")
+        text = " ".join([url, title, body] + orcas.get(doc_id, []))
+        corpus.add(DocumentRecord(doc_id, tokenize(text)[:MAX_DOC_TOKENS]))
     return corpus
 
 
 def load_queries(path):
     """Tab-separated (query id, text) -> list of QueryRecord, every token
-    kept."""
-    queries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or not parts[0]:
-                continue
-            queries.append(QueryRecord(parts[0], tokenize(parts[1])))
-    return queries
+    kept; a query id seen on an earlier line raises IndexFormatError naming
+    the line."""
+    queries = {}
+    for line_no, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            continue
+        if parts[0] in queries:
+            raise IndexFormatError(f"{path}:{line_no}: repeated query id {parts[0]!r}")
+        queries[parts[0]] = QueryRecord(parts[0], tokenize(parts[1]))
+    return list(queries.values())
 
 
 class Vocabulary:
@@ -250,16 +268,15 @@ def number_field(convert, text, path, line_no):
 def load_qrels(path):
     """TREC qrels (qid 0 docid rel) -> {qid: {docid: rel}}."""
     qrels = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.split()
-            if len(parts) != 4:
-                continue
-            qid, _, docid, rel = parts
-            per_query = qrels.setdefault(qid, {})
-            if docid in per_query:
-                raise ContractError(f"duplicate qrels entry for ({qid}, {docid})")
-            per_query[docid] = number_field(int, rel, path, line_no)
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            continue
+        qid, _, docid, rel = parts
+        per_query = qrels.setdefault(qid, {})
+        if docid in per_query:
+            raise ContractError(f"duplicate qrels entry for ({qid}, {docid})")
+        per_query[docid] = number_field(int, rel, path, line_no)
     return qrels
 
 
@@ -269,14 +286,12 @@ def load_run(path):
     Lists come back sorted by descending score, doc id ascending on ties.
     """
     run = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.split()
-            if len(parts) != 6:
-                continue
-            qid, _, docid, _, score, _ = parts
-            run.setdefault(qid, []).append(
-                (docid, number_field(float, score, path, line_no)))
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            continue
+        qid, _, docid, _, score, _ = parts
+        run.setdefault(qid, []).append((docid, number_field(float, score, path, line_no)))
     return {qid: _rank(pairs, None) for qid, pairs in run.items()}
 
 

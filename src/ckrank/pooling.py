@@ -173,18 +173,18 @@ def interaction_rows(q_embs, doc_enc):
 # -- windowed pooling ----------------------------------------------------------
 
 
-def _kernel_features(r, mus, inv2s, cover, eps_log, ex, e):
+def _kernel_features(r, mus, inv2s, cover, eps_log, ex=None, e=None):
     """Kernel values of every (kernel, term, position) into ex, kernel-major
-    and in place, and each window's sum into e -> (winning window, its
-    log-sum feature)."""
-    np.subtract(r, mus[:, None, None], ex)           # (kb, t, n)
+    and in place, and each window's sum into e (each new when None) ->
+    (winning window, its log-sum feature)."""
+    ex = np.subtract(r, mus[:, None, None], ex)      # (kb, t, n)
     ex *= ex
     ex *= -inv2s[:, None, None]
     np.exp(ex, out=ex)
     w = cover.shape[1]
     rows = ex.reshape(-1, r.shape[1])
-    np.matmul(rows, cover, e.reshape(len(rows), w))
-    f = np.log(eps_log + e)
+    e = np.matmul(rows, cover, None if e is None else e.reshape(len(rows), w))
+    f = np.log(eps_log + e.reshape(*ex.shape[:2], w))
     arg = f.argmax(axis=2)
     # the winners by flat row index: on a few windows this costs less than
     # take_along_axis or f.max(axis=2), and picks the same values
@@ -196,7 +196,9 @@ def windowed_pool_terms(rows, cfg, bank):
     """Fused windowed pooling over all query terms at once -> Tensor[t, k],
     in blocks of kernels on the pool (each kernel's values over all terms
     and positions are one contiguous slab, and its window sums one matmul).
-    Windows follow the ``ModelConfig`` cfg's window_len and stride.
+    Windows follow the ``ModelConfig`` cfg's window_len and stride. In grad
+    mode the whole kernel-value and window-sum arrays are kept for the
+    backward pass; under no_grad each block computes into arrays of its own.
 
     Gradients flow only into the winning window of each (term, kernel) pair;
     overlapping winners accumulate additively.
@@ -211,12 +213,14 @@ def windowed_pool_terms(rows, cfg, bank):
     k = bank.k
     mus, inv2s = bank.constants(r.dtype)
     cover = window_cover(n, cfg, r.dtype)
-    ex, e = np.empty((k, t, n), r.dtype), np.empty((k, t, cover.shape[1]), r.dtype)
+    graph = T.grad_enabled()
+    ex = np.empty((k, t, n), r.dtype) if graph else None
+    e = np.empty((k, t, cover.shape[1]), r.dtype) if graph else None
     arg, best = np.empty((k, t), np.intp), np.empty((k, t), r.dtype)
 
     def kernels(b):
         arg[b], best[b] = _kernel_features(r, mus[b], inv2s[b], cover, bank.eps_log,
-                                           ex[b], e[b])
+                                           *((ex[b], e[b]) if graph else ()))
 
     T.run_blocks(kernels, T.row_blocks(k, r.nbytes))
     data = best.T

@@ -23,12 +23,17 @@ gives them back in ``__del__`` when it is deallocated, so the accounting in
 :mod:`ckrank.memory` is an exact model of what the math needs; there is no
 registry of live tensors (``tracker.audit()`` walks the collector).
 
-``grouped_conv1d`` pads its input group-major, so every receptive field is
-one contiguous run of window * cg values and all fields are a strided view.
-BLAS cannot read overlapping rows, so the fields are copied into a buffer a
-cache-sized chunk of positions at a time (``_CONV_CHUNK_BYTES``), each chunk
-one batched matmul into its rows of the output. The input gradient runs
-through the same helper; the kernel gradient multiplies the view directly.
+``grouped_conv1d`` pads its input group-major, so the inputs of P
+consecutive positions are one contiguous run of (P + window - 1) * cg
+values and all such field rows are a strided view. BLAS cannot read
+overlapping rows, so the fields are copied into a buffer a block of rows at
+a time. When the fields of the whole input fit one ``_CONV_CHUNK_BYTES``
+chunk, P is 1 and the one block is one batched matmul into the output.
+Otherwise P is ``_CONV_POSITIONS``: each group's block is one product with a
+block-Toeplitz weight of P * cg columns, built from the kernel on every
+call, and the blocks of at most a chunk of copied fields run on the pool.
+The input gradient runs through the same helper; the kernel gradient
+multiplies the P = 1 view of the saved padded input directly.
 
 Large forward ops run their row blocks (``run_blocks``) on a ``BlockPool``:
 the calling thread and one helper thread per further CPU the process may
@@ -43,6 +48,7 @@ import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -679,49 +685,97 @@ def layer_norm(x, gamma, beta, eps=1e-5, residual=None):
                        norm=ResidualNorm(residual, gamma, beta, eps=eps))
 
 
-# Bytes of receptive fields copied per matmul: a run of positions whose
-# fields stay in a core's L2 cache while the matmul reads them.
-_CONV_CHUNK_BYTES = 1 << 20
+# Bytes of receptive fields one conv block copies. A document whose fields
+# all fit one chunk takes one output position per field row; a longer one
+# takes _CONV_POSITIONS per row, in blocks of at most a chunk of fields. At
+# the paper config a block then holds 240 positions: 1 MB blocks folded
+# long documents more slowly, and 8 positions a row no faster than 4 with
+# a weight almost three times as slow to build.
+_CONV_CHUNK_BYTES = 2 << 20
+_CONV_POSITIONS = 4
 
 
-def _receptive_fields(a, groups, window):
-    """(n, groups * cg) -> (zero-padded copy, read-only (groups, n, window *
-    cg) view of it holding every receptive field, tap-major to match a
-    (groups, window * cg, cg) kernel).
+@cache
+def _run(nbytes):
+    """The void dtype of nbytes: a group's run of channels as one element. A
+    transposing copy of such runs takes half the time of one of single
+    values."""
+    return np.dtype((np.void, nbytes))
 
-    The zero-padded copy is group-major, (groups, n + window - 1, cg), so
-    the field of (group, position j) is the contiguous run of window * cg
-    values starting at row j of its group.
+
+def _receptive_fields(a, groups, window, p):
+    """(n, groups * cg) -> (zero-padded copy, read-only (groups, ceil(n / p),
+    (p + window - 1) * cg) view of it whose row r holds the inputs of output
+    positions r * p to r * p + p - 1 in every group, tap-major).
+
+    The zero-padded copy is group-major, (groups, rows * p + window - 1,
+    cg), so each row is one contiguous run of values, p * cg after the one
+    before; a ragged last row reads zeros past the end.
     """
     n, c = a.shape
     cg = c // groups
     pad = (window - 1) // 2
-    xp = np.zeros((groups, n + 2 * pad, cg), dtype=a.dtype)
-    xp[:, pad:pad + n] = a.reshape(n, groups, cg).transpose(1, 0, 2)
-    return xp, np.lib.stride_tricks.as_strided(xp, (groups, n, window * cg),
-                                               xp.strides, writeable=False)
+    rows = -(-n // p)
+    xp = np.zeros((groups, rows * p + window - 1, cg), dtype=a.dtype)
+    run = _run(cg * a.itemsize)
+    xp.view(run)[:, pad:pad + n, 0] = a.view(run).T
+    s0, s1, s2 = xp.strides
+    return xp, np.lib.stride_tricks.as_strided(
+        xp, (groups, rows, (p + window - 1) * cg), (s0, p * s1, s2), writeable=False)
 
 
-def _fields_matmul(fields, kmat, bias=None):
-    """(groups, n, w) fields @ (groups, w, cg) kmat (+ bias) -> (out, chunk,
-    blocks): the (n, groups * cg) output, a function that fills its rows b,
-    and the cache-sized blocks of positions to call it on.
+def _fields_matmul(fields, kernel, n, bias=None):
+    """(groups, rows, (p + window - 1) * cg) fields of n positions (see
+    ``_receptive_fields``) @ (groups, window, cg, cg) kernel (+ bias) ->
+    (out, chunk, blocks): the (n, groups * cg) output, a function that
+    fills its rows b, and the blocks of positions to call it on.
 
     Fields overlap in memory, which BLAS cannot read in place, so each
-    chunk of positions is copied into a buffer of its own and multiplied
-    straight into its rows of the output.
+    block's rows are copied into a buffer of its own. With p = 1 every
+    field fits one block (see ``grouped_conv1d``), multiplied by the taps
+    straight into the output. With p > 1 the weight is block-Toeplitz,
+    (groups, (p + window - 1) * cg, p * cg), built with one strided copy of
+    the kernel, so each product has p * cg columns; its rows are moved into
+    the output's. A block is then a whole number of field rows whose copy
+    takes at most ``_CONV_CHUNK_BYTES``.
     """
-    groups, n, wcg = fields.shape
-    cg = kmat.shape[2]
+    groups, window, cg, _ = kernel.shape
+    rows, width = fields.shape[1:]
+    p = width // cg - window + 1
     out = np.empty((n, groups * cg), dtype=fields.dtype)
-    by_group = out.reshape(n, groups, cg).transpose(1, 0, 2)
+    if p == 1:
+        kmat = kernel.reshape(groups, width, cg)
+
+        def whole(_):
+            np.matmul(np.ascontiguousarray(fields), kmat,
+                      out=out.reshape(n, groups, cg).transpose(1, 0, 2))
+            if bias is not None:
+                np.add(out, bias, out)
+
+        return out, whole, WHOLE
+    # toeplitz[g, p_in, i, q, :] = kernel[g, p_in - q, i, :] for each tap,
+    # copied a run of cg output channels at a time
+    run = _run(cg * out.itemsize)
+    toeplitz = np.zeros((groups, p + window - 1, cg, p, cg), out.dtype)
+    runs = toeplitz.view(run)[..., 0]
+    s = runs.strides
+    np.lib.stride_tricks.as_strided(runs, (groups, p, window, cg),
+                                    (s[0], s[1] + s[3], s[1], s[2]))[...] = \
+        np.ascontiguousarray(kernel, out.dtype).view(run)[:, None, ..., 0]
+    tmat = toeplitz.reshape(groups, width, p * cg)
 
     def chunk(b):
-        np.matmul(np.ascontiguousarray(fields[:, b]), kmat, out=by_group[:, b])
+        lo, hi, _ = b.indices(n)
+        prod = np.matmul(np.ascontiguousarray(fields[:, lo // p:-(-hi // p)]), tmat)
+        by_group = prod.reshape(groups, -1, cg)[:, :hi - lo].view(run)[..., 0]
+        out[b].view(run)[:] = by_group.T
         if bias is not None:
             out[b] += bias
 
-    return out, chunk, row_blocks(n, groups * wcg * fields.itemsize, _CONV_CHUNK_BYTES)
+    blocks = row_blocks(rows, groups * width * fields.itemsize, _CONV_CHUNK_BYTES)
+    if blocks is not WHOLE:
+        blocks = [slice(b.start * p, min(b.stop * p, n)) for b in blocks]
+    return out, chunk, blocks
 
 
 def grouped_conv1d(x, kernel, groups, window, bias=None, norm=None):
@@ -729,10 +783,14 @@ def grouped_conv1d(x, kernel, groups, window, bias=None, norm=None):
 
     x: (n, c) token-major activations; kernel: (groups, window, cg, cg)
     with cg = c // groups; zero padding of (window-1)//2 on both sides.
-    Each group is one matmul of its receptive fields against its taps,
-    run over cache-sized chunks of positions, on the pool in the forward
-    pass (each chunk then runs ``norm``'s epilogue, when given, see
-    ``sublayer_op``) and on the calling thread in the backward pass.
+    Each group is one matmul of its receptive fields against its taps, run
+    over blocks of positions, on the pool in the forward pass (each block
+    then runs ``norm``'s epilogue, when given, see ``sublayer_op``) and on
+    the calling thread in the backward pass. When the fields of all n
+    positions fit one ``_CONV_CHUNK_BYTES`` chunk, a field row is one
+    position's window and the one block is the whole input; otherwise a
+    field row covers ``_CONV_POSITIONS`` consecutive positions and the taps
+    form a block-Toeplitz weight (see ``_fields_matmul``).
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_conv1d expects (n, c) input, got {tuple(x.shape)}")
@@ -749,24 +807,25 @@ def grouped_conv1d(x, kernel, groups, window, bias=None, norm=None):
                          f"{(groups, window, cg, cg)}")
     if bias is not None and bias.shape != (c,):
         raise ShapeError(f"conv bias shape {tuple(bias.shape)} != ({c},)")
-    padded, fields = _receptive_fields(x._data, groups, window)
-    out, chunk, blocks = _fields_matmul(
-        fields, kernel._data.reshape(groups, window * cg, cg),
-        None if bias is None else bias._data)
+    p = 1 if n * c * window * x.dtype.itemsize <= _CONV_CHUNK_BYTES else _CONV_POSITIONS
+    padded, fields = _receptive_fields(x._data, groups, window, p)
+    out, chunk, blocks = _fields_matmul(fields, kernel._data, n,
+                                        None if bias is None else bias._data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
         if kernel.requires_grad:
             go = g.reshape(n, groups, cg).transpose(1, 0, 2)
-            dk = np.matmul(fields.transpose(0, 2, 1), go)
+            one = np.lib.stride_tricks.as_strided(padded, (groups, n, window * cg),
+                                                  padded.strides, writeable=False)
+            dk = np.matmul(one.transpose(0, 2, 1), go)
             kernel._accumulate(dk.reshape(groups, window, cg, cg))
         if x.requires_grad:
             # The input gradient is the same convolution of g with the taps
             # reversed and each tap transposed.
-            kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2).reshape(
-                groups, window * cg, cg)
+            kt = kernel._data[:, ::-1].transpose(0, 1, 3, 2)
             dx, dx_chunk, dx_blocks = _fields_matmul(
-                _receptive_fields(g, groups, window)[1], kt)
+                _receptive_fields(g, groups, window, p)[1], kt, n)
             for b in dx_blocks:
                 dx_chunk(b)
             x._accumulate(dx)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import number_field
+from .corpus import number_field, text_lines
 from .errors import ConfigError, ContractError, NonFiniteError, ShapeError, \
     TrainingDiverged
 from .model import _finite_real, check_numbers
@@ -92,23 +92,21 @@ def ranknet_loss(s_pref, s_other):
 def load_triples(path):
     """Tab-separated (query id, positive doc id) lines."""
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) >= 2 and parts[0]:
-                triples.append((parts[0], parts[1]))
+    for _, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) >= 2 and parts[0]:
+            triples.append((parts[0], parts[1]))
     return triples
 
 
 def load_candidates(path):
     """Whitespace-separated (query id, doc id, rank) lines -> {qid: [doc ids]}."""
     ranked = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.split()
-            if len(parts) >= 3:
-                rank = number_field(int, parts[2], path, line_no)
-                ranked.setdefault(parts[0], []).append((rank, parts[1]))
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if len(parts) >= 3:
+            rank = number_field(int, parts[2], path, line_no)
+            ranked.setdefault(parts[0], []).append((rank, parts[1]))
     return {qid: [doc for _, doc in sorted(pairs)] for qid, pairs in ranked.items()}
 
 

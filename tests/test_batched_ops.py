@@ -88,13 +88,20 @@ def assert_same(fn_a, fn_b, arrays, out_shape, seed=0):
 # -- grouped convolution ---------------------------------------------------------------
 
 
-# Positions per chunk of receptive fields at the paper shape in float64.
-PAPER_CONV_STEP = T._CONV_CHUNK_BYTES // (32 * 31 * 8 * 8)
+# The paper shape in float64: up to PAPER_SWITCH positions, whose fields
+# fit one chunk, a field row is one position's window; above it a row
+# covers P = _CONV_POSITIONS positions, PAPER_ROWS rows to a pool block.
+P = T._CONV_POSITIONS
+PAPER_SWITCH = T._CONV_CHUNK_BYTES // (32 * 31 * 8 * 8)
+PAPER_ROWS = T._CONV_CHUNK_BYTES // (32 * (P + 30) * 8 * 8)
 CONV_CASES = ([(groups, cg, window, n) for n in (1, 2, 3, 7, 40)
                for groups, cg, window in ((1, 1, 1), (2, 3, 3), (4, 2, 7), (1, 4, 9))]
-              # The paper shape across chunk edges.
-              + [(32, 8, 31, n) for n in (1, PAPER_CONV_STEP, PAPER_CONV_STEP + 1,
-                                          3 * PAPER_CONV_STEP + 2)])
+              # The paper shape: shorter than the window, both sides of the
+              # switch, every n mod P above it, and a ragged third block.
+              + [(32, 8, 31, n) for n in sorted({
+                  1, 16, 17, 50, PAPER_SWITCH,
+                  *range(PAPER_SWITCH + 1, PAPER_SWITCH + P + 1),
+                  2 * P * PAPER_ROWS + 3})])
 
 
 @pytest.mark.parametrize("groups,cg,window,n", CONV_CASES)
@@ -113,6 +120,29 @@ def test_grouped_conv_matches_per_tap_oracle(n, groups, cg, window, with_bias):
         return conv_oracle(p["x"], p["k"], groups, window, p.get("b"))
 
     assert_same(batched, oracle, arrays, (n, groups * cg))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 30])
+def test_grouped_conv_in_rows_of_several_positions_matches_the_oracle(monkeypatch, n):
+    """With a chunk smaller than any field, the paper shape takes P positions
+    a field row at every n, one row a block: shorter than the window, than
+    one row, and with a ragged last row."""
+    monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 1)
+    test_grouped_conv_matches_per_tap_oracle(n, 32, 8, 31, True)
+
+
+def test_grouped_conv_in_rows_of_several_positions_casts_a_wider_kernel():
+    """A float64 kernel on float32 input, above the switch: the weight is
+    built in the output's dtype, so the result is the float64 one rounded."""
+    n = 2 * P * PAPER_ROWS + 3
+    rng = np.random.default_rng(n)
+    x, k = rng.normal(size=(n, 256)), rng.normal(size=(32, 31, 8, 8))
+    out = T.grouped_conv1d(T.constant(x.astype(np.float32)), T.constant(k, np.float64),
+                           32, 31)
+    with T.precision("float64"):
+        ref = conv_oracle(T.constant(x.astype(np.float32)), T.constant(k), 32, 31)
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-3)
 
 
 def test_grouped_conv_rejects_empty_input():

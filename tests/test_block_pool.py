@@ -90,10 +90,11 @@ def paper_op(name, n, rng, p=PAPER_PARAMS):
     }[name]
 
 
-# Rows per block of each paper-width float32 op.
+# Rows per block of each paper-width float32 op; for the conv, positions:
+# a field row of a document past one chunk covers _CONV_POSITIONS of them.
 PAPER_BLOCK = {
-    "conv": rows_per_block(PAPER.conv_groups * PAPER.conv_window
-                           * (D // PAPER.conv_groups) * 4, T._CONV_CHUNK_BYTES),
+    "conv": T._CONV_POSITIONS * rows_per_block(
+        D * (T._CONV_POSITIONS + PAPER.conv_window - 1) * 4, T._CONV_CHUNK_BYTES),
     "layer_norm": rows_per_block(D * 4),
     "feed_forward": rows_per_block(2 * D * 4),
     "attention": rows_per_block((3 * PAPER.num_heads * PAPER.d_key) * 4),
@@ -352,11 +353,13 @@ def test_an_error_in_any_block_is_raised():
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Budgets of a few rows, so micro-sized arrays take several blocks."""
+    """Budgets of a few rows, so micro-sized arrays take several blocks: for
+    the conv, one float64 field row of _CONV_POSITIONS positions over 2
+    groups of 3 channels and a window of 3."""
     pool = CountingPool(2)
     monkeypatch.setattr(T, "_POOL", pool)
     monkeypatch.setattr(T, "_BLOCK_BYTES", 96)
-    monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * 2 * 3 * 3 * 8)
+    monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * (T._CONV_POSITIONS + 2) * 3 * 8)
     yield pool
     pool.close()
 
@@ -376,11 +379,21 @@ def test_gradients_of_blocked_layer_norm_and_ffn(small_blocks):
     assert small_blocks.shared >= 2
 
 
-def test_gradients_of_blocked_conv(small_blocks):
+def test_gradients_of_blocked_conv(small_blocks, monkeypatch):
+    """Nine positions in field rows of several: the last row is ragged."""
+    rows = []
+    fields = T._receptive_fields
+
+    def recorded(a, groups, window, p):
+        rows.append(p)
+        return fields(a, groups, window, p)
+
+    monkeypatch.setattr(T, "_receptive_fields", recorded)
     rng = np.random.default_rng(22)
     check(lambda p: mixed(T.grouped_conv1d(p["x"], p["k"], 2, 3, p["b"])),
           {"x": rand(rng, 9, 6), "k": rand(rng, 2, 3, 3, 3), "b": rand(rng, 6)})
     assert small_blocks.shared > 0
+    assert set(rows) == {T._CONV_POSITIONS}
 
 
 def test_gradients_of_blocked_attention(small_blocks):

@@ -461,6 +461,15 @@ def test_eval_refuses_a_non_finite_score_in_one_error_line(capsys, tmp_path,
     one_error_line(capsys, run, 1, score)
 
 
+def test_build_vocab_refuses_text_that_is_not_utf8_in_one_error_line(capsys,
+                                                                    tmp_path):
+    docs = tmp_path / "docs.tsv"
+    docs.write_bytes(b"d1\tu\tt\tbody\nd2\tu\tt\tb\xffdy\n")
+    assert run_cli("build-vocab", "--docs", docs, "--out", tmp_path / "v.json") == 1
+    assert capsys.readouterr().err == f"error: {docs}:2: not UTF-8 text\n"
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_train_refuses_a_malformed_candidate_rank_in_one_error_line(
         workspace, vocab_path, capsys, tmp_path):
     root, _ = workspace

@@ -12,6 +12,7 @@ from ckrank.corpus import (MAX_DOC_TOKENS, Corpus, DocumentRecord, Vocabulary,
                            ingest_corpus, load_queries, load_qrels, load_run,
                            tokenize, write_run)
 from ckrank.errors import ContractError, IndexFormatError
+from ckrank.train import load_candidates, load_triples
 
 
 # -- tokenize -------------------------------------------------------------------
@@ -102,6 +103,52 @@ def test_ingest_refuses_a_repeated_doc_id(tmp_path):
     with pytest.raises(IndexFormatError,
                        match=re.escape(f"{docs}:4: repeated doc id 'D1'")):
         ingest_corpus(docs)
+
+
+# Each text format with two valid lines: (file name, loader of the one file,
+# the lines). ORCAS is read through ingest_corpus beside a one-line docs file.
+def _ingest_with_orcas(path):
+    docs = path.parent / "orcas_docs.tsv"
+    docs.write_text("D1\tu\tt\tb\n")
+    return ingest_corpus(docs, path).docs
+
+
+TEXT_FORMATS = {
+    "docs": (lambda path: ingest_corpus(path).docs, "D1\tu\tt\tb", "D2\tu\tt\tcafé"),
+    "orcas": (_ingest_with_orcas, "D1\tclick", "D1\tcafé"),
+    "queries": (load_queries, "Q1\tfirst", "Q2\tcafé"),
+    "qrels": (load_qrels, "q1 0 d1 1", "q1 0 café 2"),
+    "run": (load_run, "q1 Q0 d1 1 0.5 t", "q1 Q0 café 2 0.25 t"),
+    "triples": (load_triples, "Q1\tD1", "Q2\tcafé"),
+    "candidates": (load_candidates, "Q1 D3 2", "Q1 café 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+def test_a_line_that_is_not_utf8_is_refused_naming_it(tmp_path, name):
+    load, first, second = TEXT_FORMATS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(f"{first}\n".encode() + second.encode().replace(b"\xc3\xa9", b"\xff")
+                     + b"\n")
+    with pytest.raises(IndexFormatError, match=re.escape(f"{path}:2: not UTF-8 text")):
+        load(path)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+def test_crlf_and_lf_files_read_the_same(tmp_path, name):
+    load, first, second = TEXT_FORMATS[name]
+    lf, crlf = tmp_path / f"{name}.lf", tmp_path / f"{name}.crlf"
+    lf.write_bytes(f"{first}\n{second}\n".encode())
+    crlf.write_bytes(f"{first}\r\n{second}\r\n".encode())
+    assert load(crlf) == load(lf)
+
+
+def test_load_queries_refuses_a_repeated_query_id(tmp_path):
+    path = tmp_path / "queries.tsv"
+    path.write_text("Q1\tfirst\nQ2\tother\nbadline\nQ1\tsecond\n")
+    with pytest.raises(IndexFormatError,
+                       match=re.escape(f"{path}:4: repeated query id 'Q1'")):
+        load_queries(path)
 
 
 def test_ingest_truncates_documents(tmp_path):

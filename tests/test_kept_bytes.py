@@ -11,6 +11,7 @@ tables), which no single op owns.
 
 import ast
 import inspect
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -211,3 +212,25 @@ def test_a_fused_sublayer_charges_what_its_closure_keeps(name, dropout):
     masks = n_d if dropout else 0
     assert out._kept >= n_d + N * out.data.itemsize + masks
     assert out.tracked_nbytes() == out.data.nbytes + out._kept
+
+
+@pytest.mark.parametrize("graph", [False, True], ids=["no-graph", "graph"])
+def test_a_ragged_last_conv_row_charges_only_the_output_rows(graph):
+    """Past one chunk of fields a conv field row covers P = _CONV_POSITIONS
+    positions; at n = 1 (mod P) the last row holds one. The output owns
+    exactly its n rows and charges n * d * itemsize, plus, under a graph,
+    the padded input the backward reads, zero rows past the end included."""
+    cfg = ModelConfig()
+    d, window, groups = cfg.model_dim, cfg.conv_window, cfg.conv_groups
+    p = T._CONV_POSITIONS
+    n = T._CONV_CHUNK_BYTES // (d * window * 4) + 1
+    n += (1 - n) % p
+    params = init_block_params(cfg, _rng())
+    x = T.parameter(_rng().normal(size=(n, d)))
+    with nullcontext() if graph else T.no_grad():
+        out = T.grouped_conv1d(x, params["conv_kernel"], groups, window,
+                               params["conv_bias"])
+    assert out.data.shape == (n, d) and out.data.flags.owndata
+    padded = d * (n + p - 1 + window - 1) * 4 if graph else 0
+    assert out._kept == padded
+    assert out.tracked_nbytes() == n * d * 4 + padded
