@@ -63,7 +63,7 @@ def build_parser():
 
     p = commands.add_parser("build-vocab", help="build vocabulary + statistics")
     _add_corpus_flags(p)
-    p.add_argument("--min-df", type=int, default=2)
+    p.add_argument("--min-df", type=_at_least(1), default=2)
     p.add_argument("--out", required=True)
 
     p = commands.add_parser("train", help="train a ranking model")
@@ -114,7 +114,8 @@ def build_parser():
     p = commands.add_parser("bench-memory", help="attention memory benchmark")
     p.add_argument("--lengths", type=_lengths, default=DEFAULT_LENGTHS,
                    help="comma-separated sequence lengths, each >= 1")
-    p.add_argument("--max-bytes", type=int, help="cap a row instead of running it")
+    p.add_argument("--max-bytes", type=_at_least(1),
+                   help="cap a row instead of running it")
     p.add_argument("--out", required=True, help="CSV output path")
 
     commands.add_parser("selftest", help="run built-in gradient and contract checks")
@@ -134,8 +135,7 @@ def _cmd_build_vocab(args):
     corpus = ingest_corpus(args.docs, args.orcas)
     vocab = Vocabulary.build(corpus, min_df=args.min_df)
     vocab.save(args.out)
-    print(f"vocabulary: {vocab.size} terms over {vocab.num_docs} documents "
-          f"({corpus.skipped_lines} lines skipped)")
+    print(f"vocabulary: {vocab.size} terms over {vocab.num_docs} documents")
     return 0
 
 

@@ -1,5 +1,9 @@
 """Corpus and query ingestion, tokenization, vocabulary, and TREC-style IO.
 
+Every text input is read by ``read_fields``, its format a separator and a
+tuple of field types, such as qrels' ``(str, str, str, int)``. A line that
+does not fit its format is refused, naming ``<path>:<line>``, not skipped.
+
 Documents arrive as tab-separated (id, url, title, body) with an optional
 second file mapping doc id to click-query strings; all fields are
 concatenated in fixed order into one token stream per document, truncated
@@ -22,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ContractError, IndexFormatError
+from .errors import IndexFormatError
 from .index import _rank
 
 MAX_DOC_TOKENS = 4000
@@ -58,7 +62,6 @@ class QueryRecord:
 @dataclass
 class Corpus:
     docs: dict = field(default_factory=dict)
-    skipped_lines: int = 0
 
     def add(self, doc):
         self.docs[doc.doc_id] = doc
@@ -76,14 +79,19 @@ class Corpus:
         return self.docs.get(doc_id)
 
 
-def text_lines(path):
-    """(line number, text) of each line of a UTF-8 text file, its line break
-    removed; lines break as in text mode (``\\n``, ``\\r\\n`` or ``\\r``).
+def read_fields(path, sep, types):
+    """(line number, fields) of each line of a UTF-8 text file, split at
+    every tab (sep ``"\\t"``) or at runs of whitespace (sep None), field i
+    converted by ``types[i]`` (str, int or float). Lines break as in text
+    mode (``\\n``, ``\\r\\n`` or ``\\r``).
 
-    The file is decoded with bytes that are not UTF-8 kept as lone
-    surrogates, and each line is checked by itself, so a line holding one
-    raises IndexFormatError naming ``<path>:<line>``.
+    A line holding only whitespace is skipped. Any other line raises
+    IndexFormatError naming ``<path>:<line>`` if it is not UTF-8 (its bytes
+    decode to lone surrogates), has another field count, has an empty first
+    field (always an id) or holds a number that does not parse or is not
+    finite.
     """
+    numbers = [(i, convert) for i, convert in enumerate(types) if convert is not str]
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.isascii():
@@ -91,30 +99,41 @@ def text_lines(path):
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise IndexFormatError(f"{path}:{line_no}: not UTF-8 text") from None
-            yield line_no, line.rstrip("\n")
+            if line.isspace():
+                continue
+            fields = line.rstrip("\n").split(sep)
+            if len(fields) != len(types):
+                raise IndexFormatError(
+                    f"{path}:{line_no}: {len(fields)} {'tab' if sep else 'whitespace'}"
+                    f"-separated fields, not {len(types)}")
+            if not fields[0]:
+                raise IndexFormatError(f"{path}:{line_no}: empty id")
+            for i, convert in numbers:
+                text = fields[i]
+                try:
+                    fields[i] = convert(text)
+                    finite = math.isfinite(fields[i])
+                except (ValueError, OverflowError):
+                    finite = False
+                if not finite:
+                    raise IndexFormatError(f"{path}:{line_no}: malformed number "
+                                           f"{text!r}")
+            yield line_no, fields
 
 
 def ingest_corpus(docs_file, orcas_file=None):
     """Read documents, concatenating url + title + body + click queries, each
     cut at ``MAX_DOC_TOKENS`` tokens.
 
-    Malformed lines are skipped and counted on the returned corpus; a doc id
-    seen on an earlier line raises IndexFormatError naming the line.
+    A doc id seen on an earlier line raises IndexFormatError naming the
+    line; an ORCAS doc id may repeat, its queries kept in file order.
     """
     orcas = {}
     if orcas_file is not None:
-        for _, line in text_lines(orcas_file):
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                continue
-            orcas.setdefault(parts[0], []).append(parts[1])
+        for _, (doc_id, query) in read_fields(orcas_file, "\t", (str, str)):
+            orcas.setdefault(doc_id, []).append(query)
     corpus = Corpus()
-    for line_no, line in text_lines(docs_file):
-        parts = line.split("\t")
-        if len(parts) != 4 or not parts[0]:
-            corpus.skipped_lines += 1
-            continue
-        doc_id, url, title, body = parts
+    for line_no, (doc_id, url, title, body) in read_fields(docs_file, "\t", (str,) * 4):
         if doc_id in corpus:
             raise IndexFormatError(f"{docs_file}:{line_no}: repeated doc id "
                                    f"{doc_id!r}")
@@ -128,13 +147,10 @@ def load_queries(path):
     kept; a query id seen on an earlier line raises IndexFormatError naming
     the line."""
     queries = {}
-    for line_no, line in text_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            continue
-        if parts[0] in queries:
-            raise IndexFormatError(f"{path}:{line_no}: repeated query id {parts[0]!r}")
-        queries[parts[0]] = QueryRecord(parts[0], tokenize(parts[1]))
+    for line_no, (qid, text) in read_fields(path, "\t", (str, str)):
+        if qid in queries:
+            raise IndexFormatError(f"{path}:{line_no}: repeated query id {qid!r}")
+        queries[qid] = QueryRecord(qid, tokenize(text))
     return list(queries.values())
 
 
@@ -253,46 +269,35 @@ class Vocabulary:
 # -- TREC-format files ----------------------------------------------------------
 
 
-def number_field(convert, text, path, line_no):
-    """convert(text) of a field on line line_no of path; IndexFormatError if
-    it does not parse or parses to a float that is not finite (nan, inf)."""
-    try:
-        value = convert(text)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError
-    except ValueError:
-        raise IndexFormatError(f"{path}:{line_no}: malformed number {text!r}") from None
-    return value
-
-
 def load_qrels(path):
-    """TREC qrels (qid 0 docid rel) -> {qid: {docid: rel}}."""
+    """TREC qrels (qid 0 docid rel) -> {qid: {docid: rel}}; a (qid, docid)
+    pair seen on an earlier line raises IndexFormatError naming the line."""
     qrels = {}
-    for line_no, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 4:
-            continue
-        qid, _, docid, rel = parts
+    for line_no, (qid, _, docid, rel) in read_fields(path, None, (str, str, str, int)):
         per_query = qrels.setdefault(qid, {})
         if docid in per_query:
-            raise ContractError(f"duplicate qrels entry for ({qid}, {docid})")
-        per_query[docid] = number_field(int, rel, path, line_no)
+            raise IndexFormatError(f"{path}:{line_no}: repeated judgment of "
+                                   f"{docid!r} for query {qid!r}")
+        per_query[docid] = rel
     return qrels
 
 
 def load_run(path):
     """TREC run (qid Q0 docid rank score tag) -> {qid: [(docid, score), ...]}.
 
-    Lists come back sorted by descending score, doc id ascending on ties.
+    Lists come back sorted by descending score, doc id ascending on ties. A
+    (qid, docid) pair seen on an earlier line raises IndexFormatError naming
+    the line: a document listed twice would count twice in every metric.
     """
     run = {}
-    for line_no, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 6:
-            continue
-        qid, _, docid, _, score, _ = parts
-        run.setdefault(qid, []).append((docid, number_field(float, score, path, line_no)))
-    return {qid: _rank(pairs, None) for qid, pairs in run.items()}
+    for line_no, (qid, _, docid, _, score, _) in read_fields(
+            path, None, (str, str, str, str, float, str)):
+        per_query = run.setdefault(qid, {})
+        if docid in per_query:
+            raise IndexFormatError(f"{path}:{line_no}: repeated document "
+                                   f"{docid!r} for query {qid!r}")
+        per_query[docid] = score
+    return {qid: _rank(list(scored.items()), None) for qid, scored in run.items()}
 
 
 def write_run(run, path, tag="ckrank"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import number_field, text_lines
+from .corpus import read_fields
 from .errors import ConfigError, ContractError, NonFiniteError, ShapeError, \
     TrainingDiverged
 from .model import _finite_real, check_numbers
@@ -90,23 +90,15 @@ def ranknet_loss(s_pref, s_other):
 
 
 def load_triples(path):
-    """Tab-separated (query id, positive doc id) lines."""
-    triples = []
-    for _, line in text_lines(path):
-        parts = line.split("\t")
-        if len(parts) >= 2 and parts[0]:
-            triples.append((parts[0], parts[1]))
-    return triples
+    """Tab-separated (query id, positive doc id) lines -> [(qid, doc id)]."""
+    return [(qid, doc) for _, (qid, doc) in read_fields(path, "\t", (str, str))]
 
 
 def load_candidates(path):
     """Whitespace-separated (query id, doc id, rank) lines -> {qid: [doc ids]}."""
     ranked = {}
-    for line_no, line in text_lines(path):
-        parts = line.split()
-        if len(parts) >= 3:
-            rank = number_field(int, parts[2], path, line_no)
-            ranked.setdefault(parts[0], []).append((rank, parts[1]))
+    for _, (qid, doc, rank) in read_fields(path, None, (str, str, int)):
+        ranked.setdefault(qid, []).append((rank, doc))
     return {qid: [doc for _, doc in sorted(pairs)] for qid, pairs in ranked.items()}
 
 

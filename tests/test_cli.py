@@ -428,6 +428,20 @@ def test_eval_cutoff_below_one_is_a_usage_error(workspace, capsys, cutoff):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("build-vocab", "--min-df", "0"), ("build-vocab", "--min-df", "-5"),
+    ("bench-memory", "--max-bytes", "0"), ("bench-memory", "--max-bytes", "-1")])
+def test_a_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    argv = [a if a.startswith("--") or a.isdigit() else tmp_path / a
+            for a in COMMAND_ARGS[command]]
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *argv, flag, value)
+    assert err.value.code == 2
+    assert f"argument {flag}: must be an integer >= 1, not '{value}'" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def one_error_line(capsys, path, line_no, text):
     err = capsys.readouterr().err
     assert err == f"error: {path}:{line_no}: malformed number {text!r}\n"
@@ -435,7 +449,7 @@ def one_error_line(capsys, path, line_no, text):
 
 def test_eval_refuses_a_malformed_relevance_in_one_error_line(capsys, tmp_path):
     qrels = tmp_path / "qrels.txt"
-    qrels.write_text("q1 0 d0 1\nshort line\nq1 0 d1 x\n")
+    qrels.write_text("q1 0 d0 1\n \nq1 0 d1 x\n")
     (tmp_path / "run.txt").write_text("q1 Q0 d1 1 0.5 t\n")
     assert run_cli("eval", "--run", tmp_path / "run.txt", "--qrels", qrels) == 1
     one_error_line(capsys, qrels, 3, "x")
@@ -459,6 +473,18 @@ def test_eval_refuses_a_non_finite_score_in_one_error_line(capsys, tmp_path,
     run.write_text(f"q1 Q0 d2 1 {score} t\nq1 Q0 d1 2 0.5 t\n")
     assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
     one_error_line(capsys, run, 1, score)
+
+
+def test_eval_refuses_a_run_that_lists_a_document_twice(capsys, tmp_path):
+    """Counted twice, d1 would give an NDCG@10 of 1.56."""
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d1 3\nq1 0 d2 1\n")
+    run = tmp_path / "run.txt"
+    run.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\nq1 Q0 d2 3 0.5 t\n")
+    assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {run}:2: repeated document 'd1' for query 'q1'\n"
 
 
 def test_build_vocab_refuses_text_that_is_not_utf8_in_one_error_line(capsys,

@@ -5,13 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ckrank.corpus import (MAX_DOC_TOKENS, Corpus, DocumentRecord, Vocabulary,
                            ingest_corpus, load_queries, load_qrels, load_run,
                            tokenize, write_run)
-from ckrank.errors import ContractError, IndexFormatError
+from ckrank.cli import main
+from ckrank.errors import CkrankError, IndexFormatError
 from ckrank.train import load_candidates, load_triples
 
 
@@ -68,7 +69,6 @@ def test_ingest_concatenates_fields_in_order(tmp_path):
         "bravo", "title",                        # title
         "charlie", "body", "text",               # body
     ]
-    assert corpus.skipped_lines == 0
 
 
 def test_ingest_appends_click_queries_in_file_order(tmp_path):
@@ -82,23 +82,25 @@ def test_ingest_appends_click_queries_in_file_order(tmp_path):
     assert corpus.get("D2").tokens == ["u2", "t2", "b2", "other"]
 
 
-def test_ingest_counts_malformed_lines(tmp_path):
+def test_ingest_refuses_malformed_lines(tmp_path):
+    """A line with another field count or an empty id is refused, naming it;
+    a line holding only whitespace is skipped."""
     docs = tmp_path / "docs.tsv"
-    docs.write_text("D1\tu\tt\tb\n"
-                    "garbage line without tabs\n"
-                    "\tu\tt\tb\n"          # empty id
-                    "D2\tu\tt\n"            # missing field
-                    "D3\tu\tt\tb\n")
-    corpus = ingest_corpus(docs)
-    assert len(corpus) == 2
-    assert corpus.skipped_lines == 3
+    docs.write_text("D1\tu\tt\tb\n\n \t\nD3\tu\tt\tb\n")
+    assert sorted(ingest_corpus(docs).docs) == ["D1", "D3"]
+    for bad, why in [("garbage line without tabs", "1 tab-separated fields, not 4"),
+                     ("\tu\tt\tb", "empty id"),
+                     ("D2\tu\tt", "3 tab-separated fields, not 4")]:
+        docs.write_text(f"D1\tu\tt\tb\n{bad}\nD3\tu\tt\tb\n")
+        with pytest.raises(IndexFormatError, match=re.escape(f"{docs}:2: {why}")):
+            ingest_corpus(docs)
 
 
 def test_ingest_refuses_a_repeated_doc_id(tmp_path):
     docs = tmp_path / "docs.tsv"
     docs.write_text("D1\tu\tt\tfirst\n"
                     "D2\tu\tt\tb\n"
-                    "garbage line without tabs\n"
+                    "\n"
                     "D1\tu\tt\tsecond\n")
     with pytest.raises(IndexFormatError,
                        match=re.escape(f"{docs}:4: repeated doc id 'D1'")):
@@ -143,9 +145,95 @@ def test_crlf_and_lf_files_read_the_same(tmp_path, name):
     assert load(crlf) == load(lf)
 
 
+def _malformed(line, damage):
+    """line with one field too few, one too many, or its first field empty."""
+    sep = "\t" if "\t" in line else " "
+    fields = line.split(sep)
+    return {"too_few": sep.join(fields[:-1]),
+            "too_many": line + sep + "x",
+            "empty_id": sep.join([""] + fields[1:])}[damage]
+
+
+DAMAGES = ["too_few", "too_many", "empty_id"]
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+def test_a_line_that_does_not_fit_its_format_is_refused_naming_it(tmp_path, name,
+                                                                  damage):
+    load, first, second = TEXT_FORMATS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"{first}\n{_malformed(second, damage)}\n{first}\n")
+    with pytest.raises(IndexFormatError, match=re.escape(f"{path}:2: ")):
+        load(path)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+def test_a_line_holding_only_whitespace_is_skipped(tmp_path, name):
+    load, first, second = TEXT_FORMATS[name]
+    plain, spaced = tmp_path / f"{name}.plain", tmp_path / f"{name}.spaced"
+    plain.write_text(f"{first}\n{second}\n")
+    spaced.write_text(f"\n{first}\n \t \n\n{second}\n  ")
+    assert load(spaced) == load(plain)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(at=st.integers(0, 10**6), byte=st.one_of(st.none(), st.integers(0, 255)))
+def test_a_cut_or_changed_file_loads_or_raises_a_ckrank_error(tmp_path, name, at,
+                                                               byte):
+    """A valid file cut at any byte (byte None), or with one byte changed."""
+    load, first, second = TEXT_FORMATS[name]
+    data = bytearray(f"{first}\n{second}\n".encode())
+    at %= len(data) + (byte is None)
+    if byte is None:
+        del data[at:]
+    else:
+        data[at] = byte
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(bytes(data))
+    try:
+        load(path)
+    except CkrankError:
+        pass
+
+
+# The command that reads each format; the files of the other formats are
+# valid, and a bare word stands for the file of that name.
+TRAIN_ARGS = ["train", "--docs", "docs", "--vocab", "vocab", "--queries", "queries",
+              "--triples", "triples", "--candidates", "candidates", "--out", "out"]
+CLI_READERS = {
+    "docs": ["build-vocab", "--docs", "docs", "--out", "out"],
+    "orcas": ["build-vocab", "--docs", "docs", "--orcas", "orcas", "--out", "out"],
+    "queries": TRAIN_ARGS,
+    "triples": TRAIN_ARGS,
+    "candidates": TRAIN_ARGS,
+    "qrels": ["eval", "--run", "run", "--qrels", "qrels"],
+    "run": ["eval", "--run", "run", "--qrels", "qrels"],
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+def test_the_cli_refuses_a_malformed_line_in_one_error_line(tmp_path, capsys, name,
+                                                            damage):
+    for other, (_, first, second) in TEXT_FORMATS.items():
+        (tmp_path / other).write_text(f"{first}\n{second}\n")
+    Vocabulary.build(ingest_corpus(tmp_path / "docs")).save(tmp_path / "vocab")
+    _, first, second = TEXT_FORMATS[name]
+    (tmp_path / name).write_text(f"{first}\n{_malformed(second, damage)}\n")
+    command, *args = CLI_READERS[name]
+    argv = [a if a.startswith("--") else str(tmp_path / a) for a in args]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}:2: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_queries_refuses_a_repeated_query_id(tmp_path):
     path = tmp_path / "queries.tsv"
-    path.write_text("Q1\tfirst\nQ2\tother\nbadline\nQ1\tsecond\n")
+    path.write_text("Q1\tfirst\nQ2\tother\n\nQ1\tsecond\n")
     with pytest.raises(IndexFormatError,
                        match=re.escape(f"{path}:4: repeated query id 'Q1'")):
         load_queries(path)
@@ -165,7 +253,7 @@ def test_load_queries_keeps_every_token(tmp_path):
     """Queries are read whole: each model reads its own max_query_tokens."""
     text = " ".join(f"q{i}" for i in range(30))
     path = tmp_path / "queries.tsv"
-    path.write_text(f"Q1\t{text}\nbadline\n")
+    path.write_text(f"Q1\t{text}\n\n")
     queries = load_queries(path)
     assert len(queries) == 1
     assert queries[0].tokens == [f"q{i}" for i in range(30)]
@@ -255,11 +343,12 @@ def test_vocabulary_load_malformed_is_format_error(tmp_path, damage):
 
 def test_qrels_round_trip_and_duplicate_rejection(tmp_path):
     path = tmp_path / "qrels.txt"
-    path.write_text("Q1 0 D1 2\nQ1 0 D2 0\nQ2 0 D1 1\nshort line\n")
+    path.write_text("Q1 0 D1 2\nQ1 0 D2 0\nQ2 0 D1 1\n\n")
     qrels = load_qrels(path)
     assert qrels == {"Q1": {"D1": 2, "D2": 0}, "Q2": {"D1": 1}}
     path.write_text("Q1 0 D1 2\nQ1 0 D1 1\n")
-    with pytest.raises(ContractError):
+    with pytest.raises(IndexFormatError, match=re.escape(
+            f"{path}:2: repeated judgment of 'D1' for query 'Q1'")):
         load_qrels(path)
 
 
@@ -275,6 +364,16 @@ def test_run_write_then_load_round_trip(tmp_path):
     assert [d for d, _ in loaded["Q2"]] == ["D9", "D1"]
     # ties broken by ascending doc id
     assert [d for d, _ in loaded["Q1"]] == ["Da", "Db", "Dc"]
+
+
+def test_load_run_refuses_a_repeated_document(tmp_path):
+    """A document listed twice for one query would be counted twice by every
+    metric; a document may appear once for each query."""
+    path = tmp_path / "run.txt"
+    path.write_text("q1 Q0 d1 1 2.0 t\nq2 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n")
+    with pytest.raises(IndexFormatError, match=re.escape(
+            f"{path}:3: repeated document 'd1' for query 'q1'")):
+        load_run(path)
 
 
 def test_load_run_sorts_by_score(tmp_path):

@@ -1,6 +1,7 @@
 """Pair expansion, RankNet loss, optimizer mechanics, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from oracles import batch_loss_per_document, make_instances_pool_per_triple
 
 import ckrank.tensor as T
 from ckrank.corpus import Corpus, DocumentRecord
-from ckrank.errors import ConfigError, ContractError, TrainingDiverged
+from ckrank.errors import ConfigError, ContractError, IndexFormatError, \
+    TrainingDiverged
 from ckrank.model import CKModel
 from ckrank.train import (DOCS_PER_INSTANCE, PAIRS_PER_INSTANCE, Adam,
                           TrainConfig, TrainInstance, batch_loss,
@@ -109,16 +111,26 @@ def test_ranknet_decreasing_in_gap():
 
 
 def test_load_triples(tmp_path):
+    """Exactly two tab-separated fields a line; a blank line is skipped, and
+    any other line with another field count is refused, naming it."""
     path = tmp_path / "triples.tsv"
-    path.write_text("Q1\tD1\nQ2\tD5\n\nbad\n")
+    path.write_text("Q1\tD1\nQ2\tD5\n\n")
     assert load_triples(path) == [("Q1", "D1"), ("Q2", "D5")]
+    for bad in ("bad", "Q3\tD1\tD2"):
+        path.write_text(f"Q1\tD1\nQ2\tD5\n\n{bad}\n")
+        with pytest.raises(IndexFormatError, match=re.escape(f"{path}:4: ")):
+            load_triples(path)
 
 
 def test_load_candidates_sorted_by_rank(tmp_path):
     path = tmp_path / "cand.txt"
-    path.write_text("Q1 D3 2\nQ1 D9 1\nQ2 D1 1\nshort\n")
+    path.write_text("Q1 D3 2\nQ1 D9 1\nQ2 D1 1\n \n")
     cands = load_candidates(path)
     assert cands == {"Q1": ["D9", "D3"], "Q2": ["D1"]}
+    for bad in ("short", "Q2 D4 2 x"):
+        path.write_text(f"Q1 D3 2\nQ1 D9 1\nQ2 D1 1\n{bad}\n")
+        with pytest.raises(IndexFormatError, match=re.escape(f"{path}:4: ")):
+            load_candidates(path)
 
 
 def test_make_instances_sampling(training_setup):
