@@ -63,9 +63,10 @@ _METRIC_FNS = {"ndcg": ndcg_at_k, "ncg": ncg_at_k, "ap": ap_at_k, "rr": rr_at_k}
 def evaluate(run, qrels, metric, cutoff):
     """Score every run query that has judgments.
 
-    run: {qid: [(doc_id, score), ...]} already sorted best-first.
-    Returns (per_query dict, mean, skipped) where skipped counts run
-    queries absent from the qrels.
+    run: {qid: [(doc_id, score), ...]} already sorted best-first. A doc id
+    listed more than once counts once, at its first (best) place, before
+    the cutoff applies, so no metric passes 1. Returns (per_query dict,
+    mean, skipped) where skipped counts run queries absent from the qrels.
     """
     if metric not in _METRIC_FNS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
@@ -78,7 +79,8 @@ def evaluate(run, qrels, metric, cutoff):
         if qid not in qrels:
             skipped += 1
             continue
-        per_query[qid] = fn([doc_id for doc_id, _ in ranking], qrels[qid], cutoff)
+        ranked_ids = list(dict.fromkeys(doc_id for doc_id, _ in ranking))
+        per_query[qid] = fn(ranked_ids, qrels[qid], cutoff)
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return per_query, mean, skipped
 

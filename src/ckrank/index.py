@@ -7,21 +7,26 @@ document. Folding runs by columns over ``posting_table``: the explicit
 branch and ndrm3's duet score every pair in one elementwise call each, and
 only the latent branch encodes one document at a time. Retrieval is then
 one weighted ``bincount`` over the query's posting lists, with no model in
-sight, followed by an array top-k: a partition keeps every touched document
-scoring at least the k-th best score, and only those few are sorted (score
-descending, then doc id ascending) and turned into Python tuples. Soft
-matches against documents that do not contain the literal term are
-deliberately dropped; scoring every (term, document) pair would be
-quadratic in the collection.
+sight, followed by an array top-k over the candidates: the documents
+scoring above zero when at least k do, since the k-th best score is then
+above zero and an untouched document sums to exactly 0.0, else every
+touched document. A partition keeps every candidate scoring at least the
+k-th best score, and only those few are sorted (score descending, then doc
+id ascending) and turned into Python tuples. Soft matches against
+documents that do not contain the literal term are deliberately dropped;
+scoring every (term, document) pair would be quadratic in the collection.
 
 In memory an index is what its file stores: the sorted terms, their
 posting counts and two term-major columns, doc indices and scores. The doc
 column is the narrowest unsigned type that holds every index of the doc
 table: uint8 up to 256 documents, uint16 up to 65,536 and uint32 above
 (at most 2**31 - 1 documents). Scores are float32 for a model and float64
-for BM25. The constructor checks the columns once; the per-term views
-``retrieve`` reads are built on first use, and it widens a query's doc
-indices to ``intp`` once, for ``bincount`` and the touched-set scatter.
+for BM25, and every score is finite, which the candidate rule needs (NaN
+is never above zero, yet a partition sorts it last). The constructor checks
+the columns once; the per-term views ``retrieve`` reads are built on first
+use, and it widens a query's doc indices to ``intp`` once, for
+``bincount`` and, only when fewer than k documents score above zero (or k
+is None), the scatter that marks the touched documents.
 
 File layout (version 3): a ``CKIX`` container (``container.py``) whose
 manifest holds the doc table, the config hash, the frozen statistics, the
@@ -87,19 +92,25 @@ def _query_parts(query):
     return getattr(query, "query_id", ""), tokens
 
 
+def _check_k(k):
+    """A ContractError unless k is None or an integer >= 0 (not a bool)."""
+    if k is not None and (isinstance(k, bool) or
+                          not isinstance(k, (int, np.integer)) or k < 0):
+        raise ContractError(f"k must be None or a non-negative integer, not {k!r}")
+
+
 def _best_first(scores, ranks, k, ids=None):
     """Positions of scores ordered by score descending, then rank ascending,
-    cut at k; None keeps all, and a negative or non-integer k is refused.
-    The rank of position i is ranks[i], or ranks[ids[i]] when ids is given,
-    so only the candidates' ranks are gathered.
+    cut at k; None keeps all, and k is checked by ``_check_k``. The rank of
+    position i is ranks[i], or ranks[ids[i]] when ids is given, so only the
+    candidates' ranks are gathered.
 
     For 0 < k < len(scores) a partition first finds the k-th best score and
     only the candidates scoring at least that much are sorted; every score
     tied with the k-th is kept, so ties at the cut are broken by rank, never
     by the partition's order.
     """
-    if k is not None and not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ContractError(f"k must be None or a non-negative integer, not {k!r}")
+    _check_k(k)
     if k is not None and 0 < k < scores.size:
         kth = np.partition(scores, scores.size - k)[scores.size - k]
         pos = np.flatnonzero(scores >= kth)
@@ -186,8 +197,9 @@ def _checked(doc_ids, terms, counts, doc_idx, scores, cap):
     """(int64 counts, doc indices, scores) if the doc ids are at most
     MAX_DOCS distinct strings, the terms distinct sorted strings, the counts
     one int >= 0 per term adding up to both columns' length, the doc indices
-    strictly rising within a term and inside the doc table, and the cap an
-    int >= 0 or None; else a ContractError naming the first bad term.
+    strictly rising within a term and inside the doc table, every score
+    finite, and the cap an int >= 0 or None; else a ContractError naming
+    the first bad term.
 
     The doc indices come back in the narrowest unsigned type holding
     ``len(doc_ids) - 1``: uint8 up to 256 documents, uint16 up to 65,536,
@@ -213,10 +225,13 @@ def _checked(doc_ids, terms, counts, doc_idx, scores, cap):
     counts = _check_counts(terms, counts, scores.size)
     wide = doc_idx.astype(np.int64)
     bad = np.flatnonzero((wide <= _previous(wide, counts)) | (wide >= len(doc_ids)))
+    what = "repeats a document, goes back or names no document"
+    if not bad.size:
+        bad = np.flatnonzero(~np.isfinite(scores))
+        what = "holds a score that is not finite"
     if bad.size:
         term = terms[int(np.searchsorted(np.cumsum(counts), bad[0], "right"))]
-        raise ContractError(f"posting list of {term!r} repeats a document, goes "
-                            "back or names no document")
+        raise ContractError(f"posting list of {term!r} {what}")
     narrow = np.uint8 if len(doc_ids) <= 1 << 8 else \
         np.uint16 if len(doc_ids) <= 1 << 16 else np.uint32
     return counts, doc_idx.astype(narrow, copy=False), scores
@@ -309,7 +324,15 @@ def retrieve(query, index, k=100):
     is the term-at-a-time sum. Only documents sharing at least one indexed
     term appear, whatever their score. Ranked as ``_rank`` ranks: score
     descending, doc id ascending.
+
+    The candidates are the documents scoring above zero when k is not None
+    and at least k do: the k-th best score is then above zero, so every
+    document at or above it is one, ties at the cut included. Otherwise
+    they are the touched documents, marked by a scatter over the query's
+    doc indices. Both give the ranking the touched set gives, since every
+    score is finite and an untouched document sums to exactly 0.0.
     """
+    _check_k(k)
     qid, tokens = _query_parts(query)
     hits = [hit for hit in map(index.postings.get,
                                islice(tokens, index.max_query_tokens))
@@ -321,9 +344,11 @@ def retrieve(query, index, k=100):
     else:
         doc_idx, weights = np.zeros(0, dtype=np.intp), np.zeros(0)
     acc = np.bincount(doc_idx, weights=weights, minlength=index.num_docs)
-    touched = np.zeros(index.num_docs, dtype=bool)
-    touched[doc_idx] = True
-    live = np.flatnonzero(touched)
+    live = np.flatnonzero(acc > 0)
+    if k is None or live.size < k:
+        touched = np.zeros(index.num_docs, dtype=bool)
+        touched[doc_idx] = True
+        live = np.flatnonzero(touched)
     scores = acc[live]
     top = _best_first(scores, index.doc_rank, k, live)
     ranking = list(zip(index.doc_id_array[live[top]].tolist(),

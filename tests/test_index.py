@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import (index_from_postings, micro_config, micro_corpus,
                      tiny_config)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (build_index_per_document, posting_table_by_stable_sort,
                      rerank_per_document, retrieve_term_at_a_time,
@@ -111,8 +111,43 @@ def k_values(live, data):
     return (None, 0, 1, live, live + 1, data.draw(st.integers(0, 40)))
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an ``@example``: every draw is k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def draw(self, strategy):
+        return self.k
+
+
+def _pinned(dtype, k, doc_ids, postings, tokens=("t0", "t1")):
+    """An ``@example`` of the test below: an index with a ``dtype`` score
+    column, a query, and k among the ks that ``k_values`` tries (None, 0, 1
+    and the touched count included)."""
+    return example((index_from_postings(doc_ids, {
+        t: (np.array(docs, np.int32), np.array(scores, dtype))
+        for t, (docs, scores) in postings.items()}), list(tokens)), _Draws(k))
+
+
+# Three documents above zero, Z at exactly 0.0 (1e16 - 1e16), E below zero,
+# and A and AA untouched: at k = 3 exactly k score above zero; at k = 4 Z
+# takes the 4th place, ahead of the untouched ids that sort before it.
+SIGNS = (["C", "B", "Z", "E", "Y", "A", "AA"],
+         {"t0": ([0, 1, 2, 3, 4], [0.5, 1.0, 1e16, -0.5, 0.25]),
+          "t1": ([2], [-1e16])})
+# A tie at the positive 2nd score, spanning the cut at k = 2.
+TIE = (["D3", "D1", "D0", "D2"], {"t0": ([0, 1, 2, 3], [1.0, 0.5, 0.5, 0.5])})
+
+
 @settings(max_examples=200, deadline=None)
 @given(tied_indexes(), st.data())
+@_pinned(np.float32, 3, *SIGNS)
+@_pinned(np.float64, 3, *SIGNS)
+@_pinned(np.float32, 4, *SIGNS)
+@_pinned(np.float64, 4, *SIGNS)
+@_pinned(np.float32, 2, *TIE)
+@_pinned(np.float64, 2, *TIE)
 def test_retrieve_matches_full_sort_oracle(case, data):
     index, tokens = case
     scored = accumulate_oracle(index, tokens)
@@ -138,7 +173,7 @@ def test_retrieve_matches_oracles_on_session_indexes(name, synth, index_ndrm2,
             assert got == bits(sorted_oracle(scored, k))
 
 
-@pytest.mark.parametrize("k", [-1, -7, 1.5, "3", float("nan")])
+@pytest.mark.parametrize("k", [-1, -7, 1.5, "3", float("nan"), True, False])
 def test_bad_k_is_refused(indexed, k):
     corpus, _, model, index = indexed
     tokens = sorted(index.postings)[:3]
@@ -974,6 +1009,16 @@ def test_load_refuses_other_payloads(tmp_path, payloads):
         load_index(path)
 
 
+def test_load_refuses_a_score_that_is_not_finite(tmp_path):
+    path = tmp_path / "nan.ckix"
+    _v3_file(path, ["a", "b"], [2, 1], [1, 1, 2], [1.0, 2.0, 3.0])
+    load_index(path)
+    _v3_file(path, ["a", "b"], [2, 1], [1, 1, 2], [1.0, 2.0, np.nan])
+    with pytest.raises(IndexFormatError,
+                       match="nan.ckix: posting list of 'b' holds a score"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("doc_ids", [[1, "a"], ["a", None], ["a", "b", "a"]],
                          ids=["int", "null", "repeated"])
 def test_a_doc_table_must_be_distinct_strings(tmp_path, doc_ids):
@@ -1011,13 +1056,18 @@ def _columns(**changes):
     (dict(doc_idx=np.array([2, 0, 1])), "'a'"),
     (dict(doc_idx=np.array([0, 2, 3])), "'b'"),
     (dict(doc_idx=np.array([0, 2, 2**32 + 1])), "'b'"),
+    (dict(scores=np.array([1.0, 1.0, np.nan], np.float32)),
+     "'b' holds a score that is not finite"),
+    (dict(scores=np.array([1.0, np.inf, 1.0])), "'a' holds a score that is not"),
+    (dict(scores=np.array([-np.inf, 1.0, 1.0])), "'a' holds a score that is not"),
     (dict(max_query_tokens=-1), "query cap -1"),
     (dict(max_query_tokens=True), "query cap True"),
     (dict(max_query_tokens=2.0), "query cap 2.0"),
 ], ids=["unsorted-terms", "repeated-term", "int-term", "counts-sum",
         "counts-per-term", "float-count", "float-count-array", "negative-count",
         "negative-count-array", "float-doc-idx", "2-d-doc-idx", "fewer-scores",
-        "decreasing", "past-doc-table", "wraps-in-int32", "negative-cap",
+        "decreasing", "past-doc-table", "wraps-in-int32", "nan-score",
+        "inf-score", "minus-inf-score", "negative-cap",
         "bool-cap", "float-cap"])
 def test_the_index_checks_its_columns_when_made(changes, reason):
     ImpactIndex(**_columns())

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckrank.errors import ConfigError
-from ckrank.evalmetrics import (BINARY_REL_THRESHOLD, ap_at_k, evaluate,
-                                ncg_at_k, ndcg_at_k, rr_at_k,
+from ckrank.evalmetrics import (BINARY_REL_THRESHOLD, METRICS, ap_at_k,
+                                evaluate, ncg_at_k, ndcg_at_k, rr_at_k,
                                 write_per_query_csv)
 
 
@@ -90,6 +90,25 @@ def test_evaluate_rejects_unknown_metric():
 def test_evaluate_rejects_a_cutoff_below_one_or_not_an_int(cutoff):
     with pytest.raises(ConfigError, match="cutoff must be an integer >= 1"):
         evaluate({"q1": [("d1", 1.0)]}, {"q1": {"d1": 1}}, "ndcg", cutoff)
+
+
+# Rankings that list a doc id twice, each beside itself with every repeat
+# dropped. The second lists an unjudged d3 twice before d1, so counting
+# repeats moves every metric, RR too.
+REPEATS = [
+    ([("d1", 2.0), ("d1", 1.0), ("d2", 0.5)], [("d1", 2.0), ("d2", 0.5)],
+     {"d1": 3, "d2": 1}),
+    ([("d3", 3.0), ("d3", 2.5), ("d1", 2.0), ("d1", 1.0), ("d2", 0.5)],
+     [("d3", 3.0), ("d1", 2.0), ("d2", 0.5)], {"d1": 3, "d2": 2}),
+]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_evaluate_counts_a_document_once_per_ranking(metric):
+    for ranking, once, qrel in REPEATS:
+        _, got, _ = evaluate({"q1": ranking}, {"q1": qrel}, metric, 10)
+        _, want, _ = evaluate({"q1": once}, {"q1": qrel}, metric, 10)
+        assert got == want and 0.0 < got <= 1.0
 
 
 def test_evaluate_empty_run():
